@@ -95,7 +95,8 @@ def to_exact(value: object) -> Fraction:
 
     Strings accept plain integers, decimal notation, and "n/d" ratios.
     Floats are interpreted through their shortest decimal representation
-    ("0.1" means one tenth, not the binary expansion).
+    ("0.1" means one tenth, not the binary expansion).  Infinities and NaNs
+    raise ValueError.
     """
     if isinstance(value, Fraction):
         return value
@@ -104,20 +105,29 @@ def to_exact(value: object) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, Decimal):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(Decimal(str(value)))
-    if isinstance(value, str):
+        decimal = value
+    elif isinstance(value, float):
+        decimal = Decimal(str(value))
+    elif isinstance(value, str):
         text = value.strip()
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError):
             pass
         try:
-            return Fraction(Decimal(text))
+            decimal = Decimal(text)
         except InvalidOperation:
             raise ValueError(f"not an exact number: {value!r}") from None
-    raise ValueError(f"not an exact number: {value!r}")
+    else:
+        raise ValueError(f"not an exact number: {value!r}")
+    if not decimal.is_finite():
+        raise ValueError(f"not a finite number: {value!r}")
+    return Fraction(decimal)
+
+
+def is_int(value: object) -> bool:
+    """True for an int that is not a bool (JSON true/false must not pass as 1/0)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def format_exact(value: Fraction) -> str:
@@ -169,7 +179,7 @@ class StationConfig:
             object.__setattr__(self, "charge_power_kw", to_exact(self.charge_power_kw))
         for name in ("n_batteries", "n_chargers", "charge_hours", "horizon"):
             v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            if not is_int(v) or v < 1:
                 raise InstanceError(f"{name} must be a positive integer, got {v!r}")
         if self.capacity_kwh <= 0:
             raise InstanceError("capacity_kwh must be positive")
@@ -240,8 +250,10 @@ class BatteryStart:
     def __post_init__(self):
         if not isinstance(self.state, BatteryState):
             object.__setattr__(self, "state", BatteryState(self.state))
-        if self.progress < 0:
-            raise InstanceError("progress must be >= 0")
+        if not is_int(self.progress) or self.progress < 0:
+            raise InstanceError(f"progress must be a non-negative integer, got {self.progress!r}")
+        if self.full_rank is not None and not is_int(self.full_rank):
+            raise InstanceError(f"full_rank must be an integer, got {self.full_rank!r}")
         if self.progress and self.state is not BatteryState.CHARGING:
             raise InstanceError("progress only applies to batteries that start charging")
         if self.full_rank is not None and self.state is not BatteryState.FULL:
@@ -356,7 +368,7 @@ class EventProfiles:
             raise DimensionError("demand, arrivals and price must share one horizon length")
         for name, seq in (("demand", demand), ("arrivals", arrivals)):
             for h, v in enumerate(seq, start=1):
-                if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                if not is_int(v) or v < 0:
                     raise InstanceError(f"{name} at hour {h} must be a non-negative integer")
         for h, p in enumerate(price, start=1):
             if p < 0:
@@ -380,10 +392,11 @@ class EventProfiles:
         """Build profiles from sparse {hour: count} maps and a flat or per-hour price."""
         d = [0] * horizon
         a = [0] * horizon
-        for hour, v in (demand or {}).items():
-            d[hour - 1] = v
-        for hour, v in (arrivals or {}).items():
-            a[hour - 1] = v
+        for name, sparse, dense in (("demand", demand, d), ("arrivals", arrivals, a)):
+            for hour, v in (sparse or {}).items():
+                if not is_int(hour) or not 1 <= hour <= horizon:
+                    raise DimensionError(f"{name} hour {hour!r} lies outside hours 1..{horizon}")
+                dense[hour - 1] = v
         if isinstance(price, (list, tuple)):
             p = tuple(to_exact(x) for x in price)
         else:

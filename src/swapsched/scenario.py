@@ -38,6 +38,7 @@ from .model import (
     StationConfig,
     extract_events,
     format_exact,
+    is_int,
     render_grid,
     to_exact,
 )
@@ -78,8 +79,8 @@ class UniformShape:
     total: int
 
     def __post_init__(self):
-        if self.total < 0:
-            raise InstanceError("shape total must be >= 0")
+        if not is_int(self.total) or self.total < 0:
+            raise InstanceError(f"shape total must be an integer >= 0, got {self.total!r}")
 
     def draw(self, rng: random.Random, lo: int, hi: int) -> list[int]:
         return [rng.randint(lo, hi) for _ in range(self.total)]
@@ -94,10 +95,12 @@ class PeakedShape:
     width: int
 
     def __post_init__(self):
-        if self.total < 0:
-            raise InstanceError("shape total must be >= 0")
-        if self.width < 1:
-            raise InstanceError("shape width must be >= 1")
+        if not is_int(self.total) or self.total < 0:
+            raise InstanceError(f"shape total must be an integer >= 0, got {self.total!r}")
+        if not is_int(self.peak_hour):
+            raise InstanceError(f"shape peak_hour must be an integer, got {self.peak_hour!r}")
+        if not is_int(self.width) or self.width < 1:
+            raise InstanceError(f"shape width must be an integer >= 1, got {self.width!r}")
 
     def draw(self, rng: random.Random, lo: int, hi: int) -> list[int]:
         hours = []
@@ -494,7 +497,7 @@ def _initial_from_json(data: object) -> InitialConditions:
         if "battery" not in item or "state" not in item:
             raise InstanceError(f"initial entry {item!r} needs battery and state")
         b = item["battery"]
-        if not isinstance(b, int) or b < 1:
+        if not is_int(b) or b < 1:
             raise InstanceError(f"battery number {b!r} must be a positive integer")
         if b in by_battery:
             raise InstanceError(f"battery B{b} listed twice in initial conditions")
@@ -630,7 +633,7 @@ def load_spec(path: str | Path) -> ScenarioSpec:
     missing = required - set(data)
     if missing:
         raise InstanceError(f"scenario spec: missing keys {sorted(missing)}")
-    if not isinstance(data["seed"], int) or isinstance(data["seed"], bool):
+    if not is_int(data["seed"]):
         raise InstanceError("seed must be an integer")
     config = StationConfig.from_json_dict(data["config"])
     initial = _initial_from_json(data["initial"]) if "initial" in data else None

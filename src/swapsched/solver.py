@@ -1,4 +1,4 @@
-"""Charge scheduling: cost accounting, greedy FIFO, exact search, brute oracle.
+"""Charge scheduling: cost accounting, greedy FIFO, exact min-cost flow, brute oracle.
 
 Charging work is organized as jobs.  A battery that enters the horizon on a
 charger continues as a fixed job (start hour 1, remaining duration); a
@@ -22,16 +22,22 @@ Stations serve swaps and bind arrivals first-in-first-out:
 * returning batteries are matched to the battery that has been out longest.
 
 ``solve_greedy`` charges as soon as possible under those disciplines.
-``solve_exact`` minimizes total electricity cost over all start vectors by
-branch-and-bound, breaking cost ties toward the lexicographically earliest
-start vector; ``solve_oracle`` does the same by exhaustive enumeration and
-exists to cross-check the exact solver.
+``solve_exact`` minimizes total electricity cost over all start vectors,
+breaking cost ties toward the lexicographically earliest start vector.
+Movable jobs all run the same block length, so it works on start counts
+(how many jobs have started by each hour): charger capacity, release
+windows, deadlines and demand coverage are difference constraints on those
+counts, and the cost-minimizing counts are the dual of one min-cost flow on
+the hours, solved by successive shortest paths in polynomial time.
+``solve_oracle`` does the same by exhaustive enumeration and exists to
+cross-check the exact solver.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -350,14 +356,16 @@ def solve_exact(
     instance: Instance,
     objective: SolveObjective = SolveObjective.MIN_COST,
 ) -> tuple[ScheduleGrid, CostBreakdown]:
-    """Minimum-electricity-cost schedule by branch-and-bound over start vectors.
+    """Minimum-electricity-cost schedule from one min-cost-flow solve over start counts.
 
-    Depth-first search assigns movable-job starts in canonical order with
-    ascending hours, so vectors are visited lexicographically; pruning uses
-    per-hour charger usage, an optimistic demand-coverage test, and a lower
-    bound of cheapest-remaining-block costs.  Cost ties keep the first
-    (lexicographically earliest) vector.  The greedy schedule seeds the
-    incumbent, which also makes exact-never-worse-than-greedy structural.
+    Every movable job runs a block of ``charge_hours`` and the start windows
+    open and close in canonical order, so cost, charger use and completions
+    depend only on ``y[t]``, the number of movable starts by hour ``t``, and
+    each constraint on ``y`` is a difference constraint.  Of the optimal
+    ``y``, the componentwise-largest one is taken; handing its starts out in
+    canonical order gives the lexicographically earliest optimal start
+    vector.  The greedy schedule answers the feasibility objective and, when
+    it fails, proves infeasibility with an hour.
     """
     cfg = instance.config
     prices = instance.events.price
@@ -366,136 +374,143 @@ def solve_exact(
     if objective is SolveObjective.FEASIBILITY:
         return greedy.grid, schedule_cost(greedy.grid, cfg, prices)
 
-    T = cfg.horizon
-    power = cfg.power_kw
-    movables = [j for j in jobs if j.movable]
-    domains = [start_domain(j, cfg) for j in movables]
-
-    prefix = [Fraction(0)]
-    for p in prices:
-        prefix.append(prefix[-1] + p)
-
-    def block_cost(s: int, duration: int) -> Fraction:
-        e = min(s + duration - 1, T)
-        return power * (prefix[e] - prefix[s - 1])
-
-    usage = [0] * (T + 2)
-    fixed_cost = Fraction(0)
-    comp = [0] * (T + 2)  # completions landing per hour (fixed + chosen + optimistic)
-    n_full = instance.initial.count(_F)
+    T, D = cfg.horizon, cfg.charge_hours
+    movables = []
+    opened = [0] * (T + 1)  # movable start windows opening / closing at hour t
+    closed = [0] * (T + 1)
+    busy = [0] * (T + 1)  # chargers held by fixed jobs
+    stock = [instance.initial.count(_F)] * (T + 1)  # full by hour t without movable jobs
     for j in jobs:
+        domain = start_domain(j, cfg)
         if not j.movable:
-            for h in range(j.fixed_start, min(j.fixed_start + j.duration - 1, T) + 1):
-                usage[h] += 1
-            fixed_cost += block_cost(j.fixed_start, j.duration)
-            if j.fixed_start + j.duration <= T:
-                comp[j.fixed_start + j.duration] += 1
+            end = j.fixed_start + j.duration - 1
+            for h in range(j.fixed_start, min(end, T) + 1):
+                busy[h] += 1
+            for h in range(end + 1, T + 1):
+                stock[h] += 1
+        elif domain:
+            movables.append(j)
+            opened[domain[0]] += 1
+            closed[domain[-1]] += 1
 
-    cum_demand = [0] * (T + 1)
+    # An arc (u, v, w) says y[v] <= y[u] + w.  A block started by hour t is
+    # full at t + D and serves the swaps of hour t + D + 1 onwards; swaps
+    # that no movable block can reach in time were already proven by greedy.
+    served = list(itertools.accumulate(instance.events.demand, initial=0))
+    arcs = []
+    high = low = 0
     for t in range(1, T + 1):
-        cum_demand[t] = cum_demand[t - 1] + instance.events.demand[t - 1]
-    demand_total = cum_demand[T]
+        high += opened[t]
+        low += closed[t]
+        need = served[t + D + 1] - stock[t + D] if t + D < T else 0
+        arcs += [
+            (t, t - 1, 0),
+            (0, t, high),
+            (t, 0, -max(low, need)),
+            (max(t - D, 0), t, max(cfg.n_chargers - busy[t], 0)),
+        ]
+    # sum_t c_t (y[t] - y[t-1]) = sum_t (c_t - c_{t+1}) y[t], where c_t, the
+    # price of a block started at t, telescopes to price[t] - price[t + D].
+    scale = math.lcm(*(p.denominator for p in prices))
+    level = [int(p * scale) for p in prices] + [0] * D
+    weight = [0] + [level[t - 1] - level[t + D - 1] for t in range(1, T + 1)]
+    y = _largest_optimal_potentials(T + 1, arcs, weight)
 
-    def completion_hour(s: int | None, duration: int) -> int | None:
-        if s is None or s + duration > T:
-            return None
-        return s + duration
-
-    # optimistic completions: every unchosen job completes as early as it can
-    optimistic = []
-    for j, dom in zip(movables, domains):
-        c = completion_hour(dom[0], j.duration) if dom else None
-        optimistic.append(c)
-        if c is not None:
-            comp[c] += 1
-
-    def coverage_possible() -> bool:
-        if demand_total <= n_full:
-            return True
-        supply = n_full
-        for t in range(1, T + 1):
-            if cum_demand[t] > supply:
-                return False
-            supply += comp[t]  # completions at t serve demand from t+1 on
-        return True
-
-    min_block = [
-        min((block_cost(s, j.duration) for s in dom), default=Fraction(0))
-        for j, dom in zip(movables, domains)
-    ]
-    suffix_bound = [Fraction(0)] * (len(movables) + 1)
-    for i in range(len(movables) - 1, -1, -1):
-        suffix_bound[i] = suffix_bound[i + 1] + min_block[i]
-
-    best_cost: Fraction | None = None
-    best_vec: tuple[int | None, ...] | None = None
-
-    greedy_vec = tuple(greedy.job_starts.get(j.index) for j in movables)
-    if all(
-        (s is None and not dom) or (dom and s in dom)
-        for s, dom in zip(greedy_vec, domains)
-    ):
-        best_cost = fixed_cost + sum(
-            (block_cost(s, j.duration) for s, j in zip(greedy_vec, movables) if s is not None),
-            Fraction(0),
-        )
-        best_vec = greedy_vec
-
-    n = len(movables)
-    chosen: list[int | None] = [None] * n
-
-    def dfs(i: int, cost_so_far: Fraction) -> None:
-        nonlocal best_cost, best_vec
-        if best_cost is not None and cost_so_far + suffix_bound[i] >= best_cost:
-            return  # DFS is lexicographic, so an equal-cost incumbent is already earlier
-        if not coverage_possible():
-            return
-        if i == n:
-            best_cost = cost_so_far
-            best_vec = tuple(chosen)
-            return
-        job = movables[i]
-        dom = domains[i]
-        if not dom:
-            chosen[i] = None
-            dfs(i + 1, cost_so_far)
-            return
-        opt = optimistic[i]
-        if opt is not None:
-            comp[opt] -= 1
-        for s in dom:
-            end = min(s + job.duration - 1, T)
-            ok = True
-            for h in range(s, end + 1):
-                usage[h] += 1
-                if usage[h] > cfg.n_chargers:
-                    for g in range(s, h + 1):
-                        usage[g] -= 1
-                    ok = False
-                    break
-            if not ok:
-                continue
-            c = completion_hour(s, job.duration)
-            if c is not None:
-                comp[c] += 1
-            chosen[i] = s
-            dfs(i + 1, cost_so_far + block_cost(s, job.duration))
-            if c is not None:
-                comp[c] -= 1
-            for h in range(s, end + 1):
-                usage[h] -= 1
-        chosen[i] = None
-        if opt is not None:
-            comp[opt] += 1
-
-    dfs(0, fixed_cost)
-
-    if best_vec is None:
-        raise InfeasibleError(None, "no arrangement of full charge blocks covers the demand")
-    result = _simulate(
-        instance, jobs, {j.index: s for j, s in zip(movables, best_vec)}
-    )
+    starts = {}
+    pending = iter(movables)
+    for t in range(1, T + 1):
+        for _ in range(y[t] - y[t - 1]):
+            starts[next(pending).index] = t
+    result = _simulate(instance, jobs, starts)
     return result.grid, schedule_cost(result.grid, cfg, prices)
+
+
+def _largest_optimal_potentials(
+    n: int, arcs: list[tuple[int, int, int]], weight: list[int]
+) -> list[int]:
+    """Componentwise-largest integer ``y`` minimizing ``sum(weight[v] * y[v])``
+    subject to ``y[v] <= y[u] + w`` for every arc ``(u, v, w)`` and ``y[0] == 0``.
+
+    This LP is the dual of a min-cost flow: node ``v`` supplies
+    ``weight[v]`` units (node 0 takes up the balance) over uncapacitated arcs
+    of cost ``w``.  Successive shortest paths route that flow; the optimal
+    ``y`` are then the potentials the residual graph admits, and the
+    shortest-path distances from node 0 are the largest of them.  Every
+    node must be reachable from node 0.  Raises InfeasibleError when the
+    constraints contradict each other (a negative cycle).
+    """
+    source, sink = n, n + 1
+    head: list[int] = []  # arc e and its reverse e ^ 1 are stored side by side
+    cap: list[int] = []
+    cost: list[int] = []
+    out: list[list[int]] = [[] for _ in range(n + 2)]
+
+    def add(u: int, v: int, capacity: int, w: int) -> None:
+        for a, b, c, k in ((u, v, capacity, w), (v, u, 0, -w)):
+            out[a].append(len(head))
+            head.append(b)
+            cap.append(c)
+            cost.append(k)
+
+    unbounded = sum(abs(w) for w in weight) + 1  # more than the flow can ever need
+    for u, v, w in arcs:
+        add(u, v, unbounded, w)
+    balance = weight[1:]
+    for v, supply in enumerate([-sum(balance)] + balance):
+        if supply > 0:
+            add(source, v, supply, 0)
+        elif supply < 0:
+            add(v, sink, -supply, 0)
+
+    while True:
+        dist, via = _shortest_paths(out, head, cap, cost, source)
+        if dist[sink] is None:
+            break
+        path = []
+        v = sink
+        while v != source:
+            path.append(via[v])
+            v = head[via[v] ^ 1]
+        push = min(cap[e] for e in path)
+        for e in path:
+            cap[e] -= push
+            cap[e ^ 1] += push
+    return _shortest_paths(out, head, cap, cost, 0)[0][:n]
+
+
+def _shortest_paths(
+    out: list[list[int]], head: list[int], cap: list[int], cost: list[int], origin: int
+) -> tuple[list[int | None], list[int | None]]:
+    """Queue-based Bellman-Ford from ``origin`` over arcs with spare capacity.
+
+    Returns each node's distance and the arc it is reached by (None when
+    unreachable).  A path of as many arcs as there are nodes repeats a node,
+    which only a negative cycle makes shorter.
+    """
+    n = len(out)
+    dist: list[int | None] = [None] * n
+    via: list[int | None] = [None] * n
+    hops = [0] * n
+    queued = [False] * n
+    dist[origin] = 0
+    queue = deque([origin])
+    while queue:
+        u = queue.popleft()
+        queued[u] = False
+        for e in out[u]:
+            if cap[e] > 0:
+                v = head[e]
+                d = dist[u] + cost[e]
+                if dist[v] is None or d < dist[v]:
+                    dist[v], via[v], hops[v] = d, e, hops[u] + 1
+                    if hops[v] >= n:
+                        raise InfeasibleError(
+                            None, "no arrangement of full charge blocks covers the demand"
+                        )
+                    if not queued[v]:
+                        queued[v] = True
+                        queue.append(v)
+    return dist, via
 
 
 # ---------------------------------------------------------------------------
@@ -525,30 +540,9 @@ def solve_oracle(
     if size > budget:
         raise EnumerationBudgetError(size, budget)
 
-    T = cfg.horizon
-    base_usage = [0] * (T + 2)
-    for j in jobs:
-        if not j.movable:
-            for h in range(j.fixed_start, min(j.fixed_start + j.duration - 1, T) + 1):
-                base_usage[h] += 1
-
     best: tuple[Fraction, ScheduleGrid, CostBreakdown] | None = None
     indexes = [j.index for j in movables]
     for combo in itertools.product(*domains):
-        usage = base_usage.copy()
-        ok = True
-        for job, s in zip(movables, combo):
-            if s is None:
-                continue
-            for h in range(s, min(s + job.duration - 1, T) + 1):
-                usage[h] += 1
-                if usage[h] > cfg.n_chargers:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
         try:
             res = _simulate(instance, jobs, dict(zip(indexes, combo)))
         except InfeasibleError:

@@ -35,14 +35,12 @@ __all__ = [
     "ValidationReport",
     "MODES",
     "TRANSITION",
-    "CONSERVATION",
     "CHARGER_CAPACITY",
     "DEMAND_COVERAGE",
     "ARRIVALS",
     "CHARGE_DURATION",
     "INITIAL_CONDITIONS",
     "check_transitions",
-    "check_conservation",
     "check_charger_capacity",
     "check_demand_coverage",
     "check_arrivals",
@@ -58,7 +56,6 @@ _O = BatteryState.OUT
 
 # Stable constraint identifiers; these appear in reports and the CLI.
 TRANSITION = "transition"
-CONSERVATION = "conservation"
 CHARGER_CAPACITY = "charger_capacity"
 DEMAND_COVERAGE = "demand_coverage"
 ARRIVALS = "arrivals"
@@ -147,25 +144,6 @@ def check_transitions(grid: ScheduleGrid) -> list[Violation]:
                         f"into hour {t + 1}",
                     )
                 )
-    return out
-
-
-def check_conservation(grid: ScheduleGrid, config: StationConfig) -> list[Violation]:
-    """Per-hour state counts must sum to the fleet size.
-
-    With well-formed cells this can never fire (every cell is exactly one
-    state), but the scan is kept literal rather than assumed away.
-    """
-    out = []
-    for t in range(1, grid.horizon + 1):
-        total = sum(grid.count(s, t) for s in BatteryState)
-        if total != config.n_batteries:
-            out.append(
-                Violation(
-                    CONSERVATION, None, t,
-                    f"hour {t}: {total} batteries accounted for, fleet is {config.n_batteries}",
-                )
-            )
     return out
 
 
@@ -343,7 +321,6 @@ def validate(grid: ScheduleGrid, instance: Instance, mode: str = "lenient") -> V
         )
     violations: list[Violation] = []
     violations += check_transitions(grid)
-    violations += check_conservation(grid, cfg)
     violations += check_charger_capacity(grid, cfg)
     violations += check_demand_coverage(grid, instance.events)
     violations += check_arrivals(grid, instance.events)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -202,3 +203,35 @@ def test_missing_schedule_is_an_input_error(tmp_path, valley_dir):
     proc = run_cli("validate", "--instance", str(valley_dir))
     assert proc.returncode == 2
     assert "schedule" in proc.stderr
+
+
+BAD_SPEC = {
+    "config": {"n_batteries": 3, "n_chargers": 2, "charge_hours": 3, "capacity_kwh": 30, "horizon": 14},
+    "seed": 21,
+    "demand": {"shape": "uniform", "total": "4"},
+    "arrivals": {"shape": "uniform", "total": 3},
+    "tariff": {"kind": "flat", "price": "0.25"},
+}
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("profiles.csv", "hour,demand,arrivals,price\n1,0,0,inf\n2,0,0,1\n3,0,0,1\n4,0,0,1\n5,0,0,1\n6,1,0,1\n"),
+        ("initial.json", '[{"battery": 1, "state": "C", "progress": "1"}]'),
+        ("initial.json", '[{"battery": true, "state": "E"}]'),
+        ("spec.json", json.dumps(BAD_SPEC)),
+    ],
+    ids=["infinite-price", "string-progress", "boolean-battery", "string-shape-total"],
+)
+def test_malformed_fields_are_input_errors(valley_dir, tmp_path, name, text):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(valley_dir, bundle)
+    (bundle / name).write_text(text)
+    if name == "spec.json":
+        proc = run_cli("generate", "--spec", str(bundle / name), "--out", str(tmp_path / "out"))
+    else:
+        proc = run_cli("solve", "--instance", str(bundle))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr

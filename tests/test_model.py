@@ -62,7 +62,9 @@ def test_to_exact_accepts_the_usual_spellings():
     assert to_exact(Fraction(7, 4)) == Fraction(7, 4)
 
 
-@pytest.mark.parametrize("bad", [True, False, "abc", "1/0", "", None, [1]])
+@pytest.mark.parametrize(
+    "bad", [True, False, "abc", "1/0", "", None, [1], "inf", float("-inf"), "NaN", Decimal("Infinity")]
+)
 def test_to_exact_rejects_non_numbers(bad):
     with pytest.raises(ValueError):
         to_exact(bad)
@@ -147,6 +149,17 @@ def test_battery_start_invariants():
     BatteryStart(state=F, full_rank=2)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [dict(state=C, progress="2"), dict(state=C, progress=True), dict(state=C, progress=None),
+     dict(state=F, full_rank="1"), dict(state=F, full_rank=1.0)],
+    ids=["str-progress", "bool-progress", "null-progress", "str-rank", "float-rank"],
+)
+def test_battery_start_rejects_non_integer_fields(fields):
+    with pytest.raises(InstanceError):
+        BatteryStart(**fields)
+
+
 def test_initial_conditions_require_distinct_ranks():
     with pytest.raises(InstanceError):
         InitialConditions(
@@ -208,6 +221,14 @@ def test_profiles_from_maps_and_with_price():
     repriced = ev.with_price([1, 2, 3, 4])
     assert repriced.price == (Fraction(1), Fraction(2), Fraction(3), Fraction(4))
     assert repriced.demand == ev.demand
+
+
+@pytest.mark.parametrize(
+    "maps", [dict(demand={0: 1}), dict(demand={5: 1}), dict(arrivals={-1: 2}), dict(arrivals={"2": 1})]
+)
+def test_profiles_from_maps_rejects_hours_outside_the_horizon(maps):
+    with pytest.raises(DimensionError):
+        EventProfiles.from_maps(4, **maps)
 
 
 def test_extract_events_reads_demo_edges(demo):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from swapsched import (
     ScheduleGrid,
     SolveObjective,
     StationConfig,
+    TouTariff,
     UniformShape,
     build_jobs,
     generate,
@@ -296,11 +298,44 @@ def test_solvers_are_deterministic(demo, valley):
     assert c1.to_json() == c2.to_json()
 
 
+def check_exact_against_oracle(instance: Instance) -> bool:
+    """Exact and oracle return the same grid and cost, or both refuse; True when solved."""
+    try:
+        exact_grid, exact_cost = solve_exact(instance)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            solve_oracle(instance, budget=50_000)
+        return False
+    oracle_grid, oracle_cost = solve_oracle(instance, budget=50_000)
+    assert exact_cost.total == oracle_cost.total
+    assert exact_grid == oracle_grid  # identical tie-breaking, not just equal cost
+    assert validate(exact_grid, instance, "strict").feasible
+    return True
+
+
+def tie_break_instance() -> Instance:
+    """Greedy's start vector already costs the optimum, 530/3, but the
+    lexicographically earliest optimum charges B2 at hour 6 rather than B1."""
+    prices = "9 0 3 0 3/2 8/3 3 3 9/2 8 6".split()
+    return Instance(
+        StationConfig(3, 1, 1, Fraction(10), 11),
+        InitialConditions(
+            (BatteryStart(state=E), BatteryStart(state=F, full_rank=1), BatteryStart(state=C, progress=0))
+        ),
+        EventProfiles(
+            (0, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0),
+            (0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0),
+            tuple(Fraction(p) for p in prices),
+        ),
+    )
+
+
 def test_exact_matches_oracle_on_unrepaired_random_instances():
     """Exhaustive cross-check on instances that may be infeasible or tight.
 
     These are built directly (no generator repairs), so demand can land before
     any battery could be ready and arrivals can outrun the out-pool."""
+    assert check_exact_against_oracle(tie_break_instance())
     rng = random.Random(1337)
     feasible = infeasible = 0
     while feasible < 12 or infeasible < 6:
@@ -327,18 +362,10 @@ def test_exact_matches_oracle_on_unrepaired_random_instances():
             InitialConditions(tuple(entries)),
             EventProfiles(tuple(demand), tuple(arrivals), tuple(price)),
         )
-        try:
-            exact_grid, exact_cost = solve_exact(instance)
-        except InfeasibleError:
-            with pytest.raises(InfeasibleError):
-                solve_oracle(instance, budget=50_000)
+        if check_exact_against_oracle(instance):
+            feasible += 1
+        else:
             infeasible += 1
-            continue
-        oracle_grid, oracle_cost = solve_oracle(instance, budget=50_000)
-        assert exact_cost.total == oracle_cost.total
-        assert exact_grid == oracle_grid  # identical tie-breaking, not just equal cost
-        assert validate(exact_grid, instance, "strict").feasible
-        feasible += 1
 
 
 def test_exact_matches_oracle_on_generated_instances():
@@ -355,3 +382,70 @@ def test_exact_matches_oracle_on_generated_instances():
         oracle_grid, oracle_cost = solve_oracle(instance, budget=50_000)
         assert exact_cost.total == oracle_cost.total
         assert exact_grid == oracle_grid
+
+
+def milp_optimum(instance: Instance) -> int:
+    """Minimum cost over the movable jobs, in units of power / lcm(price denominators),
+    from a per-job, per-start-hour binary program solved by scipy's MILP solver."""
+    np = pytest.importorskip("numpy")
+    optimize = pytest.importorskip("scipy.optimize")
+    cfg = instance.config
+    T, D = cfg.horizon, cfg.charge_hours
+    scale = math.lcm(*(p.denominator for p in instance.events.price))
+    price = [int(p * scale) for p in instance.events.price]
+    jobs = build_jobs(instance)
+    columns = [(j, s) for j in jobs if j.movable for s in start_domain(j, cfg)]
+    busy = [0] * (T + 1)
+    full = [instance.initial.count(F)] * (T + 1)  # full by hour t from start stock and fixed jobs
+    for j in jobs:
+        if not j.movable:
+            for h in range(1, T + 1):
+                busy[h] += h <= j.duration
+                full[h] += h >= j.duration + 1
+    rows, lower, upper = [], [], []
+    for job in (j for j in jobs if j.movable and start_domain(j, cfg)):
+        rows.append([1 if j is job else 0 for j, _ in columns])
+        lower.append(1)
+        upper.append(1)
+    for h in range(1, T + 1):
+        rows.append([1 if s <= h <= s + D - 1 else 0 for _, s in columns])
+        lower.append(-np.inf)
+        upper.append(cfg.n_chargers - busy[h])
+    for t in range(2, T + 1):  # swaps at t take batteries full at t - 1
+        rows.append([1 if s + D <= t - 1 else 0 for _, s in columns])
+        lower.append(sum(instance.events.demand[:t]) - full[t - 1])
+        upper.append(np.inf)
+    result = optimize.milp(
+        c=[sum(price[s - 1:s + D - 1]) for _, s in columns],
+        constraints=optimize.LinearConstraint(np.array(rows), lower, upper),
+        integrality=np.ones(len(columns)),
+        bounds=optimize.Bounds(0, 1),
+    )
+    assert result.success, result.message
+    return round(result.fun)
+
+
+def test_exact_matches_an_independent_milp_beyond_the_oracle():
+    """Stations the oracle cannot enumerate and the old branch-and-bound often
+    did not finish: 16-24 batteries over a day of time-of-use prices."""
+    checked = 0
+    for seed in range(7):
+        for batteries, chargers in ((16, 4), (20, 5), (24, 6)):
+            spec = ScenarioSpec(
+                config=StationConfig(batteries, chargers, 4, Fraction(60), 24),
+                demand=UniformShape(total=batteries // 4),
+                arrivals=UniformShape(total=batteries // 4),
+                tariff=TouTariff(off_peak="0.5", peak=4, peak_hours=((8, 11), (18, 21))),
+                seed=seed,
+            )
+            instance = generate(spec)
+            grid, cost = solve_exact(instance)
+            assert validate(grid, instance, "strict").feasible
+            fixed = sum(
+                sum(instance.events.price[:j.duration]) for j in build_jobs(instance) if not j.movable
+            )
+            scale = math.lcm(*(p.denominator for p in instance.events.price))
+            power = instance.config.power_kw
+            assert (cost.total / power - fixed) * scale == milp_optimum(instance)
+            checked += 1
+    assert checked >= 20
