@@ -11,7 +11,8 @@ Subcommands::
 
 Exit codes: 0 success (and, for validate, a feasible schedule); 1 an
 infeasible schedule or an unsatisfiable instance; 2 malformed input
-(files, formats, dimensions); 3 enumeration budget exceeded.
+(files, formats, dimensions); 3 enumeration budget exceeded; 4 an internal
+error (any other exception, reported without a traceback).
 """
 
 from __future__ import annotations
@@ -232,3 +233,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # exit 1 means "infeasible", so a bug must not end there
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4

@@ -293,9 +293,11 @@ class InitialConditions:
 class ScheduleGrid:
     """Immutable battery-by-hour state matrix (rows = batteries, 1-based API).
 
-    Construction checks shape and cell type only.  Adjacency legality is a
-    *validation* concern: grids carrying illegal transitions must be
-    representable so the validator can report them.
+    The constructor takes ``BatteryState`` cells and checks shape and cell
+    type only; ``from_rows`` also accepts state letters and converts them
+    first.  Adjacency legality is a *validation* concern: grids carrying
+    illegal transitions must be representable so the validator can report
+    them.
     """
 
     states: tuple[tuple[BatteryState, ...], ...]

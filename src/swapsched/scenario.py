@@ -118,6 +118,9 @@ class ExplicitShape:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
+        for v in self.values:
+            if not is_int(v) or v < 0:
+                raise InstanceError(f"explicit shape values must be integers >= 0, got {v!r}")
 
 
 Shape = Union[UniformShape, PeakedShape, ExplicitShape]
@@ -152,8 +155,11 @@ class TouTariff:
     def __post_init__(self):
         object.__setattr__(self, "off_peak", to_exact(self.off_peak))
         object.__setattr__(self, "peak", to_exact(self.peak))
-        ranges = tuple((int(a), int(b)) for a, b in self.peak_hours)
-        for a, b in ranges:
+        ranges = tuple(tuple(r) for r in self.peak_hours)
+        for r in ranges:
+            if len(r) != 2 or not all(is_int(h) for h in r):
+                raise InstanceError(f"a peak range must be two integer hours, got {list(r)!r}")
+            a, b = r
             if a < 1 or b < a:
                 raise InstanceError(f"bad peak range {a}..{b}")
         object.__setattr__(self, "peak_hours", ranges)
@@ -575,7 +581,7 @@ def _shape_from_json(data: object, what: str) -> Shape:
         return PeakedShape(total=data["total"], peak_hour=data["peak_hour"], width=data["width"])
     if kind == "explicit":
         _require_keys(data, {"shape", "values"}, what)
-        return ExplicitShape(values=tuple(data["values"]))
+        return ExplicitShape(values=tuple(_json_list(data["values"], f"{what} values")))
     raise InstanceError(f"{what}: unknown shape {kind!r} (uniform, peaked or explicit)")
 
 
@@ -591,12 +597,20 @@ def _tariff_from_json(data: object) -> Tariff:
         return TouTariff(
             off_peak=data["off_peak"],
             peak=data["peak"],
-            peak_hours=tuple(tuple(r) for r in data["peak_hours"]),
+            peak_hours=tuple(
+                _json_list(r, "a peak range") for r in _json_list(data["peak_hours"], "peak_hours")
+            ),
         )
     if kind == "explicit":
         _require_keys(data, {"kind", "prices"}, "tariff")
-        return ExplicitTariff(prices=tuple(data["prices"]))
+        return ExplicitTariff(prices=tuple(_json_list(data["prices"], "tariff prices")))
     raise InstanceError(f"unknown tariff kind {kind!r} (flat, tou or explicit)")
+
+
+def _json_list(value: object, what: str) -> list:
+    if not isinstance(value, list):
+        raise InstanceError(f"{what} must be a JSON list, got {value!r}")
+    return value
 
 
 def _require_keys(data: dict, allowed: set, what: str) -> None:

@@ -28,7 +28,9 @@ Movable jobs all run the same block length, so it works on start counts
 (how many jobs have started by each hour): charger capacity, release
 windows, deadlines and demand coverage are difference constraints on those
 counts, and the cost-minimizing counts are the dual of one min-cost flow on
-the hours, solved by successive shortest paths in polynomial time.
+the hours, solved by successive shortest paths in polynomial time.  It runs
+the greedy simulation only for the feasibility objective, or to prove an
+instance infeasible with the first failing hour.
 ``solve_oracle`` does the same by exhaustive enumeration and exists to
 cross-check the exact solver.
 """
@@ -190,24 +192,27 @@ def schedule_cost(grid: ScheduleGrid, config: StationConfig, price: Sequence) ->
         raise DimensionError(
             f"{len(prices)} prices for a horizon of {config.horizon} hours"
         )
+    # Sums run over integers: each hour's price of one charging cell, scaled
+    # by the lcm of those prices' denominators, back to a Fraction per field.
     power = config.power_kw
-    per_hour = []
-    for t in range(1, config.horizon + 1):
-        per_hour.append(prices[t - 1] * power * grid.count(_C, t))
+    cell_prices = [p * power for p in prices]
+    scale = math.lcm(*(c.denominator for c in cell_prices))
+    unit = [c.numerator * (scale // c.denominator) for c in cell_prices]
+    charging = [0] * config.horizon
     per_battery = []
-    cells = 0
     for row in grid.states:
-        acc = Fraction(0)
-        for t, cell in enumerate(row, start=1):
+        acc = 0
+        for t, cell in enumerate(row):
             if cell is _C:
-                acc += prices[t - 1] * power
-                cells += 1
-        per_battery.append(acc)
+                acc += unit[t]
+                charging[t] += 1
+        per_battery.append(Fraction(acc, scale))
+    per_hour = [u * n for u, n in zip(unit, charging)]
     return CostBreakdown(
-        total=sum(per_hour, Fraction(0)),
-        per_hour=tuple(per_hour),
+        total=Fraction(sum(per_hour), scale),
+        per_hour=tuple(Fraction(x, scale) for x in per_hour),
         per_battery=tuple(per_battery),
-        energy_kwh=power * cells,
+        energy_kwh=power * sum(charging),
     )
 
 
@@ -334,7 +339,7 @@ def _simulate(
             if rows[b][t] is None:
                 rows[b][t] = rows[b][t - 1] if t > 1 else instance.initial.for_battery(b).state
 
-    grid = ScheduleGrid.from_rows([rows[b][1:] for b in range(1, NB + 1)])
+    grid = ScheduleGrid(tuple(tuple(row[1:]) for row in rows[1:]))
     return _SimResult(grid=grid, job_starts=job_starts)
 
 
@@ -364,16 +369,29 @@ def solve_exact(
     each constraint on ``y`` is a difference constraint.  Of the optimal
     ``y``, the componentwise-largest one is taken; handing its starts out in
     canonical order gives the lexicographically earliest optimal start
-    vector.  The greedy schedule answers the feasibility objective and, when
-    it fails, proves infeasibility with an hour.
+    vector.  The greedy schedule runs only to answer the feasibility
+    objective, or after the flow or the realisation of its starts fails, to
+    prove infeasibility with the first failing hour.
     """
     cfg = instance.config
     prices = instance.events.price
     jobs = build_jobs(instance)
-    greedy = _simulate(instance, jobs, None)  # raises InfeasibleError with the proof hour
     if objective is SolveObjective.FEASIBILITY:
-        return greedy.grid, schedule_cost(greedy.grid, cfg, prices)
+        grid = _simulate(instance, jobs, None).grid  # raises InfeasibleError with the proof hour
+        return grid, schedule_cost(grid, cfg, prices)
+    try:
+        grid = _simulate(instance, jobs, _cheapest_starts(instance, jobs)).grid
+    except InfeasibleError:
+        # Swaps and arrivals that no movable block can reach are outside the
+        # flow; greedy names the first hour that fails, if one does.
+        _simulate(instance, jobs, None)
+        raise
+    return grid, schedule_cost(grid, cfg, prices)
 
+
+def _cheapest_starts(instance: Instance, jobs: tuple[ChargeJob, ...]) -> dict[int, int]:
+    """Lexicographically earliest cost-minimizing start hour of each movable job."""
+    cfg = instance.config
     T, D = cfg.horizon, cfg.charge_hours
     movables = []
     opened = [0] * (T + 1)  # movable start windows opening / closing at hour t
@@ -395,22 +413,26 @@ def solve_exact(
 
     # An arc (u, v, w) says y[v] <= y[u] + w.  A block started by hour t is
     # full at t + D and serves the swaps of hour t + D + 1 onwards; swaps
-    # that no movable block can reach in time were already proven by greedy.
+    # that no movable block can reach in time are left to the realisation.
+    # Bounds implied by y[t-1] <= y[t] are left out: an upper bound equal to
+    # the next hour's, and a lower bound no higher than an earlier one or 0.
+    # Hour T's upper bound always stays; it keeps every hour reachable from 0.
     served = list(itertools.accumulate(instance.events.demand, initial=0))
+    high = list(itertools.accumulate(opened))
     arcs = []
-    high = low = 0
+    low = floor = 0
     for t in range(1, T + 1):
-        high += opened[t]
         low += closed[t]
         need = served[t + D + 1] - stock[t + D] if t + D < T else 0
-        arcs += [
-            (t, t - 1, 0),
-            (0, t, high),
-            (t, 0, -max(low, need)),
-            (max(t - D, 0), t, max(cfg.n_chargers - busy[t], 0)),
-        ]
+        arcs += [(t, t - 1, 0), (max(t - D, 0), t, max(cfg.n_chargers - busy[t], 0))]
+        if t == T or high[t] < high[t + 1]:
+            arcs.append((0, t, high[t]))
+        if max(low, need) > floor:
+            floor = max(low, need)
+            arcs.append((t, 0, -floor))
     # sum_t c_t (y[t] - y[t-1]) = sum_t (c_t - c_{t+1}) y[t], where c_t, the
     # price of a block started at t, telescopes to price[t] - price[t + D].
+    prices = instance.events.price
     scale = math.lcm(*(p.denominator for p in prices))
     level = [int(p * scale) for p in prices] + [0] * D
     weight = [0] + [level[t - 1] - level[t + D - 1] for t in range(1, T + 1)]
@@ -421,8 +443,7 @@ def solve_exact(
     for t in range(1, T + 1):
         for _ in range(y[t] - y[t - 1]):
             starts[next(pending).index] = t
-    result = _simulate(instance, jobs, starts)
-    return result.grid, schedule_cost(result.grid, cfg, prices)
+    return starts
 
 
 def _largest_optimal_potentials(

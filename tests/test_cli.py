@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from swapsched import demo_instance, save_instance
+from swapsched import cli, demo_instance, save_instance
 from conftest import make_valley
 
 
@@ -205,13 +205,22 @@ def test_missing_schedule_is_an_input_error(tmp_path, valley_dir):
     assert "schedule" in proc.stderr
 
 
-BAD_SPEC = {
+SPEC = {
     "config": {"n_batteries": 3, "n_chargers": 2, "charge_hours": 3, "capacity_kwh": 30, "horizon": 14},
     "seed": 21,
-    "demand": {"shape": "uniform", "total": "4"},
+    "demand": {"shape": "uniform", "total": 4},
     "arrivals": {"shape": "uniform", "total": 3},
     "tariff": {"kind": "flat", "price": "0.25"},
 }
+
+
+def spec_with(**fields) -> str:
+    """The valid SPEC with some top-level fields replaced, as JSON text."""
+    return json.dumps({**SPEC, **fields})
+
+
+def tou_spec(peak_hours) -> str:
+    return spec_with(tariff={"kind": "tou", "off_peak": "0.5", "peak": 4, "peak_hours": peak_hours})
 
 
 @pytest.mark.parametrize(
@@ -220,9 +229,21 @@ BAD_SPEC = {
         ("profiles.csv", "hour,demand,arrivals,price\n1,0,0,inf\n2,0,0,1\n3,0,0,1\n4,0,0,1\n5,0,0,1\n6,1,0,1\n"),
         ("initial.json", '[{"battery": 1, "state": "C", "progress": "1"}]'),
         ("initial.json", '[{"battery": true, "state": "E"}]'),
-        ("spec.json", json.dumps(BAD_SPEC)),
+        ("spec.json", spec_with(demand={"shape": "uniform", "total": "4"})),
+        ("spec.json", tou_spec(5)),
+        ("spec.json", tou_spec([8, 11])),
+        ("spec.json", tou_spec([[True, 3]])),
+        ("spec.json", tou_spec([[8.7, 11]])),
+        ("spec.json", tou_spec([["8", "11"]])),
+        ("spec.json", spec_with(demand={"shape": "explicit", "values": 5})),
+        ("spec.json", spec_with(demand={"shape": "explicit", "values": ["1"] + [0] * 13})),
+        ("spec.json", spec_with(tariff={"kind": "explicit", "prices": 3})),
     ],
-    ids=["infinite-price", "string-progress", "boolean-battery", "string-shape-total"],
+    ids=[
+        "infinite-price", "string-progress", "boolean-battery", "string-shape-total",
+        "number-peak-hours", "number-peak-range", "boolean-peak-hour", "float-peak-hour",
+        "string-peak-hour", "number-explicit-values", "string-explicit-value", "number-explicit-prices",
+    ],
 )
 def test_malformed_fields_are_input_errors(valley_dir, tmp_path, name, text):
     bundle = tmp_path / "bundle"
@@ -235,3 +256,14 @@ def test_malformed_fields_are_input_errors(valley_dir, tmp_path, name, text):
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_unexpected_exceptions_exit_4_without_a_traceback(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_demo", broken)
+    assert cli.main(["demo"]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: boom\n"
+    assert "Traceback" not in err

@@ -139,6 +139,33 @@ def test_cost_json_uses_floats(demo):
     assert len(data["per_battery"]) == 12
 
 
+def test_cost_matches_a_per_cell_fraction_reference():
+    """schedule_cost sums scaled integers; the fields must equal plain
+    per-cell Fraction sums, including fractional prices and power."""
+    rng = random.Random(808)
+    for power in (None, "7.5", Fraction(7, 3)):
+        for _ in range(40):
+            nb, T = rng.randint(1, 6), rng.randint(1, 16)
+            cfg = StationConfig(nb, 2, 3, Fraction(10), T, charge_power_kw=power)
+            grid = ScheduleGrid(tuple(tuple(rng.choice((E, C, C, F, O)) for _ in range(T)) for _ in range(nb)))
+            price = [rng.choice((Fraction(rng.randint(0, 9), rng.randint(1, 7)), "5/6", "0.25", 3)) for _ in range(T)]
+            per_hour = [Fraction(0)] * T
+            per_battery = [Fraction(0)] * nb
+            cells = 0
+            for b, row in enumerate(grid.states):
+                for t, cell in enumerate(row):
+                    if cell is C:
+                        per_hour[t] += Fraction(price[t]) * cfg.power_kw
+                        per_battery[b] += Fraction(price[t]) * cfg.power_kw
+                        cells += 1
+            cost = schedule_cost(grid, cfg, price)
+            assert cost.per_hour == tuple(per_hour)
+            assert cost.per_battery == tuple(per_battery)
+            assert cost.total == sum(per_hour)
+            assert cost.energy_kwh == cfg.power_kw * cells
+            assert all(type(x) is Fraction for x in (cost.total, cost.energy_kwh, *cost.per_hour, *cost.per_battery))
+
+
 # ---------------------------------------------------------------------------
 # Greedy
 # ---------------------------------------------------------------------------
@@ -330,42 +357,66 @@ def tie_break_instance() -> Instance:
     )
 
 
-def test_exact_matches_oracle_on_unrepaired_random_instances():
-    """Exhaustive cross-check on instances that may be infeasible or tight.
+def random_unrepaired_instance(rng: random.Random, nb: int, m: int, T: int) -> Instance | None:
+    """Built directly (no generator repairs), so demand can land before any
+    battery could be ready and arrivals can outrun the out-pool.  None when
+    more batteries start on a charger than there are chargers."""
+    D = rng.randint(1, 3)
+    entries = []
+    for b in range(nb):
+        s = rng.choice("ECFO")
+        if s == "C":
+            entries.append(BatteryStart(state=C, progress=rng.randrange(D)))
+        elif s == "F":
+            entries.append(BatteryStart(state=F, full_rank=b + 1))
+        else:
+            entries.append(BatteryStart(state=BatteryState(s)))
+    if sum(1 for e in entries if e.state is C) > m:
+        return None
+    demand = [0] + [1 if rng.random() < 0.3 else 0 for _ in range(T - 1)]
+    arrivals = [0] + [1 if rng.random() < 0.3 else 0 for _ in range(T - 1)]
+    price = [Fraction(rng.randint(0, 6), rng.choice((1, 2))) for _ in range(T)]
+    return Instance(
+        StationConfig(nb, m, D, Fraction(10), T),
+        InitialConditions(tuple(entries)),
+        EventProfiles(tuple(demand), tuple(arrivals), tuple(price)),
+    )
 
-    These are built directly (no generator repairs), so demand can land before
-    any battery could be ready and arrivals can outrun the out-pool."""
+
+def test_exact_matches_oracle_on_unrepaired_random_instances():
+    """Exhaustive cross-check on instances that may be infeasible or tight."""
     assert check_exact_against_oracle(tie_break_instance())
     rng = random.Random(1337)
     feasible = infeasible = 0
     while feasible < 12 or infeasible < 6:
         nb = rng.randint(1, 2)
-        m = 1
-        T = rng.randint(4, 8)
-        D = rng.randint(1, 3)
-        entries = []
-        for b in range(nb):
-            s = rng.choice("ECFO")
-            if s == "C":
-                entries.append(BatteryStart(state=C, progress=rng.randrange(D)))
-            elif s == "F":
-                entries.append(BatteryStart(state=F, full_rank=b + 1))
-            else:
-                entries.append(BatteryStart(state=BatteryState(s)))
-        if sum(1 for e in entries if e.state is C) > m:
+        instance = random_unrepaired_instance(rng, nb, 1, rng.randint(4, 8))
+        if instance is None:
             continue
-        demand = [0] + [1 if rng.random() < 0.3 else 0 for _ in range(T - 1)]
-        arrivals = [0] + [1 if rng.random() < 0.3 else 0 for _ in range(T - 1)]
-        price = [Fraction(rng.randint(0, 6), rng.choice((1, 2))) for _ in range(T)]
-        instance = Instance(
-            StationConfig(nb, m, D, Fraction(10), T),
-            InitialConditions(tuple(entries)),
-            EventProfiles(tuple(demand), tuple(arrivals), tuple(price)),
-        )
         if check_exact_against_oracle(instance):
             feasible += 1
         else:
             infeasible += 1
+
+
+def test_exact_proves_infeasibility_with_greedys_hour_and_message():
+    """solve_exact runs greedy only after its own solve fails, and must then
+    raise exactly what greedy raises: the first failing hour and its reason."""
+    rng = random.Random(4242)
+    infeasible = 0
+    while infeasible < 300:
+        nb, m = rng.randint(1, 6), rng.randint(1, 3)
+        instance = random_unrepaired_instance(rng, nb, m, rng.randint(4, 16))
+        if instance is None:
+            continue
+        try:
+            solve_greedy(instance)
+        except InfeasibleError as proof:
+            infeasible += 1
+            for objective in SolveObjective:
+                with pytest.raises(InfeasibleError) as exc:
+                    solve_exact(instance, objective)
+                assert (exc.value.hour, str(exc.value)) == (proof.hour, str(proof))
 
 
 def test_exact_matches_oracle_on_generated_instances():
