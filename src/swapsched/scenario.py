@@ -20,6 +20,7 @@ repairs and all bets off.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -42,6 +43,7 @@ from .model import (
     render_grid,
     to_exact,
 )
+from .solver import _fifo_starts
 from .validation import Instance
 
 __all__ = [
@@ -211,39 +213,6 @@ class ScenarioSpec:
     initial: InitialConditions | None = None
 
 
-def _asap_starts(
-    horizon: int,
-    n_chargers: int,
-    duration: int,
-    fixed_lengths: Sequence[int],
-    releases: Sequence[int],
-) -> list[int | None]:
-    """Earliest FIFO start hours for equal-length jobs behind fixed hour-1 blocks.
-
-    ``releases`` must be sorted.  With equal durations and first-in-first-out
-    charger assignment, starts are non-decreasing and a job fits a charger at
-    hour ``s`` exactly when hour ``s`` itself has a charger free.
-    """
-    usage = [0] * (horizon + 2)
-    for length in fixed_lengths:
-        for h in range(1, min(length, horizon) + 1):
-            usage[h] += 1
-    starts: list[int | None] = []
-    floor = 1
-    for release in releases:
-        s = max(release, floor)
-        while s <= horizon and usage[s] >= n_chargers:
-            s += 1
-        if s > horizon:
-            starts.append(None)
-            continue
-        for h in range(s, min(s + duration - 1, horizon) + 1):
-            usage[h] += 1
-        starts.append(s)
-        floor = s
-    return starts
-
-
 def _draw_initial(rng: random.Random, cfg: StationConfig) -> InitialConditions:
     """Random start states: every charger may hold a battery, the rest split E/F/O.
 
@@ -259,19 +228,13 @@ def _draw_initial(rng: random.Random, cfg: StationConfig) -> InitialConditions:
     n_full = sum(1 for s in states if s is _F)
     ranks = iter(rng.sample(range(1, n_full + 1), n_full))
 
-    # flip E -> O while some empty battery cannot get a full block
-    while True:
-        fixed = [cfg.charge_hours - p for s, p in zip(states, progress) if s is _C]
-        empties = [i for i, s in enumerate(states) if s is _E]
-        starts = _asap_starts(cfg.horizon, cfg.n_chargers, cfg.charge_hours, fixed, [1] * len(empties))
-        bad = [
-            i
-            for i, s in zip(empties, starts)
-            if s is None or s + cfg.charge_hours - 1 > cfg.horizon
-        ]
-        if not bad:
-            break
-        states[bad[-1]] = _O
+    # flip E -> O where an empty battery cannot get a full block; the late
+    # ones are a suffix in FIFO order, and dropping them moves no earlier start
+    fixed = [cfg.charge_hours - p for s, p in zip(states, progress) if s is _C]
+    empties = [i for i, s in enumerate(states) if s is _E]
+    for i, s in zip(empties, _fifo_starts(cfg, fixed, [1] * len(empties))):
+        if s is None or s + cfg.charge_hours - 1 > cfg.horizon:
+            states[i] = _O
 
     entries = []
     for s, p in zip(states, progress):
@@ -282,27 +245,6 @@ def _draw_initial(rng: random.Random, cfg: StationConfig) -> InitialConditions:
         else:
             entries.append(BatteryStart(state=s))
     return InitialConditions(tuple(entries))
-
-
-def _supply_completions(cfg: StationConfig, initial: InitialConditions) -> list[int]:
-    """Hours at which the initial fleet's charge jobs finish under earliest starts.
-
-    Counts continuations and empty-battery jobs only; arrival jobs are drawn
-    later and only ever add supply on top of this.
-    """
-    completions = []
-    fixed = []
-    for e in initial.entries:
-        if e.state is _C:
-            remaining = cfg.charge_hours - e.progress
-            fixed.append(remaining)
-            if remaining + 1 <= cfg.horizon:
-                completions.append(remaining + 1)
-    n_empty = initial.count(_E)
-    for s in _asap_starts(cfg.horizon, cfg.n_chargers, cfg.charge_hours, fixed, [1] * n_empty):
-        if s is not None and s + cfg.charge_hours <= cfg.horizon:
-            completions.append(s + cfg.charge_hours)
-    return sorted(completions)
 
 
 def _place_units(
@@ -339,16 +281,20 @@ def _render_demand(
                 f"explicit demand lists {len(shape.values)} hours, horizon is {cfg.horizon}"
             )
         return list(shape.values)
-    T = cfg.horizon
+    T, D = cfg.horizon, cfg.charge_hours
     if T < 2 or shape.total == 0:
         return [0] * T
     drawn = shape.draw(rng, 2, T)
-    completions = _supply_completions(cfg, initial)
-    n_full = initial.count(_F)
+    # The initial fleet's charges under earliest starts; arrival jobs are drawn
+    # later and only ever add supply on top of these.
+    fixed = [D - e.progress for e in initial.entries if e.state is _C]
+    starts = _fifo_starts(cfg, fixed, [1] * initial.count(_E))
+    finished = [0] * (T + 1)  # charges finished at hour t
+    for c in [f + 1 for f in fixed] + [s + D for s in starts if s is not None]:
+        if c <= T:
+            finished[c] += 1
     # room[t]: swaps servable by hour t = full stock plus charges finished by t-1
-    room = [0] * (T + 1)
-    for t in range(1, T + 1):
-        room[t] = n_full + sum(1 for c in completions if c <= t - 1)
+    room = list(itertools.accumulate(finished, initial=initial.count(_F)))
     return _place_units(drawn, T, room)
 
 
@@ -380,17 +326,15 @@ def _render_arrivals(
         room[t] = n_out + cum_d[t - 1]
     counts = _place_units(drawn, T, room)
 
-    # drop latest arrivals until every arrival job can run a full block
-    fixed = [cfg.charge_hours - e.progress for e in initial.entries if e.state is _C]
+    # drop the arrivals that cannot run a full block: they are the latest
+    # ones, and dropping a later job never moves an earlier one
+    fixed = [D - e.progress for e in initial.entries if e.state is _C]
     n_empty = initial.count(_E)
-    while True:
-        releases = [1] * n_empty + [t + 1 for t in range(1, T + 1) for _ in range(counts[t - 1])]
-        starts = _asap_starts(T, cfg.n_chargers, D, fixed, releases)
-        arrival_starts = starts[n_empty:]
-        if all(s is not None and s + D - 1 <= T for s in arrival_starts):
-            break
-        last = max(t for t in range(1, T + 1) if counts[t - 1] > 0)
-        counts[last - 1] -= 1
+    releases = [t + 1 for t in range(1, T + 1) for _ in range(counts[t - 1])]
+    starts = _fifo_starts(cfg, fixed, [1] * n_empty + releases)[n_empty:]
+    for release, s in zip(releases, starts):
+        if s is None or s + D - 1 > T:
+            counts[release - 2] -= 1
     return counts
 
 

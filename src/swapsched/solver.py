@@ -21,7 +21,10 @@ Stations serve swaps and bind arrivals first-in-first-out:
   by their declared rank);
 * returning batteries are matched to the battery that has been out longest.
 
-``solve_greedy`` charges as soon as possible under those disciplines.
+``solve_greedy`` charges as soon as possible under those disciplines.  Its
+rule, every depleted battery starts charging the first hour a charger is
+free, lives in ``_fifo_starts``, which the scenario generator's repairs
+use as well.
 ``solve_exact`` minimizes total electricity cost over all start vectors,
 breaking cost ties toward the lexicographically earliest start vector.
 Movable jobs all run the same block length, so it works on start counts
@@ -40,7 +43,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -82,10 +85,10 @@ class ChargeJob:
 
     ``battery`` is None for arrival jobs until a simulation binds them.
     ``fixed_start`` pins continuation jobs to hour 1; movable jobs have None.
+    ``arrival_hour`` is set on arrival jobs only.
     """
 
     index: int
-    origin: str  # "continuation" | "initial-empty" | "arrival"
     battery: int | None
     release: int
     duration: int
@@ -110,24 +113,20 @@ def build_jobs(instance: Instance) -> tuple[ChargeJob, ...]:
         if entry.state is _C:
             jobs.append(
                 ChargeJob(
-                    index=len(jobs), origin="continuation", battery=b,
-                    release=1, duration=cfg.charge_hours - entry.progress,
-                    fixed_start=1,
+                    index=len(jobs), battery=b, release=1,
+                    duration=cfg.charge_hours - entry.progress, fixed_start=1,
                 )
             )
     for b, entry in enumerate(instance.initial.entries, start=1):
         if entry.state is _E:
             jobs.append(
-                ChargeJob(
-                    index=len(jobs), origin="initial-empty", battery=b,
-                    release=1, duration=cfg.charge_hours,
-                )
+                ChargeJob(index=len(jobs), battery=b, release=1, duration=cfg.charge_hours)
             )
     for t, count in enumerate(instance.events.arrivals, start=1):
         for _ in range(count):
             jobs.append(
                 ChargeJob(
-                    index=len(jobs), origin="arrival", battery=None,
+                    index=len(jobs), battery=None,
                     release=t + 1, duration=cfg.charge_hours, arrival_hour=t,
                 )
             )
@@ -219,46 +218,78 @@ def schedule_cost(grid: ScheduleGrid, config: StationConfig, price: Sequence) ->
 # ---------------------------------------------------------------------------
 # Simulation engine
 #
-# One hour loop serves both the greedy solver (starts=None: assign free
-# chargers FIFO) and start-vector realization for the exact solver and the
-# oracle (starts prescribed per job).  Events within an hour settle in a
-# fixed order: arrivals land, charges complete, charges start, swaps land,
-# everything else stays put.
+# One hour loop serves both the greedy solver (starts=None: as many starts
+# each hour as _fifo_starts gives, longest-waiting batteries first) and
+# start-vector realization for the exact solver and the oracle (starts
+# prescribed per job).  Events within an hour settle in a fixed order:
+# arrivals land, charges complete, charges start, swaps land, everything
+# else stays put.
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _SimResult:
-    grid: ScheduleGrid
-    job_starts: dict[int, int]
+def _fifo_starts(
+    config: StationConfig,
+    fixed_lengths: Sequence[int],
+    releases: Sequence[int],
+) -> list[int | None]:
+    """Earliest FIFO start hours for equal-length jobs behind fixed hour-1 blocks.
+
+    This is the greedy rule: every depleted battery starts charging the
+    first hour a charger is free.  ``releases`` must be sorted.  With equal
+    durations and first-in-first-out charger assignment, starts are
+    non-decreasing and a job fits a charger at hour ``s`` exactly when hour
+    ``s`` itself has a charger free.  None marks a job that never starts.
+    """
+    horizon, n_chargers, duration = config.horizon, config.n_chargers, config.charge_hours
+    usage = [0] * (horizon + 2)
+    for length in fixed_lengths:
+        for h in range(1, min(length, horizon) + 1):
+            usage[h] += 1
+    starts: list[int | None] = []
+    floor = 1
+    for release in releases:
+        s = max(release, floor)
+        while s <= horizon and usage[s] >= n_chargers:
+            s += 1
+        if s > horizon:
+            starts.append(None)
+            continue
+        for h in range(s, min(s + duration - 1, horizon) + 1):
+            usage[h] += 1
+        starts.append(s)
+        floor = s
+    return starts
 
 
 def _simulate(
     instance: Instance,
     jobs: tuple[ChargeJob, ...],
     starts: Mapping[int, int | None] | None,
-) -> _SimResult:
+) -> ScheduleGrid:
     cfg = instance.config
     T, NB = cfg.horizon, cfg.n_batteries
     demand, arrivals = instance.events.demand, instance.events.arrivals
     rows: list[list[BatteryState | None]] = [[None] * (T + 1) for _ in range(NB + 1)]
+    if starts is None:
+        n_starts = Counter(  # hour -> greedy starts
+            _fifo_starts(
+                cfg,
+                [j.duration for j in jobs if not j.movable],
+                [j.release for j in jobs if j.movable],
+            )
+        )
 
-    waiting: dict[int, tuple[int, int, int]] = {}  # battery -> (entry, release, job)
+    waiting: dict[int, tuple[int, int]] = {}  # battery -> (entry hour, job)
     charge_end: dict[int, int] = {}  # battery -> last charging hour
     full_key: dict[int, tuple[int, int]] = {}  # battery -> (hour entered F, tiebreak)
     out_pool: list[tuple[int, int]] = []  # (hour went out, battery)
-    arrival_jobs = deque(j for j in jobs if j.origin == "arrival")
-    job_by_initial_battery = {j.battery: j for j in jobs if j.origin == "initial-empty"}
-    job_starts: dict[int, int] = {}
+    movables = iter(j.index for j in jobs if j.movable)  # initial empties, then arrivals
 
     for b, entry in enumerate(instance.initial.entries, start=1):
         if entry.state is _E:
-            waiting[b] = (1, 1, job_by_initial_battery[b].index)
+            waiting[b] = (1, next(movables))
         elif entry.state is _C:
-            remaining = cfg.charge_hours - entry.progress
-            charge_end[b] = min(remaining, T)
-            job = next(j for j in jobs if j.origin == "continuation" and j.battery == b)
-            job_starts[job.index] = 1
+            charge_end[b] = min(cfg.charge_hours - entry.progress, T)
         elif entry.state is _F:
             full_key[b] = (0, entry.full_rank)
         else:
@@ -277,9 +308,8 @@ def _simulate(
             out_pool.sort()
             for _ in range(need):
                 _, b = out_pool.pop(0)
-                job = arrival_jobs.popleft()
                 rows[b][t] = _E
-                waiting[b] = (t, t + 1, job.index)
+                waiting[b] = (t, next(movables))
 
         # 2. running charges advance; finished ones become full
         for b in sorted(charge_end):
@@ -291,28 +321,18 @@ def _simulate(
                 rows[b][t] = _C
 
         # 3. charge starts
-        if starts is None:
-            free = cfg.n_chargers - len(charge_end)
-            for entry_hour, b in sorted((w[0], b) for b, w in waiting.items()):
-                if free <= 0:
-                    break
-                if waiting[b][1] <= t:
-                    job_index = waiting[b][2]
-                    del waiting[b]
-                    charge_end[b] = min(t + jobs[job_index].duration - 1, T)
-                    rows[b][t] = _C
-                    job_starts[job_index] = t
-                    free -= 1
+        if starts is not None:
+            chosen = [b for b, (_, job) in waiting.items() if starts.get(job) == t]
+        elif n_starts[t]:
+            chosen = sorted(waiting, key=lambda b: (waiting[b][0], b))[: n_starts[t]]
         else:
-            for b in sorted(waiting):
-                job_index = waiting[b][2]
-                if starts.get(job_index) == t:
-                    del waiting[b]
-                    charge_end[b] = min(t + jobs[job_index].duration - 1, T)
-                    rows[b][t] = _C
-                    job_starts[job_index] = t
-            if len(charge_end) > cfg.n_chargers:
-                raise InfeasibleError(t, f"{len(charge_end)} concurrent charges at hour {t}")
+            chosen = []
+        for b in chosen:
+            del waiting[b]
+            charge_end[b] = min(t + cfg.charge_hours - 1, T)
+            rows[b][t] = _C
+        if len(charge_end) > cfg.n_chargers:
+            raise InfeasibleError(t, f"{len(charge_end)} concurrent charges at hour {t}")
 
         # 4. swaps consume hour-(t-1) full stock, longest-full first
         need = demand[t - 1]
@@ -339,8 +359,7 @@ def _simulate(
             if rows[b][t] is None:
                 rows[b][t] = rows[b][t - 1] if t > 1 else instance.initial.for_battery(b).state
 
-    grid = ScheduleGrid(tuple(tuple(row[1:]) for row in rows[1:]))
-    return _SimResult(grid=grid, job_starts=job_starts)
+    return ScheduleGrid(tuple(tuple(row[1:]) for row in rows[1:]))
 
 
 def solve_greedy(instance: Instance) -> ScheduleGrid:
@@ -349,7 +368,7 @@ def solve_greedy(instance: Instance) -> ScheduleGrid:
     Maximizes completions by every hour, so if this raises InfeasibleError
     (carrying the first failing hour) no schedule covers the demand.
     """
-    return _simulate(instance, build_jobs(instance), None).grid
+    return _simulate(instance, build_jobs(instance), None)
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +396,10 @@ def solve_exact(
     prices = instance.events.price
     jobs = build_jobs(instance)
     if objective is SolveObjective.FEASIBILITY:
-        grid = _simulate(instance, jobs, None).grid  # raises InfeasibleError with the proof hour
+        grid = _simulate(instance, jobs, None)  # raises InfeasibleError with the proof hour
         return grid, schedule_cost(grid, cfg, prices)
     try:
-        grid = _simulate(instance, jobs, _cheapest_starts(instance, jobs)).grid
+        grid = _simulate(instance, jobs, _cheapest_starts(instance, jobs))
     except InfeasibleError:
         # Swaps and arrivals that no movable block can reach are outside the
         # flow; greedy names the first hour that fails, if one does.
@@ -565,16 +584,16 @@ def solve_oracle(
     indexes = [j.index for j in movables]
     for combo in itertools.product(*domains):
         try:
-            res = _simulate(instance, jobs, dict(zip(indexes, combo)))
+            grid = _simulate(instance, jobs, dict(zip(indexes, combo)))
         except InfeasibleError:
             continue
-        if not validate(res.grid, instance, "strict").feasible:
+        if not validate(grid, instance, "strict").feasible:
             continue
-        cost = schedule_cost(res.grid, cfg, prices)
+        cost = schedule_cost(grid, cfg, prices)
         if objective is SolveObjective.FEASIBILITY:
-            return res.grid, cost
+            return grid, cost
         if best is None or cost.total < best[0]:
-            best = (cost.total, res.grid, cost)
+            best = (cost.total, grid, cost)
     if best is None:
         _simulate(instance, jobs, None)  # raises with the proof hour when demand is the cause
         raise InfeasibleError(None, "no start vector passes strict validation")

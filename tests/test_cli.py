@@ -9,7 +9,22 @@ from pathlib import Path
 
 import pytest
 
-from swapsched import cli, demo_instance, save_instance
+from swapsched import (
+    BatteryStart,
+    BatteryState,
+    EventProfiles,
+    InfeasibleError,
+    InitialConditions,
+    Instance,
+    SolveObjective,
+    StationConfig,
+    cli,
+    demo_instance,
+    save_instance,
+    solve_exact,
+    solve_greedy,
+    solve_oracle,
+)
 from conftest import make_valley
 
 
@@ -132,6 +147,36 @@ def test_solve_infeasible_exit_code(tmp_path):
     proc = run_cli("solve", "--instance", str(bundle), "--method", "greedy")
     assert proc.returncode == 1
     assert "infeasible at hour 2" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "method, objective",
+    [(m, o) for m in ("greedy", "exact", "oracle") for o in ("min-cost", "feasibility")],
+)
+def test_more_batteries_on_chargers_than_chargers_is_infeasible_at_hour_1(
+    tmp_path, capsys, method, objective
+):
+    """B1 and B2 both start on the one charger.  Every method refuses at
+    hour 1; greedy used to return a grid that broke charger capacity."""
+    C, E = BatteryState.CHARGING, BatteryState.EMPTY
+    instance = Instance(
+        StationConfig(3, 1, 2, Fraction(10), 4),
+        InitialConditions((BatteryStart(state=C), BatteryStart(state=C), BatteryStart(state=E))),
+        EventProfiles((0,) * 4, (0,) * 4, (Fraction(1),) * 4),
+    )
+    solve = {
+        "greedy": lambda: solve_greedy(instance),
+        "exact": lambda: solve_exact(instance, SolveObjective(objective)),
+        "oracle": lambda: solve_oracle(instance, SolveObjective(objective)),
+    }[method]
+    with pytest.raises(InfeasibleError) as exc:
+        solve()
+    assert (exc.value.hour, str(exc.value)) == (1, "2 concurrent charges at hour 1")
+
+    save_instance(tmp_path, instance)
+    argv = ["solve", "--instance", str(tmp_path), "--method", method, "--objective", objective]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "infeasible at hour 1: 2 concurrent charges at hour 1\n"
 
 
 def test_generate_is_reproducible_end_to_end(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +15,7 @@ from swapsched import (
     ExplicitShape,
     ExplicitTariff,
     FlatTariff,
+    InfeasibleError,
     InitialConditions,
     Instance,
     InstanceError,
@@ -28,6 +30,7 @@ from swapsched import (
     load_instance,
     load_profiles,
     load_spec,
+    render_grid,
     save_instance,
     save_profiles,
     solve_greedy,
@@ -106,6 +109,64 @@ def test_generate_is_deterministic(tmp_path):
     save_instance(tmp_path / "b", b)
     for name in ("config.json", "profiles.csv", "initial.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def pinned_specs() -> list[ScenarioSpec]:
+    """Forty fixed specs: drawn and pinned initials; uniform, peaked and explicit shapes."""
+    specs = []
+    for i in range(40):
+        T, m, nb = 8 + i % 17, 1 + i % 3, 2 + i % 9
+        shapes = (
+            UniformShape(total=i % 7),
+            PeakedShape(total=1 + i % 6, peak_hour=T // 2, width=1 + i % 4),
+            ExplicitShape(values=tuple(int((i + t) % 5 == 1) for t in range(T))),
+        )
+        tariffs = (
+            FlatTariff(price=Fraction(1 + i % 3, 2)),
+            TouTariff(off_peak="0.5", peak=4, peak_hours=((3, 5), (T - 2, T))),
+            ExplicitTariff(prices=tuple(Fraction(1 + t * i % 7, 4) for t in range(T))),
+        )
+        initial = None
+        if i % 4 == 3:  # pinned: no more batteries on chargers than chargers
+            entries, on_chargers, ranks = [], 0, 0
+            for b in range(nb):
+                state = "ECFO"[(b + i) % 4]
+                if state == "C" and on_chargers < m:
+                    on_chargers += 1
+                    entries.append(BatteryStart(state=C, progress=b % 2))
+                elif state == "F":
+                    ranks += 1
+                    entries.append(BatteryStart(state=F, full_rank=ranks))
+                else:
+                    entries.append(BatteryStart(state=O if state == "O" else E))
+            initial = InitialConditions(tuple(entries))
+        specs.append(
+            ScenarioSpec(
+                config=StationConfig(nb, m, 1 + i % 4, Fraction(10 + 10 * (i % 3)), T),
+                demand=shapes[i % 3],
+                arrivals=shapes[i // 3 % 3],
+                tariff=tariffs[i // 9 % 3],
+                seed=1000 + i,
+                initial=initial,
+            )
+        )
+    return specs
+
+
+def test_generated_bundles_and_greedy_grids_are_pinned(tmp_path):
+    """The same specs give the same bundle bytes and greedy grids in every
+    version, not only in two runs of one version."""
+    digest = hashlib.sha256()
+    for i, spec in enumerate(pinned_specs()):
+        instance = generate(spec)
+        save_instance(tmp_path / str(i), instance)
+        for name in ("config.json", "profiles.csv", "initial.json"):
+            digest.update((tmp_path / str(i) / name).read_bytes())
+        try:
+            digest.update(render_grid(solve_greedy(instance)).encode())
+        except InfeasibleError as exc:
+            digest.update(f"infeasible at hour {exc.hour}: {exc}\n".encode())
+    assert digest.hexdigest() == "b6da4532736670838c0e537fe7133f884e51dbe536e369dc7cdbcf6de439809d"
 
 
 def test_generate_varies_with_seed():

@@ -67,16 +67,17 @@ def test_demo_jobs(demo):
     instance, _ = demo
     jobs = build_jobs(instance)
     assert len(jobs) == 16
-    continuations = [j for j in jobs if j.origin == "continuation"]
+    continuations = [j for j in jobs if j.fixed_start is not None]
     assert [j.battery for j in continuations] == [6, 7, 8, 9]
     assert [j.duration for j in continuations] == [4, 5, 6, 6]
     assert all(j.fixed_start == 1 and not j.movable for j in continuations)
-    empties = [j for j in jobs if j.origin == "initial-empty"]
+    empties = [j for j in jobs if j.fixed_start is None and j.arrival_hour is None]
     assert [j.battery for j in empties] == [1, 2, 3]
     assert all(j.release == 1 and j.duration == 6 and j.movable for j in empties)
-    arrivals = [j for j in jobs if j.origin == "arrival"]
+    arrivals = [j for j in jobs if j.arrival_hour is not None]
     assert [j.release for j in arrivals] == [3, 6, 8, 12, 14, 15, 21, 22, 24]
     assert all(j.battery is None and j.arrival_hour == j.release - 1 for j in arrivals)
+    assert list(jobs) == continuations + empties + arrivals
     assert [j.index for j in jobs] == list(range(16))
 
 
