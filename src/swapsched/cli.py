@@ -227,10 +227,8 @@ def main(argv: list[str] | None = None) -> int:
         InstanceError,
         DimensionError,
         ValueError,
+        OSError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # exit 1 means "infeasible", so a bug must not end there

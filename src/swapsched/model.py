@@ -413,27 +413,43 @@ class EventProfiles:
         return EventProfiles(self.demand, self.arrivals, p)
 
 
+def _edges(
+    grid: ScheduleGrid,
+) -> tuple[list[int], list[int], list[tuple[int, int, BatteryState, BatteryState]]]:
+    """One pass over every battery's hour-to-hour moves.
+
+    Returns the swaps (F->O) and returns (O->E) landing at each hour, indexed
+    from hour 1, and the illegal moves as ``(battery, hour, prev, cur)`` in
+    battery-then-hour order.
+    """
+    T = grid.horizon
+    swaps = [0] * T
+    returns = [0] * T
+    illegal = []
+    for b, row in enumerate(grid.states, start=1):
+        for t, (prev, cur) in enumerate(zip(row, row[1:]), start=1):
+            if prev is cur:  # most cells repeat the hour before; skip the hashing
+                continue
+            if (prev, cur) not in LEGAL_TRANSITIONS:
+                illegal.append((b, t + 1, prev, cur))
+            elif cur is _O:  # the one legal move into O is F->O
+                swaps[t] += 1
+            elif cur is _E:  # and the one into E is O->E
+                returns[t] += 1
+    return swaps, returns, illegal
+
+
 def extract_events(grid: ScheduleGrid) -> EventProfiles:
     """Read demand and arrival counts off a grid's edges; prices come back zero.
 
     Raises TransitionError on the first illegal adjacency: event extraction
     is only meaningful on grids that respect the state cycle.
     """
-    T = grid.horizon
-    demand = [0] * T
-    arrivals = [0] * T
-    for b, row in enumerate(grid.states, start=1):
-        for t in range(1, T):
-            prev, cur = row[t - 1], row[t]
-            if not legal_transition(prev, cur):
-                raise TransitionError(
-                    b, t + 1, f"illegal transition {prev.letter}->{cur.letter}"
-                )
-            if prev is _F and cur is _O:
-                demand[t] += 1
-            elif prev is _O and cur is _E:
-                arrivals[t] += 1
-    return EventProfiles(tuple(demand), tuple(arrivals), (Fraction(0),) * T)
+    swaps, returns, illegal = _edges(grid)
+    if illegal:
+        b, hour, prev, cur = illegal[0]
+        raise TransitionError(b, hour, f"illegal transition {prev.letter}->{cur.letter}")
+    return EventProfiles(tuple(swaps), tuple(returns), (Fraction(0),) * grid.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +457,16 @@ def extract_events(grid: ScheduleGrid) -> EventProfiles:
 # ---------------------------------------------------------------------------
 
 _HEADER_PREFIX = "Hours:"
+_STATE_OF_LETTER = {state.letter: state for state in BatteryState}
+
+
+def _header(horizon: int) -> str:
+    return _HEADER_PREFIX + " " + " ".join(str(t) for t in range(1, horizon + 1))
 
 
 def render_grid(grid: ScheduleGrid) -> str:
     """Render a grid as text: an hour header, then one ``B<i>: E C F ...`` line per battery."""
-    lines = [_HEADER_PREFIX + " " + " ".join(str(t) for t in range(1, grid.horizon + 1))]
+    lines = [_header(grid.horizon)]
     for i, row in enumerate(grid.states, start=1):
         lines.append(f"B{i}: " + " ".join(cell.letter for cell in row))
     return "\n".join(lines) + "\n"
@@ -460,34 +481,37 @@ def parse_grid(text: str, config: StationConfig) -> ScheduleGrid:
     lines = text.splitlines()
     if not lines:
         raise GridParseError(1, 1, "empty schedule text")
-    header = lines[0]
-    if not header.startswith(_HEADER_PREFIX):
-        raise GridParseError(1, 1, f"expected header starting with {_HEADER_PREFIX!r}")
-    try:
-        hours = [int(tok) for tok in header[len(_HEADER_PREFIX):].split()]
-    except ValueError:
-        raise GridParseError(1, len(_HEADER_PREFIX) + 1, "header hours must be integers") from None
-    if hours != list(range(1, config.horizon + 1)):
+    header, expected = lines[0], _header(config.horizon)
+    if header != expected:
+        if not header.startswith(_HEADER_PREFIX):
+            raise GridParseError(1, 1, f"expected header starting with {_HEADER_PREFIX!r}")
+        try:
+            hours = [int(tok) for tok in header[len(_HEADER_PREFIX):].split()]
+        except ValueError:
+            raise GridParseError(1, len(_HEADER_PREFIX) + 1, "header hours must be integers") from None
+        if hours != list(range(1, config.horizon + 1)):
+            raise GridParseError(
+                1, len(_HEADER_PREFIX) + 1,
+                f"header lists {len(hours)} hours, expected 1..{config.horizon}",
+            )
+        col = next((i for i, (a, b) in enumerate(zip(header, expected)) if a != b), len(expected))
         raise GridParseError(
-            1, len(_HEADER_PREFIX) + 1,
-            f"header lists {len(hours)} hours, expected 1..{config.horizon}",
+            1, col + 1,
+            f"header must give hours 1..{config.horizon} as plain numbers, one space before each",
         )
-    body = [line for line in lines[1:]]
+    body = lines[1:]
     if len(body) != config.n_batteries:
         line_no = min(len(body), config.n_batteries) + 2
         raise GridParseError(
             line_no, 1, f"{len(body)} battery lines, expected {config.n_batteries}"
         )
-    rows: list[list[BatteryState]] = []
-    prefixes: list[str] = []
+    rows = []
     for i, line in enumerate(body, start=1):
         line_no = i + 1
         prefix = f"B{i}: "
         if not line.startswith(prefix):
             raise GridParseError(line_no, 1, f"expected line to start with {prefix!r}")
-        prefixes.append(prefix)
-        payload = line[len(prefix):]
-        cells = payload.split(" ")
+        cells = line[len(prefix):].split(" ")
         if "" in cells:
             raise GridParseError(line_no, len(prefix) + 1, "cells must be single letters separated by single spaces")
         if len(cells) != config.horizon:
@@ -495,20 +519,18 @@ def parse_grid(text: str, config: StationConfig) -> ScheduleGrid:
             raise GridParseError(
                 line_no, col, f"{len(cells)} cells, expected horizon {config.horizon}"
             )
-        row: list[BatteryState] = []
-        for t, cell in enumerate(cells, start=1):
+        row = tuple(map(_STATE_OF_LETTER.get, cells))
+        if None in row:
+            t = row.index(None) + 1
             col = len(prefix) + 2 * (t - 1) + 1
-            if len(cell) != 1 or cell not in "ECFO":
-                raise GridParseError(line_no, col, f"unknown state letter {cell!r} at hour {t}")
-            row.append(BatteryState(cell))
+            raise GridParseError(line_no, col, f"unknown state letter {cells[t - 1]!r} at hour {t}")
         rows.append(row)
-    for b, row in enumerate(rows, start=1):
-        for t in range(1, len(row)):
-            if not legal_transition(row[t - 1], row[t]):
-                col = len(prefixes[b - 1]) + 2 * t + 1
-                raise GridParseError(
-                    b + 1, col,
-                    f"illegal transition {row[t - 1].letter}->{row[t].letter} "
-                    f"for battery B{b} at hour {t + 1}",
-                )
-    return ScheduleGrid.from_rows(rows)
+    grid = ScheduleGrid(tuple(rows))
+    illegal = _edges(grid)[2]
+    if illegal:
+        b, hour, prev, cur = illegal[0]
+        raise GridParseError(
+            b + 1, len(f"B{b}: ") + 2 * (hour - 1) + 1,
+            f"illegal transition {prev.letter}->{cur.letter} for battery B{b} at hour {hour}",
+        )
+    return grid

@@ -343,8 +343,15 @@ def generate(spec: ScenarioSpec) -> Instance:
 
     Draw order is fixed: initial conditions (skipped when ``spec.initial``
     pins them), then demand, then arrivals; the tariff is deterministic.
+    Pinned start states may put at most one battery on each charger.
     """
     cfg = spec.config
+    on_chargers = spec.initial.count(_C) if spec.initial is not None else 0
+    if on_chargers > cfg.n_chargers:
+        raise InstanceError(
+            f"pinned initial puts {on_chargers} batteries on chargers, "
+            f"the station has {cfg.n_chargers}"
+        )
     rng = random.Random(spec.seed)
     initial = spec.initial if spec.initial is not None else _draw_initial(rng, cfg)
     demand = _render_demand(rng, spec.demand, cfg, initial)

@@ -1,9 +1,11 @@
 """Constraint checks for schedule grids.
 
-Each check scans one constraint family and returns a list of violations;
-``validate`` runs them all and aggregates the result into a report.  The
-checks never mutate and never short-circuit each other, so the report's
-violation list is exactly the union of the individual checks.
+``validate`` checks one grid against one instance and reports every breach.
+It counts the states of each hour once and reads the grid's hour-to-hour
+moves in one scan (``model._edges``).  Violations come grouped by family in
+a fixed order: transitions, charger capacity, demand coverage, arrivals,
+charge duration, initial conditions.  No family short-circuits another, so
+a grid shows every breach at once.
 
 Charge-duration checking has two modes:
 
@@ -26,7 +28,7 @@ from .model import (
     InitialConditions,
     ScheduleGrid,
     StationConfig,
-    legal_transition,
+    _edges,
 )
 
 __all__ = [
@@ -40,19 +42,12 @@ __all__ = [
     "ARRIVALS",
     "CHARGE_DURATION",
     "INITIAL_CONDITIONS",
-    "check_transitions",
-    "check_charger_capacity",
-    "check_demand_coverage",
-    "check_arrivals",
-    "check_charge_duration",
-    "check_initial",
     "validate",
 ]
 
 _E = BatteryState.EMPTY
 _C = BatteryState.CHARGING
 _F = BatteryState.FULL
-_O = BatteryState.OUT
 
 # Stable constraint identifiers; these appear in reports and the CLI.
 TRANSITION = "transition"
@@ -130,124 +125,91 @@ class ValidationReport:
         return {v.constraint for v in self.violations}
 
 
-def check_transitions(grid: ScheduleGrid) -> list[Violation]:
-    """Flag every hour-to-hour move outside the legal state cycle."""
-    out = []
-    for b, row in enumerate(grid.states, start=1):
-        for t in range(1, grid.horizon):
-            prev, cur = row[t - 1], row[t]
-            if not legal_transition(prev, cur):
-                out.append(
-                    Violation(
-                        TRANSITION, b, t + 1,
-                        f"battery B{b}: illegal transition {prev.letter}->{cur.letter} "
-                        f"into hour {t + 1}",
-                    )
-                )
-    return out
+def validate(grid: ScheduleGrid, instance: Instance, mode: str = "lenient") -> ValidationReport:
+    """Check the grid against every constraint family and report all breaches.
 
-
-def check_charger_capacity(grid: ScheduleGrid, config: StationConfig) -> list[Violation]:
-    """No hour may have more charging batteries than chargers.
-
-    A battery lingering on its charger after filling up still shows as C
-    and still occupies the charger; fully-charged (F) batteries do not.
+    Raises DimensionError when grid and instance disagree on shape; shape
+    mismatches are input errors, not violations.
     """
-    out = []
-    for t in range(1, grid.horizon + 1):
-        used = grid.count(_C, t)
-        if used > config.n_chargers:
-            out.append(
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    cfg, events, initial = instance.config, instance.events, instance.initial
+    if grid.n_batteries != cfg.n_batteries or grid.horizon != cfg.horizon:
+        raise DimensionError(
+            f"grid is {grid.n_batteries}x{grid.horizon}, "
+            f"instance is {cfg.n_batteries}x{cfg.horizon}"
+        )
+    T = grid.horizon
+    columns = tuple(zip(*grid.states))
+    hourly = {s.letter: tuple(column.count(s) for column in columns) for s in BatteryState}
+    swaps, returns, illegal = _edges(grid)
+
+    # Transitions: every hour-to-hour move outside the legal state cycle.
+    violations = [
+        Violation(
+            TRANSITION, b, hour,
+            f"battery B{b}: illegal transition {prev.letter}->{cur.letter} into hour {hour}",
+        )
+        for b, hour, prev, cur in illegal
+    ]
+
+    # Charger capacity: a battery lingering on its charger after filling up
+    # still shows as C and occupies the charger; F batteries do not.
+    for t, used in enumerate(hourly["C"], start=1):
+        if used > cfg.n_chargers:
+            violations.append(
                 Violation(
                     CHARGER_CAPACITY, None, t,
-                    f"hour {t}: {used} batteries charging, only {config.n_chargers} chargers",
+                    f"hour {t}: {used} batteries charging, only {cfg.n_chargers} chargers",
                 )
             )
-    return out
 
-
-def check_demand_coverage(grid: ScheduleGrid, events: EventProfiles) -> list[Violation]:
-    """Exactly the demanded number of swaps must land each hour, backed by F stock.
-
-    A swap landing at hour t consumes a battery that was F at t-1, so demand
-    at hour 1 can never be served and is flagged outright.
-    """
-    out = []
+    # Demand coverage: exactly the demanded swaps land each hour, backed by F
+    # stock.  A swap landing at hour t consumes a battery that was F at t-1,
+    # so demand at hour 1 can never be served.
     if events.demand[0] > 0:
-        out.append(
+        violations.append(
             Violation(
                 DEMAND_COVERAGE, None, 1,
                 f"demand {events.demand[0]} at hour 1 can never be served "
                 "(swaps land on an edge from the previous hour)",
             )
         )
-    for t in range(2, grid.horizon + 1):
-        want = events.demand[t - 1]
-        edges = sum(
-            1 for row in grid.states if row[t - 2] is _F and row[t - 1] is _O
-        )
-        stock = grid.count(_F, t - 1)
+    for t in range(2, T + 1):
+        want, edges, stock = events.demand[t - 1], swaps[t - 1], hourly["F"][t - 2]
         if edges != want:
-            out.append(
-                Violation(
-                    DEMAND_COVERAGE, None, t,
-                    f"hour {t}: {edges} swap(s) land, demand is {want}",
-                )
+            violations.append(
+                Violation(DEMAND_COVERAGE, None, t, f"hour {t}: {edges} swap(s) land, demand is {want}")
             )
         if stock < want:
-            out.append(
+            violations.append(
                 Violation(
                     DEMAND_COVERAGE, None, t,
                     f"hour {t}: demand {want} exceeds the {stock} fully-charged "
                     f"batteries available at hour {t - 1}",
                 )
             )
-    return out
 
-
-def check_arrivals(grid: ScheduleGrid, events: EventProfiles) -> list[Violation]:
-    """Exactly the scheduled number of battery returns must land each hour."""
-    out = []
+    # Arrivals: exactly the scheduled number of returns land each hour.
     if events.arrivals[0] > 0:
-        out.append(
+        violations.append(
             Violation(
                 ARRIVALS, None, 1,
                 f"{events.arrivals[0]} arrival(s) at hour 1 can never land "
                 "(arrivals land on an edge from the previous hour)",
             )
         )
-    for t in range(2, grid.horizon + 1):
-        want = events.arrivals[t - 1]
-        edges = sum(
-            1 for row in grid.states if row[t - 2] is _O and row[t - 1] is _E
-        )
+    for t in range(2, T + 1):
+        want, edges = events.arrivals[t - 1], returns[t - 1]
         if edges != want:
-            out.append(
-                Violation(
-                    ARRIVALS, None, t,
-                    f"hour {t}: {edges} arrival(s) land, profile says {want}",
-                )
+            violations.append(
+                Violation(ARRIVALS, None, t, f"hour {t}: {edges} arrival(s) land, profile says {want}")
             )
-    return out
 
-
-def check_charge_duration(
-    grid: ScheduleGrid,
-    config: StationConfig,
-    initial: InitialConditions,
-    mode: str = "lenient",
-) -> list[Violation]:
-    """Completed charge runs must cover the configured duration.
-
-    A run starting at hour 1 on a battery that entered the horizon already
-    charging gets its declared prior progress credited.  Lenient mode
-    accepts longer runs (lingering); strict mode demands exact length.
-    Runs still open at the end of the horizon are exempt.
-    """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    out = []
-    T = grid.horizon
+    # Charge duration: completed runs must cover the configured duration.  A
+    # run starting at hour 1 on a battery that entered the horizon charging
+    # gets its declared progress credited; runs still open at the end of the
+    # horizon are exempt.
     for b, row in enumerate(grid.states, start=1):
         t = 1
         while t <= T:
@@ -266,28 +228,21 @@ def check_charge_duration(
             entry = initial.for_battery(b)
             if start == 1 and entry.state is _C:
                 effective += entry.progress
-            if effective < config.charge_hours or (
-                mode == "strict" and effective != config.charge_hours
+            if effective < cfg.charge_hours or (
+                mode == "strict" and effective != cfg.charge_hours
             ):
-                out.append(
+                violations.append(
                     Violation(
                         CHARGE_DURATION, b, start,
                         f"battery B{b}: charge run hours {start}-{end} has effective "
-                        f"length {effective}, required {config.charge_hours}"
+                        f"length {effective}, required {cfg.charge_hours}"
                         + (" exactly" if mode == "strict" else " at least"),
                     )
                 )
-    return out
 
-
-def check_initial(grid: ScheduleGrid, initial: InitialConditions) -> list[Violation]:
-    """Hour-1 states must match the declared start states.
-
-    A battery that enters the horizon empty may already be charging at
-    hour 1 (it can be moved onto a free charger within the first hour), so
-    E admits {E, C}; the other declarations must match exactly.
-    """
-    out = []
+    # Initial conditions: hour 1 matches the declared start states.  A battery
+    # that enters empty may already be charging at hour 1 (it can be moved
+    # onto a free charger within the first hour), so E admits {E, C}.
     for b, entry in enumerate(initial.entries, start=1):
         actual = grid.state(b, 1)
         if entry.state is _E:
@@ -295,44 +250,14 @@ def check_initial(grid: ScheduleGrid, initial: InitialConditions) -> list[Violat
         else:
             ok = actual is entry.state
         if not ok:
-            out.append(
+            violations.append(
                 Violation(
                     INITIAL_CONDITIONS, b, 1,
                     f"battery B{b}: declared start {entry.state.letter}, "
                     f"hour 1 shows {actual.letter}",
                 )
             )
-    return out
 
-
-def validate(grid: ScheduleGrid, instance: Instance, mode: str = "lenient") -> ValidationReport:
-    """Run every check against the grid and aggregate a report.
-
-    Raises DimensionError when grid and instance disagree on shape; shape
-    mismatches are input errors, not violations.
-    """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    cfg = instance.config
-    if grid.n_batteries != cfg.n_batteries or grid.horizon != cfg.horizon:
-        raise DimensionError(
-            f"grid is {grid.n_batteries}x{grid.horizon}, "
-            f"instance is {cfg.n_batteries}x{cfg.horizon}"
-        )
-    violations: list[Violation] = []
-    violations += check_transitions(grid)
-    violations += check_charger_capacity(grid, cfg)
-    violations += check_demand_coverage(grid, instance.events)
-    violations += check_arrivals(grid, instance.events)
-    violations += check_charge_duration(grid, cfg, instance.initial, mode)
-    violations += check_initial(grid, instance.initial)
-    hourly = {
-        "E": tuple(grid.count(_E, t) for t in range(1, grid.horizon + 1)),
-        "C": tuple(grid.count(_C, t) for t in range(1, grid.horizon + 1)),
-        "F": tuple(grid.count(_F, t) for t in range(1, grid.horizon + 1)),
-        "O": tuple(grid.count(_O, t) for t in range(1, grid.horizon + 1)),
-    }
-    hourly["chargers"] = hourly["C"]  # lingering counts; F never occupies a charger
     return ValidationReport(
         feasible=not violations,
         violations=tuple(violations),

@@ -216,6 +216,17 @@ def test_generate_rejects_bad_specs(tmp_path):
     assert proc.returncode == 2
 
 
+def test_generate_refuses_more_pinned_charging_batteries_than_chargers(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    charging = [{"battery": b, "state": "C", "progress": 0} for b in (1, 2)]
+    initial = charging + [{"battery": 3, "state": "E"}]
+    spec.write_text(spec_with(config={**SPEC["config"], "n_chargers": 1}, initial=initial))
+    assert cli.main(["generate", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: pinned initial puts 2 batteries on chargers, the station has 1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_render_with_counts(demo_dir):
     proc = run_cli("render", "--instance", str(demo_dir), "--counts")
     assert proc.returncode == 0

@@ -287,6 +287,11 @@ def test_render_parse_round_trip_on_random_grids():
         ("Hours: 1 2\nB1: E X", 2, 7),                        # unknown letter
         ("Hours: 1 2\nB1: E F", 2, 7),                        # illegal adjacency E->F
         ("Hours: 1 2\nB1: E C\nB2: E C", 3, 1),               # too many battery lines
+        ("Hours: 01 2\nB1: E C", 1, 8),                       # zero-padded hour
+        ("Hours:\t1   2  \nB1: E C", 1, 7),                   # tab, runs of spaces, padding
+        ("Hours: +1 2\nB1: E C", 1, 8),                       # signed hour
+        ("Hours:1 2\nB1: E C", 1, 7),                         # no space after the colon
+        ("Hours: \uff11 2\nB1: E C", 1, 8),                   # fullwidth digit
     ],
 )
 def test_parse_errors_carry_position(text, line, column):

@@ -245,6 +245,21 @@ def test_pinned_initial_conditions_are_used():
     assert instance.initial == init
 
 
+def test_pinned_initial_may_not_put_more_batteries_on_chargers_than_chargers():
+    init = InitialConditions(
+        (
+            BatteryStart(state=C),
+            BatteryStart(state=C, progress=1),
+            BatteryStart(state=C),
+            BatteryStart(state=E),
+        )
+    )
+    with pytest.raises(InstanceError, match="pinned initial puts 3 batteries on chargers, the station has 2"):
+        generate(small_spec(3, initial=init))
+    fits = InitialConditions(init.entries[1:])
+    assert generate(small_spec(3, config=StationConfig(3, 2, 3, Fraction(30), 14), initial=fits)).initial == fits
+
+
 # ---------------------------------------------------------------------------
 # Tariffs
 # ---------------------------------------------------------------------------
