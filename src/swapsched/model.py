@@ -475,10 +475,13 @@ def render_grid(grid: ScheduleGrid) -> str:
 def parse_grid(text: str, config: StationConfig) -> ScheduleGrid:
     """Parse ``render_grid`` text against a config; exact inverse of render.
 
-    Any deviation (wrong dimensions, unknown letters, illegal adjacency,
-    malformed layout) raises GridParseError carrying line and column.
+    Lines end in ``"\n"`` only, the last one included.  Any deviation (wrong
+    dimensions, unknown letters, illegal adjacency, malformed layout, a
+    missing final newline) raises GridParseError carrying line and column.
     """
-    lines = text.splitlines()
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # what follows the final newline
     if not lines:
         raise GridParseError(1, 1, "empty schedule text")
     header, expected = lines[0], _header(config.horizon)
@@ -533,4 +536,6 @@ def parse_grid(text: str, config: StationConfig) -> ScheduleGrid:
             b + 1, len(f"B{b}: ") + 2 * (hour - 1) + 1,
             f"illegal transition {prev.letter}->{cur.letter} for battery B{b} at hour {hour}",
         )
+    if not text.endswith("\n"):
+        raise GridParseError(len(lines), len(lines[-1]) + 1, "missing final newline")
     return grid

@@ -3,9 +3,10 @@
 Charging work is organized as jobs.  A battery that enters the horizon on a
 charger continues as a fixed job (start hour 1, remaining duration); a
 battery that enters empty is one job released at hour 1; every arrival unit
-is one job released the hour after the arrival lands.  Arrival jobs are
-anonymous until the simulation binds them to returning batteries in arrival
-order.
+is one job released the hour after the arrival lands.  Jobs carry no
+battery: only how many charges start in each hour affects cost, charger use
+and demand coverage, so every method hands its per-hour start counts to one
+realisation, which starts the longest-waiting empty batteries.
 
 Every job is scheduled.  A movable job whose full charge block fits inside
 the horizon must run the full block (its start domain is capped so the block
@@ -14,8 +15,8 @@ release and is truncated by the horizon.
 
 Stations serve swaps and bind arrivals first-in-first-out:
 
-* chargers go to the longest-waiting empty battery (queue entry hour, then
-  battery index);
+* charge starts go to the longest-waiting empty batteries (queue entry
+  hour, then battery index);
 * swaps consume the battery that has been fully charged longest (hour it
   entered F, then index; batteries that started the horizon full are ordered
   by their declared rank);
@@ -32,7 +33,7 @@ Movable jobs all run the same block length, so it works on start counts
 windows, deadlines and demand coverage are difference constraints on those
 counts, and the cost-minimizing counts are the dual of one min-cost flow on
 the hours, solved by successive shortest paths in polynomial time.  It runs
-the greedy simulation only for the feasibility objective, or to prove an
+``solve_greedy`` only for the feasibility objective, or to prove an
 instance infeasible with the first failing hour.
 ``solve_oracle`` does the same by exhaustive enumeration and exists to
 cross-check the exact solver.
@@ -47,7 +48,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import DimensionError, EnumerationBudgetError, InfeasibleError
 from .model import BatteryState, ScheduleGrid, StationConfig, to_exact
@@ -81,19 +82,16 @@ class SolveObjective(Enum):
 
 @dataclass(frozen=True)
 class ChargeJob:
-    """One required charge block.
+    """One required charge block of ``duration`` hours, released at ``release``.
 
-    ``battery`` is None for arrival jobs until a simulation binds them.
     ``fixed_start`` pins continuation jobs to hour 1; movable jobs have None.
-    ``arrival_hour`` is set on arrival jobs only.
+    A job names no battery: the realisation hands each hour's starts to the
+    longest-waiting empty batteries.
     """
 
-    index: int
-    battery: int | None
     release: int
     duration: int
     fixed_start: int | None = None
-    arrival_hour: int | None = None
 
     @property
     def movable(self) -> bool:
@@ -107,30 +105,14 @@ def build_jobs(instance: Instance) -> tuple[ChargeJob, ...]:
     index), then one job per arrival unit (hour order).  The canonical order
     is also the FIFO priority order and the order of start vectors.
     """
-    cfg = instance.config
-    jobs: list[ChargeJob] = []
-    for b, entry in enumerate(instance.initial.entries, start=1):
-        if entry.state is _C:
-            jobs.append(
-                ChargeJob(
-                    index=len(jobs), battery=b, release=1,
-                    duration=cfg.charge_hours - entry.progress, fixed_start=1,
-                )
-            )
-    for b, entry in enumerate(instance.initial.entries, start=1):
-        if entry.state is _E:
-            jobs.append(
-                ChargeJob(index=len(jobs), battery=b, release=1, duration=cfg.charge_hours)
-            )
-    for t, count in enumerate(instance.events.arrivals, start=1):
-        for _ in range(count):
-            jobs.append(
-                ChargeJob(
-                    index=len(jobs), battery=None,
-                    release=t + 1, duration=cfg.charge_hours, arrival_hour=t,
-                )
-            )
-    return tuple(jobs)
+    D = instance.config.charge_hours
+    entries = instance.initial.entries
+    releases = enumerate(instance.events.arrivals, start=2)  # the hour after each arrival
+    return tuple(
+        [ChargeJob(1, D - e.progress, fixed_start=1) for e in entries if e.state is _C]
+        + [ChargeJob(1, D) for e in entries if e.state is _E]
+        + [ChargeJob(r, D) for r, n in releases for _ in range(n)]
+    )
 
 
 def start_domain(job: ChargeJob, config: StationConfig) -> tuple[int, ...]:
@@ -218,12 +200,12 @@ def schedule_cost(grid: ScheduleGrid, config: StationConfig, price: Sequence) ->
 # ---------------------------------------------------------------------------
 # Simulation engine
 #
-# One hour loop serves both the greedy solver (starts=None: as many starts
-# each hour as _fifo_starts gives, longest-waiting batteries first) and
-# start-vector realization for the exact solver and the oracle (starts
-# prescribed per job).  Events within an hour settle in a fixed order:
-# arrivals land, charges complete, charges start, swaps land, everything
-# else stays put.
+# One hour loop realises per-hour start counts for every method: greedy's
+# come from _fifo_starts, the exact solver's from the flow, the oracle's from
+# each enumerated start vector.  Each hour's starts go to the longest-waiting
+# empty batteries.  Events within an hour settle in a fixed order: arrivals
+# land, charges complete, charges start, swaps land, everything else stays
+# put.
 # ---------------------------------------------------------------------------
 
 
@@ -261,33 +243,21 @@ def _fifo_starts(
     return starts
 
 
-def _simulate(
-    instance: Instance,
-    jobs: tuple[ChargeJob, ...],
-    starts: Mapping[int, int | None] | None,
-) -> ScheduleGrid:
+def _simulate(instance: Instance, n_starts: Counter) -> ScheduleGrid:
+    """Realise ``n_starts`` (hour -> charges started) as a schedule grid."""
     cfg = instance.config
     T, NB = cfg.horizon, cfg.n_batteries
     demand, arrivals = instance.events.demand, instance.events.arrivals
     rows: list[list[BatteryState | None]] = [[None] * (T + 1) for _ in range(NB + 1)]
-    if starts is None:
-        n_starts = Counter(  # hour -> greedy starts
-            _fifo_starts(
-                cfg,
-                [j.duration for j in jobs if not j.movable],
-                [j.release for j in jobs if j.movable],
-            )
-        )
 
-    waiting: dict[int, tuple[int, int]] = {}  # battery -> (entry hour, job)
+    waiting: dict[int, int] = {}  # battery -> entry hour
     charge_end: dict[int, int] = {}  # battery -> last charging hour
     full_key: dict[int, tuple[int, int]] = {}  # battery -> (hour entered F, tiebreak)
     out_pool: list[tuple[int, int]] = []  # (hour went out, battery)
-    movables = iter(j.index for j in jobs if j.movable)  # initial empties, then arrivals
 
     for b, entry in enumerate(instance.initial.entries, start=1):
         if entry.state is _E:
-            waiting[b] = (1, next(movables))
+            waiting[b] = 1
         elif entry.state is _C:
             charge_end[b] = min(cfg.charge_hours - entry.progress, T)
         elif entry.state is _F:
@@ -309,7 +279,7 @@ def _simulate(
             for _ in range(need):
                 _, b = out_pool.pop(0)
                 rows[b][t] = _E
-                waiting[b] = (t, next(movables))
+                waiting[b] = t
 
         # 2. running charges advance; finished ones become full
         for b in sorted(charge_end):
@@ -320,14 +290,8 @@ def _simulate(
             else:
                 rows[b][t] = _C
 
-        # 3. charge starts
-        if starts is not None:
-            chosen = [b for b, (_, job) in waiting.items() if starts.get(job) == t]
-        elif n_starts[t]:
-            chosen = sorted(waiting, key=lambda b: (waiting[b][0], b))[: n_starts[t]]
-        else:
-            chosen = []
-        for b in chosen:
+        # 3. charge starts, longest-waiting batteries first
+        for b in sorted(waiting, key=lambda b: (waiting[b], b))[: n_starts[t]]:
             del waiting[b]
             charge_end[b] = min(t + cfg.charge_hours - 1, T)
             rows[b][t] = _C
@@ -368,7 +332,10 @@ def solve_greedy(instance: Instance) -> ScheduleGrid:
     Maximizes completions by every hour, so if this raises InfeasibleError
     (carrying the first failing hour) no schedule covers the demand.
     """
-    return _simulate(instance, build_jobs(instance), None)
+    jobs = build_jobs(instance)
+    fixed = [j.duration for j in jobs if not j.movable]
+    releases = [j.release for j in jobs if j.movable]
+    return _simulate(instance, Counter(_fifo_starts(instance.config, fixed, releases)))
 
 
 # ---------------------------------------------------------------------------
@@ -386,38 +353,37 @@ def solve_exact(
     open and close in canonical order, so cost, charger use and completions
     depend only on ``y[t]``, the number of movable starts by hour ``t``, and
     each constraint on ``y`` is a difference constraint.  Of the optimal
-    ``y``, the componentwise-largest one is taken; handing its starts out in
-    canonical order gives the lexicographically earliest optimal start
-    vector.  The greedy schedule runs only to answer the feasibility
-    objective, or after the flow or the realisation of its starts fails, to
-    prove infeasibility with the first failing hour.
+    ``y``, the componentwise-largest one is taken, which is the count
+    profile of the lexicographically earliest optimal start vector; its
+    starts go to the longest-waiting batteries.  The greedy schedule runs
+    only to answer the feasibility objective, or after the flow or the
+    realisation of its starts fails, to prove infeasibility with the first
+    failing hour.
     """
     cfg = instance.config
     prices = instance.events.price
-    jobs = build_jobs(instance)
     if objective is SolveObjective.FEASIBILITY:
-        grid = _simulate(instance, jobs, None)  # raises InfeasibleError with the proof hour
+        grid = solve_greedy(instance)  # raises InfeasibleError with the proof hour
         return grid, schedule_cost(grid, cfg, prices)
     try:
-        grid = _simulate(instance, jobs, _cheapest_starts(instance, jobs))
+        grid = _simulate(instance, _cheapest_starts(instance))
     except InfeasibleError:
         # Swaps and arrivals that no movable block can reach are outside the
         # flow; greedy names the first hour that fails, if one does.
-        _simulate(instance, jobs, None)
+        solve_greedy(instance)
         raise
     return grid, schedule_cost(grid, cfg, prices)
 
 
-def _cheapest_starts(instance: Instance, jobs: tuple[ChargeJob, ...]) -> dict[int, int]:
-    """Lexicographically earliest cost-minimizing start hour of each movable job."""
+def _cheapest_starts(instance: Instance) -> Counter:
+    """Movable starts per hour of the lexicographically earliest cost-minimizing start vector."""
     cfg = instance.config
     T, D = cfg.horizon, cfg.charge_hours
-    movables = []
     opened = [0] * (T + 1)  # movable start windows opening / closing at hour t
     closed = [0] * (T + 1)
     busy = [0] * (T + 1)  # chargers held by fixed jobs
     stock = [instance.initial.count(_F)] * (T + 1)  # full by hour t without movable jobs
-    for j in jobs:
+    for j in build_jobs(instance):
         domain = start_domain(j, cfg)
         if not j.movable:
             end = j.fixed_start + j.duration - 1
@@ -426,7 +392,6 @@ def _cheapest_starts(instance: Instance, jobs: tuple[ChargeJob, ...]) -> dict[in
             for h in range(end + 1, T + 1):
                 stock[h] += 1
         elif domain:
-            movables.append(j)
             opened[domain[0]] += 1
             closed[domain[-1]] += 1
 
@@ -456,13 +421,7 @@ def _cheapest_starts(instance: Instance, jobs: tuple[ChargeJob, ...]) -> dict[in
     level = [int(p * scale) for p in prices] + [0] * D
     weight = [0] + [level[t - 1] - level[t + D - 1] for t in range(1, T + 1)]
     y = _largest_optimal_potentials(T + 1, arcs, weight)
-
-    starts = {}
-    pending = iter(movables)
-    for t in range(1, T + 1):
-        for _ in range(y[t] - y[t - 1]):
-            starts[next(pending).index] = t
-    return starts
+    return Counter({t: y[t] - y[t - 1] for t in range(1, T + 1)})
 
 
 def _largest_optimal_potentials(
@@ -565,14 +524,14 @@ def solve_oracle(
 ) -> tuple[ScheduleGrid, CostBreakdown]:
     """Exhaustively enumerate start vectors; cross-check for solve_exact.
 
-    Every realized schedule is filtered through strict validation rather
-    than through the exact solver's pruning logic.  Refuses instances whose
+    Each vector is realised through its per-hour start counts, like every
+    other method's, and the schedule is filtered through strict validation
+    rather than through the exact solver's reasoning.  Refuses instances whose
     vector count exceeds ``budget``.
     """
     cfg = instance.config
     prices = instance.events.price
-    jobs = build_jobs(instance)
-    movables = [j for j in jobs if j.movable]
+    movables = [j for j in build_jobs(instance) if j.movable]
     domains = [start_domain(j, cfg) or (None,) for j in movables]
     size = 1
     for dom in domains:
@@ -581,10 +540,9 @@ def solve_oracle(
         raise EnumerationBudgetError(size, budget)
 
     best: tuple[Fraction, ScheduleGrid, CostBreakdown] | None = None
-    indexes = [j.index for j in movables]
     for combo in itertools.product(*domains):
         try:
-            grid = _simulate(instance, jobs, dict(zip(indexes, combo)))
+            grid = _simulate(instance, Counter(combo))
         except InfeasibleError:
             continue
         if not validate(grid, instance, "strict").feasible:
@@ -595,6 +553,6 @@ def solve_oracle(
         if best is None or cost.total < best[0]:
             best = (cost.total, grid, cost)
     if best is None:
-        _simulate(instance, jobs, None)  # raises with the proof hour when demand is the cause
+        solve_greedy(instance)  # raises with the proof hour when demand is the cause
         raise InfeasibleError(None, "no start vector passes strict validation")
     return best[1], best[2]

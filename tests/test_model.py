@@ -292,6 +292,10 @@ def test_render_parse_round_trip_on_random_grids():
         ("Hours: +1 2\nB1: E C", 1, 8),                       # signed hour
         ("Hours:1 2\nB1: E C", 1, 7),                         # no space after the colon
         ("Hours: \uff11 2\nB1: E C", 1, 8),                   # fullwidth digit
+        ("Hours: 1 2\r\nB1: E C\r\n", 1, 11),                 # CRLF line endings
+        ("Hours: 1 2\nB1: E C", 2, 8),                        # no final newline
+        # line breaks to str.splitlines, plain characters inside a line here
+        *[(f"Hours: 1 2{ch}B1: E C\n", 1, 7) for ch in "\x0c\x1c\x1d\x1e\x85\u2028\u2029"],
     ],
 )
 def test_parse_errors_carry_position(text, line, column):

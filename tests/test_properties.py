@@ -1,4 +1,4 @@
-"""Property tests for the text format and the validator (needs hypothesis)."""
+"""Property tests for the text format, the validator and the solvers (needs hypothesis)."""
 
 from __future__ import annotations
 
@@ -12,14 +12,20 @@ from hypothesis import given, settings, strategies as st
 from swapsched import (
     BatteryStart,
     BatteryState,
+    EnumerationBudgetError,
     EventProfiles,
     GridParseError,
+    InfeasibleError,
     InitialConditions,
     Instance,
     ScheduleGrid,
     StationConfig,
     parse_grid,
     render_grid,
+    schedule_cost,
+    solve_exact,
+    solve_greedy,
+    solve_oracle,
     validate,
 )
 
@@ -86,3 +92,65 @@ def test_hourly_counts_partition_the_fleet(grid, data):
         assert sum(report.hourly[k][t] for k in "ECFO") == nb
         for s in STATES:
             assert report.hourly[s.letter][t] == sum(row[t] is s for row in grid.states)
+
+
+@st.composite
+def instances(draw):
+    """Small stations built directly, with no generator repairs: demand may
+    come before any battery is ready and arrivals may outrun the out-pool."""
+    nb, m = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    D, T = draw(st.integers(1, 3)), draw(st.integers(4, 10))
+    starts, rank = [], 0
+    for state in draw(st.lists(st.sampled_from(STATES), min_size=nb, max_size=nb)):
+        if state is BatteryState.CHARGING:
+            starts.append(BatteryStart(state, progress=draw(st.integers(0, D - 1))))
+        elif state is BatteryState.FULL:
+            rank += 1
+            starts.append(BatteryStart(state, full_rank=rank))
+        else:
+            starts.append(BatteryStart(state))
+    per_hour = st.sampled_from((0, 0, 0, 0, 1))  # mostly quiet hours, so many instances are feasible
+    counts = st.lists(per_hour, min_size=T - 1, max_size=T - 1).map(lambda c: (0, *c))
+    prices = st.lists(st.fractions(0, 6, max_denominator=2), min_size=T, max_size=T)
+    events = EventProfiles(draw(counts), draw(counts), tuple(draw(prices)))
+    return Instance(StationConfig(nb, m, D, Fraction(10), T), InitialConditions(tuple(starts)), events)
+
+
+def equal_to_the_oracle_or_too_large(instance, outcome) -> None:
+    """The oracle, where it runs within a small budget, returns the same
+    grid and cost, or refuses too."""
+    try:
+        assert solve_oracle(instance, budget=2_000) == outcome
+    except InfeasibleError:
+        assert outcome is None
+    except EnumerationBudgetError:
+        pass
+
+
+@no_deadline
+@given(instance=instances())
+def test_exact_is_valid_no_dearer_than_greedy_and_equals_the_oracle(instance):
+    try:
+        greedy = solve_greedy(instance)
+    except InfeasibleError as proof:
+        with pytest.raises(InfeasibleError) as exc:
+            solve_exact(instance)
+        assert (exc.value.hour, str(exc.value)) == (proof.hour, str(proof))
+        equal_to_the_oracle_or_too_large(instance, None)
+        return
+    try:
+        grid, cost = solve_exact(instance)
+    except InfeasibleError:
+        # The one way greedy succeeds where exact refuses: chargers are so busy
+        # that greedy keeps a battery waiting through the last hour its charge
+        # may start (hour T - D + 1 for a full block, hour T for any), then
+        # charges it truncated or not at all.  Exact starts every charge, in
+        # full wherever a full block could fit.
+        T, D, E = instance.config.horizon, instance.config.charge_hours, BatteryState.EMPTY
+        waits = [row[h - 2] is E and row[h - 1] is E for row in greedy.states for h in (T - D + 1, T)]
+        assert any(waits)
+        equal_to_the_oracle_or_too_large(instance, None)
+        return
+    assert validate(grid, instance, "strict").feasible
+    assert cost.total <= schedule_cost(greedy, instance.config, instance.events.price).total
+    equal_to_the_oracle_or_too_large(instance, (grid, cost))
