@@ -31,7 +31,7 @@ from .errors import (
     ProfileError,
     TransitionError,
 )
-from .model import BatteryState, ScheduleGrid, format_exact, parse_grid, render_grid
+from .model import ScheduleGrid, format_exact, parse_grid, render_grid
 from .scenario import demo_instance, generate, load_instance, load_spec, save_instance
 from .solver import (
     DEFAULT_ORACLE_BUDGET,
@@ -129,9 +129,9 @@ def cmd_render(args: argparse.Namespace) -> int:
     print(render_grid(grid), end="")
     if args.counts:
         print()
-        for state in (BatteryState.EMPTY, BatteryState.CHARGING, BatteryState.FULL, BatteryState.OUT):
-            counts = " ".join(str(grid.count(state, t)) for t in range(1, grid.horizon + 1))
-            print(f"{state.letter}: {counts}")
+        columns = tuple(zip(*grid.rows))
+        for letter in "ECFO":
+            print(f"{letter}: " + " ".join(str(column.count(letter)) for column in columns))
     return 0
 
 
@@ -149,9 +149,9 @@ def cmd_demo(args: argparse.Namespace) -> int:
     greedy = solve_greedy(instance)
     diff = [
         (b, t)
-        for b in range(1, instance.config.n_batteries + 1)
-        for t in range(1, instance.config.horizon + 1)
-        if greedy.state(b, t) is not reference.state(b, t)
+        for b, (ours, theirs) in enumerate(zip(greedy.rows, reference.rows), start=1)
+        for t, (a, r) in enumerate(zip(ours, theirs), start=1)
+        if a != r
     ]
     cells = ", ".join(f"B{b}@{t}" for b, t in diff)
     print(f"greedy schedule differs from the reference in {len(diff)} cell(s): {cells}")

@@ -12,6 +12,10 @@ Batteries move through the cycle E -> C -> F -> O -> E; within an hour a
 battery may also stay where it is.  Swaps and arrivals are edge events: a
 swap at hour t means the battery was F at t-1 and O at t, an arrival at
 hour t means O at t-1 and E at t.  Nothing can land at hour 1.
+
+A schedule grid holds these letters as they appear in the text format: one
+string per battery, one letter per hour.  ``BatteryState`` names a state
+where one is passed on its own (start states, ``ScheduleGrid.state``).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import DimensionError, GridParseError, InstanceError, TransitionError
 
@@ -73,6 +77,10 @@ LEGAL_TRANSITIONS: frozenset[tuple[BatteryState, BatteryState]] = frozenset(
         (_O, _O), (_O, _E),
     }
 )
+
+
+_LEGAL_MOVES = frozenset(prev.letter + cur.letter for prev, cur in LEGAL_TRANSITIONS)
+_ILLEGAL_MOVES = tuple(a + b for a in "ECFO" for b in "ECFO" if a + b not in _LEGAL_MOVES)
 
 
 def legal_transition(previous: BatteryState, current: BatteryState) -> bool:
@@ -291,62 +299,65 @@ class InitialConditions:
 
 @dataclass(frozen=True)
 class ScheduleGrid:
-    """Immutable battery-by-hour state matrix (rows = batteries, 1-based API).
+    """Immutable battery-by-hour state matrix: one string of state letters per battery.
 
-    The constructor takes ``BatteryState`` cells and checks shape and cell
-    type only; ``from_rows`` also accepts state letters and converts them
-    first.  Adjacency legality is a *validation* concern: grids carrying
-    illegal transitions must be representable so the validator can report
-    them.
+    ``rows[b - 1][t - 1]`` is the letter of battery ``b`` at hour ``t``, and
+    the accessors take those 1-based indices.  The constructor checks shape
+    and letters only.  Adjacency legality is a *validation* concern: grids
+    carrying illegal transitions must be representable so the validator can
+    report them.
     """
 
-    states: tuple[tuple[BatteryState, ...], ...]
+    rows: tuple[str, ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.states)
-        object.__setattr__(self, "states", rows)
+        if isinstance(self.rows, str):
+            raise DimensionError("a grid takes one string of state letters per battery")
+        rows = tuple(self.rows)
+        object.__setattr__(self, "rows", rows)
         if not rows:
             raise DimensionError("a grid needs at least one battery row")
-        width = len(rows[0])
-        if width < 1:
-            raise DimensionError("a grid needs at least one hour column")
         for i, row in enumerate(rows, start=1):
-            if len(row) != width:
-                raise DimensionError(
-                    f"battery B{i} has {len(row)} cells, expected {width}"
-                )
-            for cell in row:
-                if not isinstance(cell, BatteryState):
-                    raise DimensionError(f"battery B{i}: cell {cell!r} is not a state")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[BatteryState | str]]) -> "ScheduleGrid":
-        return cls(tuple(tuple(BatteryState(c) if not isinstance(c, BatteryState) else c for c in row) for row in rows))
+            if not isinstance(row, str):
+                raise DimensionError(f"battery B{i}: {row!r} is not a string of state letters")
+            if len(row) != len(rows[0]):
+                raise DimensionError(f"battery B{i} has {len(row)} cells, expected {len(rows[0])}")
+            if row.strip("ECFO"):
+                raise DimensionError(f"battery B{i}: {row!r} holds a letter other than E, C, F, O")
+        if not rows[0]:
+            raise DimensionError("a grid needs at least one hour column")
 
     @property
     def n_batteries(self) -> int:
-        return len(self.states)
+        return len(self.rows)
 
     @property
     def horizon(self) -> int:
-        return len(self.states[0])
+        return len(self.rows[0])
+
+    def _check(self, battery: int, hour: int) -> None:
+        if not 1 <= battery <= self.n_batteries:
+            raise DimensionError(f"battery B{battery} lies outside B1..B{self.n_batteries}")
+        if not 1 <= hour <= self.horizon:
+            raise DimensionError(f"hour {hour} lies outside hours 1..{self.horizon}")
 
     def state(self, battery: int, hour: int) -> BatteryState:
         """State of ``battery`` (1-based) at ``hour`` (1-based)."""
-        return self.states[battery - 1][hour - 1]
-
-    def column(self, hour: int) -> tuple[BatteryState, ...]:
-        return tuple(row[hour - 1] for row in self.states)
+        self._check(battery, hour)
+        return BatteryState(self.rows[battery - 1][hour - 1])
 
     def count(self, state: BatteryState, hour: int) -> int:
-        return sum(1 for row in self.states if row[hour - 1] is state)
+        """Number of batteries in ``state`` at ``hour`` (1-based)."""
+        self._check(1, hour)
+        return sum(row[hour - 1] == state.letter for row in self.rows)
 
     def with_cell(self, battery: int, hour: int, state: BatteryState | str) -> "ScheduleGrid":
         """Copy of the grid with one cell replaced (useful for what-if checks)."""
-        state = BatteryState(state) if not isinstance(state, BatteryState) else state
-        rows = [list(row) for row in self.states]
-        rows[battery - 1][hour - 1] = state
-        return ScheduleGrid.from_rows(rows)
+        self._check(battery, hour)
+        rows = list(self.rows)
+        row = rows[battery - 1]
+        rows[battery - 1] = row[: hour - 1] + BatteryState(state).letter + row[hour:]
+        return ScheduleGrid(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -399,44 +410,44 @@ class EventProfiles:
                 if not is_int(hour) or not 1 <= hour <= horizon:
                     raise DimensionError(f"{name} hour {hour!r} lies outside hours 1..{horizon}")
                 dense[hour - 1] = v
-        if isinstance(price, (list, tuple)):
-            p = tuple(to_exact(x) for x in price)
-        else:
-            p = (to_exact(price),) * horizon
-        return cls(tuple(d), tuple(a), p)
+        return cls(tuple(d), tuple(a), (0,) * horizon).with_price(price)
 
     def with_price(self, price: Sequence | object) -> "EventProfiles":
-        if isinstance(price, (list, tuple)):
-            p = tuple(to_exact(x) for x in price)
-        else:
-            p = (to_exact(price),) * self.horizon
-        return EventProfiles(self.demand, self.arrivals, p)
+        """The same events at a flat price, or a list or tuple of per-hour prices."""
+        per_hour = price if isinstance(price, (list, tuple)) else (price,) * self.horizon
+        return EventProfiles(self.demand, self.arrivals, per_hour)
 
 
-def _edges(
-    grid: ScheduleGrid,
-) -> tuple[list[int], list[int], list[tuple[int, int, BatteryState, BatteryState]]]:
-    """One pass over every battery's hour-to-hour moves.
+def _edges(grid: ScheduleGrid) -> tuple[list[int], list[int], list[tuple[int, int, str, str]]]:
+    """Every battery's hour-to-hour moves that land an event or break the cycle.
 
     Returns the swaps (F->O) and returns (O->E) landing at each hour, indexed
-    from hour 1, and the illegal moves as ``(battery, hour, prev, cur)`` in
-    battery-then-hour order.
+    from hour 1, and the illegal moves as ``(battery, hour, prev, cur)``
+    letters in battery-then-hour order.  Most cells repeat the hour before,
+    so the moves are searched for in the joined rows rather than read cell
+    by cell.
     """
     T = grid.horizon
+    text = "|".join(grid.rows)  # the bar keeps a move from spanning two batteries
     swaps = [0] * T
     returns = [0] * T
-    illegal = []
-    for b, row in enumerate(grid.states, start=1):
-        for t, (prev, cur) in enumerate(zip(row, row[1:]), start=1):
-            if prev is cur:  # most cells repeat the hour before; skip the hashing
-                continue
-            if (prev, cur) not in LEGAL_TRANSITIONS:
-                illegal.append((b, t + 1, prev, cur))
-            elif cur is _O:  # the one legal move into O is F->O
-                swaps[t] += 1
-            elif cur is _E:  # and the one into E is O->E
-                returns[t] += 1
+    for counts, move in ((swaps, "FO"), (returns, "OE")):
+        for i in _find_all(text, move):
+            counts[i % (T + 1) + 1] += 1
+    illegal = sorted(
+        (i // (T + 1) + 1, i % (T + 1) + 2, *move)
+        for move in _ILLEGAL_MOVES
+        for i in _find_all(text, move)
+    )
     return swaps, returns, illegal
+
+
+def _find_all(text: str, part: str) -> Iterator[int]:
+    """Start of every occurrence of ``part`` in ``text``, overlaps included."""
+    i = text.find(part)
+    while i >= 0:
+        yield i
+        i = text.find(part, i + 1)
 
 
 def extract_events(grid: ScheduleGrid) -> EventProfiles:
@@ -448,7 +459,7 @@ def extract_events(grid: ScheduleGrid) -> EventProfiles:
     swaps, returns, illegal = _edges(grid)
     if illegal:
         b, hour, prev, cur = illegal[0]
-        raise TransitionError(b, hour, f"illegal transition {prev.letter}->{cur.letter}")
+        raise TransitionError(b, hour, f"illegal transition {prev}->{cur}")
     return EventProfiles(tuple(swaps), tuple(returns), (Fraction(0),) * grid.horizon)
 
 
@@ -457,7 +468,6 @@ def extract_events(grid: ScheduleGrid) -> EventProfiles:
 # ---------------------------------------------------------------------------
 
 _HEADER_PREFIX = "Hours:"
-_STATE_OF_LETTER = {state.letter: state for state in BatteryState}
 
 
 def _header(horizon: int) -> str:
@@ -467,8 +477,7 @@ def _header(horizon: int) -> str:
 def render_grid(grid: ScheduleGrid) -> str:
     """Render a grid as text: an hour header, then one ``B<i>: E C F ...`` line per battery."""
     lines = [_header(grid.horizon)]
-    for i, row in enumerate(grid.states, start=1):
-        lines.append(f"B{i}: " + " ".join(cell.letter for cell in row))
+    lines += [f"B{i}: " + " ".join(row) for i, row in enumerate(grid.rows, start=1)]
     return "\n".join(lines) + "\n"
 
 
@@ -508,13 +517,19 @@ def parse_grid(text: str, config: StationConfig) -> ScheduleGrid:
         raise GridParseError(
             line_no, 1, f"{len(body)} battery lines, expected {config.n_batteries}"
         )
+    gaps = " " * (config.horizon - 1)
     rows = []
     for i, line in enumerate(body, start=1):
         line_no = i + 1
         prefix = f"B{i}: "
         if not line.startswith(prefix):
             raise GridParseError(line_no, 1, f"expected line to start with {prefix!r}")
-        cells = line[len(prefix):].split(" ")
+        letters = line[len(prefix):]
+        row = letters[::2]  # a well-formed line alternates letter, space, letter
+        if letters[1::2] == gaps and len(row) == config.horizon and not row.strip("ECFO"):
+            rows.append(row)
+            continue
+        cells = letters.split(" ")
         if "" in cells:
             raise GridParseError(line_no, len(prefix) + 1, "cells must be single letters separated by single spaces")
         if len(cells) != config.horizon:
@@ -522,19 +537,16 @@ def parse_grid(text: str, config: StationConfig) -> ScheduleGrid:
             raise GridParseError(
                 line_no, col, f"{len(cells)} cells, expected horizon {config.horizon}"
             )
-        row = tuple(map(_STATE_OF_LETTER.get, cells))
-        if None in row:
-            t = row.index(None) + 1
-            col = len(prefix) + 2 * (t - 1) + 1
-            raise GridParseError(line_no, col, f"unknown state letter {cells[t - 1]!r} at hour {t}")
-        rows.append(row)
+        t = next(t for t, cell in enumerate(cells, start=1) if len(cell) != 1 or cell.strip("ECFO"))
+        col = len(prefix) + 2 * (t - 1) + 1
+        raise GridParseError(line_no, col, f"unknown state letter {cells[t - 1]!r} at hour {t}")
     grid = ScheduleGrid(tuple(rows))
     illegal = _edges(grid)[2]
     if illegal:
         b, hour, prev, cur = illegal[0]
         raise GridParseError(
             b + 1, len(f"B{b}: ") + 2 * (hour - 1) + 1,
-            f"illegal transition {prev.letter}->{cur.letter} for battery B{b} at hour {hour}",
+            f"illegal transition {prev}->{cur} for battery B{b} at hour {hour}",
         )
     if not text.endswith("\n"):
         raise GridParseError(len(lines), len(lines[-1]) + 1, "missing final newline")

@@ -663,7 +663,7 @@ def demo_instance() -> tuple[Instance, ScheduleGrid]:
         capacity_kwh=Fraction(100),
         horizon=24,
     )
-    grid = ScheduleGrid.from_rows(_DEMO_ROWS)
+    grid = ScheduleGrid(_DEMO_ROWS)
     events = extract_events(grid).with_price(1)
     instance = Instance(
         config=config,

@@ -70,7 +70,6 @@ __all__ = [
 _E = BatteryState.EMPTY
 _C = BatteryState.CHARGING
 _F = BatteryState.FULL
-_O = BatteryState.OUT
 
 DEFAULT_ORACLE_BUDGET = 200_000
 
@@ -181,10 +180,10 @@ def schedule_cost(grid: ScheduleGrid, config: StationConfig, price: Sequence) ->
     unit = [c.numerator * (scale // c.denominator) for c in cell_prices]
     charging = [0] * config.horizon
     per_battery = []
-    for row in grid.states:
+    for row in grid.rows:
         acc = 0
         for t, cell in enumerate(row):
-            if cell is _C:
+            if cell == "C":
                 acc += unit[t]
                 charging[t] += 1
         per_battery.append(Fraction(acc, scale))
@@ -204,8 +203,9 @@ def schedule_cost(grid: ScheduleGrid, config: StationConfig, price: Sequence) ->
 # come from _fifo_starts, the exact solver's from the flow, the oracle's from
 # each enumerated start vector.  Each hour's starts go to the longest-waiting
 # empty batteries.  Events within an hour settle in a fixed order: arrivals
-# land, charges complete, charges start, swaps land, everything else stays
-# put.
+# land, charges complete, charges start, swaps land.  The loop records only
+# these state changes, and each battery's row of letters is written once from
+# them at the end: between changes a battery keeps its state.
 # ---------------------------------------------------------------------------
 
 
@@ -246,9 +246,11 @@ def _fifo_starts(
 def _simulate(instance: Instance, n_starts: Counter) -> ScheduleGrid:
     """Realise ``n_starts`` (hour -> charges started) as a schedule grid."""
     cfg = instance.config
-    T, NB = cfg.horizon, cfg.n_batteries
+    T = cfg.horizon
     demand, arrivals = instance.events.demand, instance.events.arrivals
-    rows: list[list[BatteryState | None]] = [[None] * (T + 1) for _ in range(NB + 1)]
+    # Each battery's state changes as (hour, letter), starting from its start
+    # state; a later change in the same hour overrides an earlier one.
+    changes = [[(1, entry.state.letter)] for entry in instance.initial.entries]
 
     waiting: dict[int, int] = {}  # battery -> entry hour
     charge_end: dict[int, int] = {}  # battery -> last charging hour
@@ -278,34 +280,29 @@ def _simulate(instance: Instance, n_starts: Counter) -> ScheduleGrid:
             out_pool.sort()
             for _ in range(need):
                 _, b = out_pool.pop(0)
-                rows[b][t] = _E
+                changes[b - 1].append((t, "E"))
                 waiting[b] = t
 
-        # 2. running charges advance; finished ones become full
-        for b in sorted(charge_end):
-            if t > charge_end[b]:
-                del charge_end[b]
-                rows[b][t] = _F
-                full_key[b] = (t, b)
-            else:
-                rows[b][t] = _C
+        # 2. finished charges become full
+        for b in [b for b, end in charge_end.items() if end < t]:
+            del charge_end[b]
+            changes[b - 1].append((t, "F"))
+            full_key[b] = (t, b)
 
         # 3. charge starts, longest-waiting batteries first
         for b in sorted(waiting, key=lambda b: (waiting[b], b))[: n_starts[t]]:
             del waiting[b]
             charge_end[b] = min(t + cfg.charge_hours - 1, T)
-            rows[b][t] = _C
+            changes[b - 1].append((t, "C"))
         if len(charge_end) > cfg.n_chargers:
             raise InfeasibleError(t, f"{len(charge_end)} concurrent charges at hour {t}")
 
-        # 4. swaps consume hour-(t-1) full stock, longest-full first
+        # 4. swaps consume the batteries full before hour t, longest-full first
         need = demand[t - 1]
         if need:
             if t == 1:
                 raise InfeasibleError(1, "demand at hour 1 can never be served")
-            stock = sorted(
-                (key, b) for b, key in full_key.items() if rows[b][t - 1] is _F
-            )
+            stock = sorted((key, b) for b, key in full_key.items() if key[0] < t)
             if len(stock) < need:
                 raise InfeasibleError(
                     t,
@@ -315,15 +312,14 @@ def _simulate(instance: Instance, n_starts: Counter) -> ScheduleGrid:
             for _ in range(need):
                 _, b = stock.pop(0)
                 del full_key[b]
-                rows[b][t] = _O
+                changes[b - 1].append((t, "O"))
                 out_pool.append((t, b))
 
-        # 5. everything else keeps its state
-        for b in range(1, NB + 1):
-            if rows[b][t] is None:
-                rows[b][t] = rows[b][t - 1] if t > 1 else instance.initial.for_battery(b).state
-
-    return ScheduleGrid(tuple(tuple(row[1:]) for row in rows[1:]))
+    rows = []
+    for marks in changes:
+        ends = [hour for hour, _ in marks[1:]] + [T + 1]
+        rows.append("".join(letter * (end - hour) for (hour, letter), end in zip(marks, ends)))
+    return ScheduleGrid(tuple(rows))
 
 
 def solve_greedy(instance: Instance) -> ScheduleGrid:

@@ -1,8 +1,9 @@
 """Constraint checks for schedule grids.
 
 ``validate`` checks one grid against one instance and reports every breach.
-It counts the states of each hour once and reads the grid's hour-to-hour
-moves in one scan (``model._edges``).  Violations come grouped by family in
+It counts each hour's letters once, reads the grid's hour-to-hour moves in
+one scan (``model._edges``) and finds each battery's charge runs as the
+runs of ``C`` in its row.  Violations come grouped by family in
 a fixed order: transitions, charger capacity, demand coverage, arrivals,
 charge duration, initial conditions.  No family short-circuits another, so
 a grid shows every breach at once.
@@ -19,6 +20,7 @@ Runs cut off by the end of the horizon are exempt in both modes.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from .errors import DimensionError, InstanceError
@@ -47,7 +49,6 @@ __all__ = [
 
 _E = BatteryState.EMPTY
 _C = BatteryState.CHARGING
-_F = BatteryState.FULL
 
 # Stable constraint identifiers; these appear in reports and the CLI.
 TRANSITION = "transition"
@@ -140,15 +141,15 @@ def validate(grid: ScheduleGrid, instance: Instance, mode: str = "lenient") -> V
             f"instance is {cfg.n_batteries}x{cfg.horizon}"
         )
     T = grid.horizon
-    columns = tuple(zip(*grid.states))
-    hourly = {s.letter: tuple(column.count(s) for column in columns) for s in BatteryState}
+    columns = ["".join(column) for column in zip(*grid.rows)]
+    hourly = {letter: tuple(column.count(letter) for column in columns) for letter in "ECFO"}
     swaps, returns, illegal = _edges(grid)
 
     # Transitions: every hour-to-hour move outside the legal state cycle.
     violations = [
         Violation(
             TRANSITION, b, hour,
-            f"battery B{b}: illegal transition {prev.letter}->{cur.letter} into hour {hour}",
+            f"battery B{b}: illegal transition {prev}->{cur} into hour {hour}",
         )
         for b, hour, prev, cur in illegal
     ]
@@ -210,19 +211,12 @@ def validate(grid: ScheduleGrid, instance: Instance, mode: str = "lenient") -> V
     # run starting at hour 1 on a battery that entered the horizon charging
     # gets its declared progress credited; runs still open at the end of the
     # horizon are exempt.
-    for b, row in enumerate(grid.states, start=1):
-        t = 1
-        while t <= T:
-            if row[t - 1] is not _C:
-                t += 1
-                continue
-            start = t
-            while t <= T and row[t - 1] is _C:
-                t += 1
-            end = t - 1  # last charging hour of this run
+    for b, row in enumerate(grid.rows, start=1):
+        for run in re.finditer("C+", row):
+            start, end = run.start() + 1, run.end()  # first and last charging hour
             if end == T:
                 continue  # truncated by the horizon: exempt
-            if row[end] is not _F:
+            if row[end] != "F":
                 continue  # not a completed charge; the transition check owns this
             effective = end - start + 1
             entry = initial.for_battery(b)
@@ -243,18 +237,13 @@ def validate(grid: ScheduleGrid, instance: Instance, mode: str = "lenient") -> V
     # Initial conditions: hour 1 matches the declared start states.  A battery
     # that enters empty may already be charging at hour 1 (it can be moved
     # onto a free charger within the first hour), so E admits {E, C}.
-    for b, entry in enumerate(initial.entries, start=1):
-        actual = grid.state(b, 1)
-        if entry.state is _E:
-            ok = actual in (_E, _C)
-        else:
-            ok = actual is entry.state
-        if not ok:
+    for b, (entry, row) in enumerate(zip(initial.entries, grid.rows), start=1):
+        if row[0] not in ("EC" if entry.state is _E else entry.state.letter):
             violations.append(
                 Violation(
                     INITIAL_CONDITIONS, b, 1,
                     f"battery B{b}: declared start {entry.state.letter}, "
-                    f"hour 1 shows {actual.letter}",
+                    f"hour 1 shows {row[0]}",
                 )
             )
 

@@ -61,11 +61,10 @@ def valley() -> Instance:
 
 def random_legal_grid(rng: random.Random, n_batteries: int, horizon: int) -> ScheduleGrid:
     """A grid built by walking legal transitions only."""
-    states = list(BatteryState)
     rows = []
     for _ in range(n_batteries):
-        row = [rng.choice(states)]
+        row = rng.choice("ECFO")
         for _ in range(horizon - 1):
-            row.append(rng.choice([s for s in states if legal_transition(row[-1], s)]))
+            row += rng.choice([s for s in "ECFO" if legal_transition(BatteryState(row[-1]), BatteryState(s))])
         rows.append(row)
-    return ScheduleGrid.from_rows(rows)
+    return ScheduleGrid(tuple(rows))

@@ -179,24 +179,50 @@ def test_initial_conditions_require_distinct_ranks():
 
 
 def test_grid_shape_checks():
-    with pytest.raises(DimensionError):
-        ScheduleGrid(())
-    with pytest.raises(DimensionError):
-        ScheduleGrid.from_rows(["EC", "E"])  # ragged
-    with pytest.raises(DimensionError):
-        ScheduleGrid(((E, "x"),))  # not a state
+    for rows in (
+        (),  # no battery
+        ("",),  # no hour
+        ("EC", "E"),  # ragged
+        ("EXE",),  # a stray character inside a row
+        ("E C",),  # a space inside a row
+        ("ecf",),  # lowercase
+        ("EC", ("E", "C")),  # a row that is not a string
+        "ECF",  # one string, not one per battery
+    ):
+        with pytest.raises(DimensionError):
+            ScheduleGrid(rows)
 
 
 def test_grid_accessors_and_with_cell():
-    grid = ScheduleGrid.from_rows(["ECF", "OOE"])
+    grid = ScheduleGrid(("ECF", "OOE"))
+    assert grid.rows == ("ECF", "OOE")
     assert grid.n_batteries == 2
     assert grid.horizon == 3
     assert grid.state(1, 2) is C
-    assert grid.column(1) == (E, O)
     assert grid.count(O, 2) == 1
     bumped = grid.with_cell(2, 3, "O")
+    assert bumped.rows == ("ECF", "OOO")
     assert bumped.state(2, 3) is O
+    assert grid.with_cell(1, 1, C).rows == ("CCF", "OOE")
     assert grid.state(2, 3) is E  # original untouched
+
+
+def test_grid_accessors_reject_cells_outside_the_grid():
+    """Indices are 1-based: 0 or -1 must not wrap round to the last battery or hour."""
+    grid = ScheduleGrid(("ECF", "OOE"))
+    for call in (
+        lambda: grid.state(0, 1),
+        lambda: grid.state(1, 0),
+        lambda: grid.state(-1, 1),
+        lambda: grid.with_cell(0, 1, "F"),
+        lambda: grid.state(3, 1),
+        lambda: grid.state(1, 4),
+        lambda: grid.count(E, 0),
+        lambda: grid.count(E, 4),
+        lambda: grid.with_cell(1, 4, "F"),
+    ):
+        with pytest.raises(DimensionError):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +269,7 @@ def test_extract_events_reads_demo_edges(demo):
 
 
 def test_extract_events_rejects_illegal_adjacency():
-    grid = ScheduleGrid.from_rows(["EF"])
+    grid = ScheduleGrid(("EF",))
     with pytest.raises(TransitionError) as exc:
         extract_events(grid)
     assert exc.value.battery == 1

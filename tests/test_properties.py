@@ -30,7 +30,7 @@ from swapsched import (
 )
 
 STATES = list(BatteryState)
-CYCLE = {s: STATES[(i + 1) % 4] for i, s in enumerate(STATES)}  # E->C->F->O->E
+CYCLE = dict(zip("ECFO", "CFOE"))  # E->C->F->O->E
 
 no_deadline = settings(deadline=None)  # first runs pay for imports and caches
 
@@ -43,14 +43,14 @@ def config(n_batteries: int, horizon: int) -> StationConfig:
 def grids(draw, legal: bool):
     nb, T = draw(st.integers(1, 6)), draw(st.integers(1, 12))
     if not legal:
-        cells = st.lists(st.sampled_from(STATES), min_size=T, max_size=T)
-        return ScheduleGrid(tuple(tuple(row) for row in draw(st.lists(cells, min_size=nb, max_size=nb))))
+        row = st.text(alphabet="ECFO", min_size=T, max_size=T)
+        return ScheduleGrid(tuple(draw(st.lists(row, min_size=nb, max_size=nb))))
     rows = []
     for _ in range(nb):
-        row = [draw(st.sampled_from(STATES))]
+        row = draw(st.sampled_from("ECFO"))
         for advance in draw(st.lists(st.booleans(), min_size=T - 1, max_size=T - 1)):
-            row.append(CYCLE[row[-1]] if advance else row[-1])
-        rows.append(tuple(row))
+            row += CYCLE[row[-1]] if advance else row[-1]
+        rows.append(row)
     return ScheduleGrid(tuple(rows))
 
 
@@ -90,8 +90,8 @@ def test_hourly_counts_partition_the_fleet(grid, data):
     assert set(report.hourly) == {"E", "C", "F", "O"}
     for t in range(T):
         assert sum(report.hourly[k][t] for k in "ECFO") == nb
-        for s in STATES:
-            assert report.hourly[s.letter][t] == sum(row[t] is s for row in grid.states)
+        for letter in "ECFO":
+            assert report.hourly[letter][t] == sum(row[t] == letter for row in grid.rows)
 
 
 @st.composite
@@ -146,8 +146,8 @@ def test_exact_is_valid_no_dearer_than_greedy_and_equals_the_oracle(instance):
         # may start (hour T - D + 1 for a full block, hour T for any), then
         # charges it truncated or not at all.  Exact starts every charge, in
         # full wherever a full block could fit.
-        T, D, E = instance.config.horizon, instance.config.charge_hours, BatteryState.EMPTY
-        waits = [row[h - 2] is E and row[h - 1] is E for row in greedy.states for h in (T - D + 1, T)]
+        T, D = instance.config.horizon, instance.config.charge_hours
+        waits = [row[h - 2:h] == "EE" for row in greedy.rows for h in (T - D + 1, T)]
         assert any(waits)
         equal_to_the_oracle_or_too_large(instance, None)
         return

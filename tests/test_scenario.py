@@ -33,6 +33,7 @@ from swapsched import (
     render_grid,
     save_instance,
     save_profiles,
+    solve_exact,
     solve_greedy,
     validate,
 )
@@ -178,18 +179,34 @@ def test_generate_varies_with_seed():
 
 
 def test_generated_instances_stay_solvable():
-    for seed in range(30):
-        spec = ScenarioSpec(
-            config=StationConfig(1 + seed % 4, 1 + seed % 2, 2 + seed % 3, Fraction(10), 8 + seed % 8),
-            demand=UniformShape(total=seed % 5),
-            arrivals=PeakedShape(total=seed % 4, peak_hour=5, width=4),
-            tariff=FlatTariff(price=1),
-            seed=seed,
-        )
+    """Every generated spec is solvable: greedy and exact both return a
+    strictly valid grid, whatever the station, shapes, tariff and seed."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    totals = st.integers(0, 15)
+    shapes = st.one_of(
+        st.builds(UniformShape, totals),
+        st.builds(PeakedShape, totals, st.integers(-10, 50), st.integers(1, 12)),  # peaks may lie outside the horizon
+    )
+    prices = st.fractions(0, 10, max_denominator=4)
+    peak_ranges = st.lists(st.tuples(st.integers(1, 40), st.integers(0, 10)), max_size=3)
+    tariffs = st.one_of(
+        st.builds(FlatTariff, prices),
+        st.builds(TouTariff, prices, prices, peak_ranges.map(lambda rs: tuple((a, a + n) for a, n in rs))),
+    )
+    configs = st.builds(
+        StationConfig, st.integers(1, 10), st.integers(1, 4), st.integers(1, 6), st.just(Fraction(10)), st.integers(1, 36)
+    )
+
+    @hypothesis.settings(deadline=None)
+    @hypothesis.given(spec=st.builds(ScenarioSpec, configs, shapes, shapes, tariffs, st.integers(0, 2**32)))
+    def check(spec):
         instance = generate(spec)
-        grid = solve_greedy(instance)  # must not raise
-        report = validate(grid, instance, "strict")
-        assert report.feasible, (seed, [v.message for v in report.violations])
+        for grid in (solve_greedy(instance), solve_exact(instance)[0]):
+            report = validate(grid, instance, "strict")
+            assert report.feasible, [v.message for v in report.violations]
+
+    check()
 
 
 def test_generated_events_respect_the_edge_rules():

@@ -147,14 +147,14 @@ def test_cost_matches_a_per_cell_fraction_reference():
         for _ in range(40):
             nb, T = rng.randint(1, 6), rng.randint(1, 16)
             cfg = StationConfig(nb, 2, 3, Fraction(10), T, charge_power_kw=power)
-            grid = ScheduleGrid(tuple(tuple(rng.choice((E, C, C, F, O)) for _ in range(T)) for _ in range(nb)))
+            grid = ScheduleGrid(tuple("".join(rng.choice("ECCFO") for _ in range(T)) for _ in range(nb)))
             price = [rng.choice((Fraction(rng.randint(0, 9), rng.randint(1, 7)), "5/6", "0.25", 3)) for _ in range(T)]
             per_hour = [Fraction(0)] * T
             per_battery = [Fraction(0)] * nb
             cells = 0
-            for b, row in enumerate(grid.states):
+            for b, row in enumerate(grid.rows):
                 for t, cell in enumerate(row):
-                    if cell is C:
+                    if cell == "C":
                         per_hour[t] += Fraction(price[t]) * cfg.power_kw
                         per_battery[b] += Fraction(price[t]) * cfg.power_kw
                         cells += 1
@@ -195,7 +195,7 @@ def test_greedy_tiny_cycle():
     initial = InitialConditions((BatteryStart(state=E),))
     events = EventProfiles((0, 0, 0, 1), (0,) * 4, (Fraction(1),) * 4)
     grid = solve_greedy(Instance(cfg, initial, events))
-    assert "".join(c.letter for c in grid.states[0]) == "CCFO"
+    assert grid.rows[0] == "CCFO"
 
 
 def test_greedy_infeasible_demand_carries_first_failing_hour():
@@ -232,8 +232,8 @@ def test_valley_exact_beats_greedy():
     greedy = solve_greedy(instance)
     greedy_cost = schedule_cost(greedy, instance.config, instance.events.price)
     exact_grid, exact_cost = solve_exact(instance)
-    assert "".join(c.letter for c in greedy.states[0]) == "CCFFFO"
-    assert "".join(c.letter for c in exact_grid.states[0]) == "EECCFO"
+    assert greedy.rows[0] == "CCFFFO"
+    assert exact_grid.rows[0] == "EECCFO"
     assert greedy_cost.total == Fraction(200)
     assert exact_cost.total == Fraction(20)
     oracle_grid, oracle_cost = solve_oracle(instance)
@@ -269,7 +269,7 @@ def test_mandatory_charging_is_scheduled_even_without_demand():
     initial = InitialConditions((BatteryStart(state=E),))
     events = EventProfiles((0,) * 4, (0,) * 4, tuple(Fraction(p) for p in (9, 9, 1, 1)))
     grid, cost = solve_exact(Instance(cfg, initial, events))
-    assert "".join(c.letter for c in grid.states[0]) == "EECC"
+    assert grid.rows[0] == "EECC"
     assert cost.total == Fraction(10)
 
 
@@ -280,7 +280,7 @@ def test_job_free_instance_costs_nothing():
     grid, cost = solve_exact(Instance(cfg, initial, events))
     assert cost.total == 0
     assert grid.count(C, 1) == 0
-    assert ["".join(c.letter for c in row) for row in grid.states] == ["FFFF", "OOOO"]
+    assert grid.rows == ("FFFF", "OOOO")
 
 
 def test_truncated_continuation_rides_out_the_horizon():
@@ -290,7 +290,7 @@ def test_truncated_continuation_rides_out_the_horizon():
     instance = Instance(cfg, initial, events)
     for solver in (solve_greedy, lambda i: solve_exact(i)[0], lambda i: solve_oracle(i)[0]):
         grid = solver(instance)
-        assert "".join(c.letter for c in grid.states[0]) == "CCC"
+        assert grid.rows[0] == "CCC"
         assert validate(grid, instance, "strict").feasible
 
 

@@ -132,7 +132,7 @@ def test_demand_stock_shortfall_detected():
     )
     events = EventProfiles((0, 2, 0, 0), (0,) * 4, (Fraction(1),) * 4)
     instance = Instance(config, initial, events)
-    grid = ScheduleGrid.from_rows(["FOOO", "OOOO", "OOOO"])
+    grid = ScheduleGrid(("FOOO", "OOOO", "OOOO"))
     report = validate(grid, instance, "lenient")
     assert report.constraint_ids() == {DEMAND_COVERAGE}
     messages = " ".join(v.message for v in report.violations)
@@ -199,7 +199,7 @@ def test_declared_empty_battery_may_start_charging_immediately():
     initial = InitialConditions((BatteryStart(state=E),))
     events = EventProfiles((0, 0, 0, 1), (0,) * 4, (Fraction(1),) * 4)
     instance = Instance(config, initial, events)
-    grid = ScheduleGrid.from_rows(["CCFO"])
+    grid = ScheduleGrid(("CCFO",))
     for mode in ("lenient", "strict"):
         assert validate(grid, instance, mode).feasible
 
@@ -210,7 +210,7 @@ def test_declared_progress_credits_the_first_run():
     initial = InitialConditions((BatteryStart(state=C, progress=2),))
     events = EventProfiles((0,) * 8, (0,) * 8, (Fraction(1),) * 8)
     instance = Instance(config, initial, events)
-    grid = ScheduleGrid.from_rows(["CCCCFFFF"])
+    grid = ScheduleGrid(("CCCCFFFF",))
     assert validate(grid, instance, "strict").feasible
     # without the declared progress the same run is two hours short
     bare = Instance(config, InitialConditions((BatteryStart(state=C),)), events)
@@ -223,7 +223,7 @@ def test_truncated_runs_are_exempt_at_the_horizon():
     initial = InitialConditions((BatteryStart(state=C, progress=1),))
     events = EventProfiles((0,) * 3, (0,) * 3, (Fraction(1),) * 3)
     instance = Instance(config, initial, events)
-    grid = ScheduleGrid.from_rows(["CCC"])
+    grid = ScheduleGrid(("CCC",))
     assert validate(grid, instance, "strict").feasible
 
 
@@ -271,7 +271,7 @@ def test_report_json_shape(demo):
 
 def test_dimension_mismatch_raises(demo):
     instance, _ = demo
-    small = ScheduleGrid.from_rows(["EC"])
+    small = ScheduleGrid(("EC",))
     with pytest.raises(DimensionError):
         validate(small, instance, "lenient")
 
@@ -295,11 +295,11 @@ def pinned_grid_cases(seed: int = 20261018, count: int = 300):
     for i in range(count):
         nb, T = rng.randint(1, 6), rng.randint(1, 10)
         if i % 3 == 2:
-            grid = ScheduleGrid.from_rows([[rng.choice(states) for _ in range(T)] for _ in range(nb)])
+            grid = ScheduleGrid(tuple("".join(rng.choice("ECFO") for _ in range(T)) for _ in range(nb)))
         else:
             grid = random_legal_grid(rng, nb, T)
             for _ in range(i % 3):
-                grid = grid.with_cell(rng.randint(1, nb), rng.randint(1, T), rng.choice(states))
+                grid = grid.with_cell(rng.randint(1, nb), rng.randint(1, T), rng.choice("ECFO"))
         D = rng.randint(1, 4)
         follow = rng.random() < 0.5  # starts and events read off the grid itself
         entries, rank = [], 0
