@@ -161,6 +161,17 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
+def _budget(text: str) -> int:
+    """An enumeration budget: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swapsched",
@@ -181,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=["min-cost", "feasibility"], default="min-cost")
     p.add_argument(
         "--budget",
-        type=int,
+        type=_budget,
         default=DEFAULT_ORACLE_BUDGET,
         help="oracle enumeration limit (start vectors)",
     )

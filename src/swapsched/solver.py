@@ -32,7 +32,9 @@ Movable jobs all run the same block length, so it works on start counts
 (how many jobs have started by each hour): charger capacity, release
 windows, deadlines and demand coverage are difference constraints on those
 counts, and the cost-minimizing counts are the dual of one min-cost flow on
-the hours, solved by successive shortest paths in polynomial time.  It runs
+the hours, solved in primal-dual phases (one Bellman-Ford per shortest-path
+distance level, then flow along that level's tight arcs) in polynomial time.
+Its dual does not depend on which optimal flow the phases find.  It runs
 ``solve_greedy`` only for the feasibility objective, or to prove an
 instance infeasible with the first failing hour.
 ``solve_oracle`` does the same by exhaustive enumeration and exists to
@@ -41,6 +43,7 @@ cross-check the exact solver.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import math
@@ -173,11 +176,12 @@ def schedule_cost(grid: ScheduleGrid, config: StationConfig, price: Sequence) ->
             f"{len(prices)} prices for a horizon of {config.horizon} hours"
         )
     # Sums run over integers: each hour's price of one charging cell, scaled
-    # by the lcm of those prices' denominators, back to a Fraction per field.
+    # by the power's denominator times the lcm of the prices' denominators,
+    # back to a Fraction per field.
     power = config.power_kw
-    cell_prices = [p * power for p in prices]
-    scale = math.lcm(*(c.denominator for c in cell_prices))
-    unit = [c.numerator * (scale // c.denominator) for c in cell_prices]
+    lcm = math.lcm(*(p.denominator for p in prices))
+    scale = lcm * power.denominator
+    unit = [p.numerator * (lcm // p.denominator) * power.numerator for p in prices]
     charging = [0] * config.horizon
     per_battery = []
     for row in grid.rows:
@@ -252,20 +256,25 @@ def _simulate(instance: Instance, n_starts: Counter) -> ScheduleGrid:
     # state; a later change in the same hour overrides an earlier one.
     changes = [[(1, entry.state.letter)] for entry in instance.initial.entries]
 
-    waiting: dict[int, int] = {}  # battery -> entry hour
+    # Each pool is a heap in its FIFO order.  A battery that turns full at hour
+    # t is keyed (t, battery), behind every battery full before t, so the
+    # swap stock of hour t is the heap less that hour's finished charges.
+    waiting: list[tuple[int, int]] = []  # (entry hour, battery)
     charge_end: dict[int, int] = {}  # battery -> last charging hour
-    full_key: dict[int, tuple[int, int]] = {}  # battery -> (hour entered F, tiebreak)
+    full: list[tuple[tuple[int, int], int]] = []  # ((hour entered F, tiebreak), battery)
     out_pool: list[tuple[int, int]] = []  # (hour went out, battery)
 
     for b, entry in enumerate(instance.initial.entries, start=1):
         if entry.state is _E:
-            waiting[b] = 1
+            waiting.append((1, b))
         elif entry.state is _C:
             charge_end[b] = min(cfg.charge_hours - entry.progress, T)
         elif entry.state is _F:
-            full_key[b] = (0, entry.full_rank)
+            full.append(((0, entry.full_rank), b))
         else:
             out_pool.append((0, b))
+    for pool in (waiting, full, out_pool):
+        heapq.heapify(pool)
 
     for t in range(1, T + 1):
         # 1. arrivals land (battery binding is FIFO on time-went-out)
@@ -277,21 +286,21 @@ def _simulate(instance: Instance, n_starts: Counter) -> ScheduleGrid:
                 raise InfeasibleError(
                     t, f"{need} arrival(s) at hour {t} but only {len(out_pool)} batteries are out"
                 )
-            out_pool.sort()
             for _ in range(need):
-                _, b = out_pool.pop(0)
+                _, b = heapq.heappop(out_pool)
                 changes[b - 1].append((t, "E"))
-                waiting[b] = t
+                heapq.heappush(waiting, (t, b))
 
         # 2. finished charges become full
-        for b in [b for b, end in charge_end.items() if end < t]:
+        finished = [b for b, end in charge_end.items() if end < t]
+        for b in finished:
             del charge_end[b]
             changes[b - 1].append((t, "F"))
-            full_key[b] = (t, b)
+            heapq.heappush(full, ((t, b), b))
 
         # 3. charge starts, longest-waiting batteries first
-        for b in sorted(waiting, key=lambda b: (waiting[b], b))[: n_starts[t]]:
-            del waiting[b]
+        for _ in range(min(n_starts[t], len(waiting))):
+            _, b = heapq.heappop(waiting)
             charge_end[b] = min(t + cfg.charge_hours - 1, T)
             changes[b - 1].append((t, "C"))
         if len(charge_end) > cfg.n_chargers:
@@ -302,18 +311,17 @@ def _simulate(instance: Instance, n_starts: Counter) -> ScheduleGrid:
         if need:
             if t == 1:
                 raise InfeasibleError(1, "demand at hour 1 can never be served")
-            stock = sorted((key, b) for b, key in full_key.items() if key[0] < t)
-            if len(stock) < need:
+            stock = len(full) - len(finished)
+            if stock < need:
                 raise InfeasibleError(
                     t,
-                    f"demand {need} at hour {t}, only {len(stock)} fully-charged "
+                    f"demand {need} at hour {t}, only {stock} fully-charged "
                     "batteries available",
                 )
             for _ in range(need):
-                _, b = stock.pop(0)
-                del full_key[b]
+                _, b = heapq.heappop(full)
                 changes[b - 1].append((t, "O"))
-                out_pool.append((t, b))
+                heapq.heappush(out_pool, (t, b))
 
     rows = []
     for marks in changes:
@@ -411,11 +419,14 @@ def _cheapest_starts(instance: Instance) -> Counter:
             floor = max(low, need)
             arcs.append((t, 0, -floor))
     # sum_t c_t (y[t] - y[t-1]) = sum_t (c_t - c_{t+1}) y[t], where c_t, the
-    # price of a block started at t, telescopes to price[t] - price[t + D].
+    # price of a block started at t, telescopes to price[t] - price[t + D]
+    # (prices past the horizon are 0).
     prices = instance.events.price
     scale = math.lcm(*(p.denominator for p in prices))
-    level = [int(p * scale) for p in prices] + [0] * D
-    weight = [0] + [level[t - 1] - level[t + D - 1] for t in range(1, T + 1)]
+    level = [p.numerator * (scale // p.denominator) for p in prices]
+    weight = [0] + [
+        level[t - 1] - (level[t + D - 1] if t + D <= T else 0) for t in range(1, T + 1)
+    ]
     y = _largest_optimal_potentials(T + 1, arcs, weight)
     return Counter({t: y[t] - y[t - 1] for t in range(1, T + 1)})
 
@@ -428,63 +439,89 @@ def _largest_optimal_potentials(
 
     This LP is the dual of a min-cost flow: node ``v`` supplies
     ``weight[v]`` units (node 0 takes up the balance) over uncapacitated arcs
-    of cost ``w``.  Successive shortest paths route that flow; the optimal
-    ``y`` are then the potentials the residual graph admits, and the
-    shortest-path distances from node 0 are the largest of them.  Every
-    node must be reachable from node 0.  Raises InfeasibleError when the
-    constraints contradict each other (a negative cycle).
+    of cost ``w``.  Primal-dual phases route that flow (Ahuja, Magnanti &
+    Orlin, *Network Flows*, 1993, section 9.8): each runs one Bellman-Ford
+    from the source, then pushes flow along arcs tight for those distances
+    (``dist[u] + cost[e] == dist[v]``) until the sink is cut off on them, so
+    reduced costs stay non-negative and one phase can push along many
+    paths.  The optimal ``y`` are the potentials the residual graph of an
+    optimal flow admits, and the distances from node 0 are the largest of
+    them.  By complementary slackness that set does not depend on which
+    optimal flow the phases find.  Every node must be reachable from node 0.
+    Raises InfeasibleError when the constraints contradict each other (a
+    negative cycle).
     """
     source, sink = n, n + 1
+    unbounded = sum(abs(w) for w in weight) + 1  # more than the flow can ever need
+    edges = [(u, v, unbounded, w) for u, v, w in arcs]
+    balance = weight[1:]
+    for v, supply in enumerate([-sum(balance)] + balance):
+        if supply > 0:
+            edges.append((source, v, supply, 0))
+        elif supply < 0:
+            edges.append((v, sink, -supply, 0))
     head: list[int] = []  # arc e and its reverse e ^ 1 are stored side by side
     cap: list[int] = []
     cost: list[int] = []
     out: list[list[int]] = [[] for _ in range(n + 2)]
+    for u, v, c, w in edges:
+        out[u].append(len(head))
+        out[v].append(len(head) + 1)
+        head += (v, u)
+        cap += (c, 0)
+        cost += (w, -w)
 
-    def add(u: int, v: int, capacity: int, w: int) -> None:
-        for a, b, c, k in ((u, v, capacity, w), (v, u, 0, -w)):
-            out[a].append(len(head))
-            head.append(b)
-            cap.append(c)
-            cost.append(k)
-
-    unbounded = sum(abs(w) for w in weight) + 1  # more than the flow can ever need
-    for u, v, w in arcs:
-        add(u, v, unbounded, w)
-    balance = weight[1:]
-    for v, supply in enumerate([-sum(balance)] + balance):
-        if supply > 0:
-            add(source, v, supply, 0)
-        elif supply < 0:
-            add(v, sink, -supply, 0)
-
+    # Each phase's depth-first search keeps a current-arc pointer per node;
+    # ``blocked`` marks the nodes on its path and those it retreated from,
+    # which are dead for the rest of the phase.
     while True:
-        dist, via = _shortest_paths(out, head, cap, cost, source)
+        dist = _shortest_paths(out, head, cap, cost, source)
         if dist[sink] is None:
             break
-        path = []
-        v = sink
-        while v != source:
-            path.append(via[v])
-            v = head[via[v] ^ 1]
-        push = min(cap[e] for e in path)
-        for e in path:
-            cap[e] -= push
-            cap[e ^ 1] += push
-    return _shortest_paths(out, head, cap, cost, 0)[0][:n]
+        pointer = [0] * len(out)
+        blocked = [False] * len(out)
+        blocked[source] = True
+        path: list[int] = []
+        u = source
+        while True:
+            if u == sink:
+                push = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= push
+                    cap[e ^ 1] += push
+                    blocked[head[e]] = False
+                path.clear()
+                u = source
+                continue
+            out_u, du = out[u], dist[u]
+            for i in range(pointer[u], len(out_u)):
+                e = out_u[i]
+                v = head[e]
+                if cap[e] > 0 and not blocked[v] and du + cost[e] == dist[v]:
+                    pointer[u] = i
+                    path.append(e)
+                    blocked[v] = True
+                    u = v
+                    break
+            else:  # u is dead: retreat, or end the phase at the source
+                if not path:
+                    break
+                u = head[path.pop() ^ 1]
+                pointer[u] += 1
+    return _shortest_paths(out, head, cap, cost, 0)[:n]
 
 
 def _shortest_paths(
     out: list[list[int]], head: list[int], cap: list[int], cost: list[int], origin: int
-) -> tuple[list[int | None], list[int | None]]:
+) -> list[int | None]:
     """Queue-based Bellman-Ford from ``origin`` over arcs with spare capacity.
 
-    Returns each node's distance and the arc it is reached by (None when
-    unreachable).  A path of as many arcs as there are nodes repeats a node,
-    which only a negative cycle makes shorter.
+    Returns each node's distance (None when unreachable).  A path of as many
+    arcs as there are nodes repeats a node, which only a negative cycle makes
+    shorter.
     """
     n = len(out)
     dist: list[int | None] = [None] * n
-    via: list[int | None] = [None] * n
     hops = [0] * n
     queued = [False] * n
     dist[origin] = 0
@@ -492,12 +529,13 @@ def _shortest_paths(
     while queue:
         u = queue.popleft()
         queued[u] = False
+        du = dist[u]
         for e in out[u]:
             if cap[e] > 0:
                 v = head[e]
-                d = dist[u] + cost[e]
+                d = du + cost[e]
                 if dist[v] is None or d < dist[v]:
-                    dist[v], via[v], hops[v] = d, e, hops[u] + 1
+                    dist[v], hops[v] = d, hops[u] + 1
                     if hops[v] >= n:
                         raise InfeasibleError(
                             None, "no arrangement of full charge blocks covers the demand"
@@ -505,7 +543,7 @@ def _shortest_paths(
                     if not queued[v]:
                         queued[v] = True
                         queue.append(v)
-    return dist, via
+    return dist
 
 
 # ---------------------------------------------------------------------------

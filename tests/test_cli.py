@@ -314,6 +314,13 @@ def test_malformed_fields_are_input_errors(valley_dir, tmp_path, name, text):
     assert "Traceback" not in proc.stderr
 
 
+def test_negative_budget_is_an_input_error(valley_dir):
+    proc = run_cli("solve", "--instance", str(valley_dir), "--method", "oracle", "--budget", "-1")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "argument --budget: must be at least 0, got -1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_unexpected_exceptions_exit_4_without_a_traceback(monkeypatch, capsys):
     def broken(args):
         raise RuntimeError("boom")

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,14 +25,17 @@ from swapsched import (
     Instance,
     ScheduleGrid,
     StationConfig,
+    cli,
     parse_grid,
     render_grid,
+    save_instance,
     schedule_cost,
     solve_exact,
     solve_greedy,
     solve_oracle,
     validate,
 )
+from conftest import make_valley
 
 STATES = list(BatteryState)
 CYCLE = dict(zip("ECFO", "CFOE"))  # E->C->F->O->E
@@ -154,3 +162,96 @@ def test_exact_is_valid_no_dearer_than_greedy_and_equals_the_oracle(instance):
     assert validate(grid, instance, "strict").feasible
     assert cost.total <= schedule_cost(greedy, instance.config, instance.events.price).total
     equal_to_the_oracle_or_too_large(instance, (grid, cost))
+
+
+def mixed_bundle() -> tuple[Instance, ScheduleGrid]:
+    """Four batteries, one in each start state, with a greedy schedule."""
+    starts = (
+        BatteryStart(BatteryState.EMPTY),
+        BatteryStart(BatteryState.CHARGING, progress=1),
+        BatteryStart(BatteryState.FULL, full_rank=1),
+        BatteryStart(BatteryState.OUT),
+    )
+    events = EventProfiles((0, 0, 1, 0, 0, 1, 0, 0), (0, 0, 1, 0, 0, 0, 1, 0), (1, 2, 1, 3, 1, 1, 2, 1))
+    instance = Instance(StationConfig(4, 2, 2, Fraction(10), 8), InitialConditions(starts), events)
+    return instance, solve_greedy(instance)
+
+
+BUNDLES = {"valley": (make_valley(), solve_greedy(make_valley())), "mixed": mixed_bundle()}
+# Integers stay small or pass any index size: sizes are not capped yet, so a
+# count in the millions would only make the run allocate that much.
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.sampled_from([2**64, -(2**64)]), st.floats(),
+    st.text(max_size=4), st.lists(st.integers(-1, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-1, 3), max_size=2),
+)
+CSV_CELLS = st.one_of(st.text(max_size=5), st.text(alphabet="0123456789-+./eE", max_size=5))
+COMMANDS = (
+    ["validate", "--mode", "lenient"], ["validate", "--mode", "strict", "--format", "json"],
+    ["solve", "--method", "greedy"], ["solve", "--method", "exact"],
+    ["solve", "--method", "exact", "--objective", "feasibility", "--format", "json"],
+    ["solve", "--method", "oracle", "--budget", "2000"], ["render", "--counts"],
+)
+
+
+def mutate_json(text: str, data) -> str:
+    """Replace, delete or add one field or list entry, or replace the whole document."""
+    doc = json.loads(text)
+    parents = [doc] + [entry for entry in doc if isinstance(entry, dict)] if isinstance(doc, list) else [doc]
+    parent = data.draw(st.sampled_from(parents))
+    if isinstance(parent, list):
+        key = data.draw(st.integers(0, len(parent) - 1))
+    else:
+        key = data.draw(st.sampled_from(sorted(parent) + ["progress", "full_rank", "extra"]))
+    action = data.draw(st.sampled_from(["set", "delete", "whole"]))
+    if action == "whole":
+        doc = data.draw(JSON_VALUES)
+    elif action == "delete":
+        parent.pop(key) if isinstance(parent, list) else parent.pop(key, None)
+    else:
+        parent[key] = data.draw(JSON_VALUES)
+    return json.dumps(doc)
+
+
+def mutate_text(text: str, name: str, data) -> str:
+    """Change one cell of profiles.csv or one character of schedule.txt, or drop a line."""
+    lines = text.split("\n")
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if data.draw(st.booleans()):
+        del lines[i]
+    elif name == "profiles.csv":
+        cells = lines[i].split(",")
+        cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(CSV_CELLS)
+        lines[i] = ",".join(cells)
+    else:
+        j = data.draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:j] + data.draw(st.text(alphabet="ECFOX B:0123456789\t", max_size=1)) + lines[i][j + 1:]
+    return "\n".join(lines)
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_a_bundle_with_one_mutation_never_ends_in_an_internal_error(data):
+    """Exit codes stay 0, 1 or 2 (3 too for the oracle's budget, never 4, an
+    internal error) and no traceback is printed, whatever one field, cell,
+    character or file of a bundle holds."""
+    instance, schedule = BUNDLES[data.draw(st.sampled_from(sorted(BUNDLES)))]
+    name = data.draw(st.sampled_from(["config.json", "initial.json", "profiles.csv", "schedule.txt"]))
+    argv = data.draw(st.sampled_from(COMMANDS))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_instance(tmp, instance, schedule=schedule)
+        path = Path(tmp) / name
+        how = data.draw(st.sampled_from(["field", "file", "remove"]))
+        if how == "remove":
+            path.unlink()
+        elif how == "file":
+            path.write_text(data.draw(st.text(max_size=30)))
+        elif name.endswith(".json"):
+            path.write_text(mutate_json(path.read_text(), data))
+        else:
+            path.write_text(mutate_text(path.read_text(), name, data))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([argv[0], "--instance", tmp, *argv[1:]])
+    assert code in ((0, 1, 2, 3) if "oracle" in argv else (0, 1, 2)), err.getvalue()
+    assert "Traceback" not in err.getvalue()

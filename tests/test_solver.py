@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -29,6 +30,7 @@ from swapsched import (
     solve_exact,
     solve_greedy,
     solve_oracle,
+    solver,
     start_domain,
     validate,
 )
@@ -271,6 +273,18 @@ def test_mandatory_charging_is_scheduled_even_without_demand():
     grid, cost = solve_exact(Instance(cfg, initial, events))
     assert grid.rows[0] == "EECC"
     assert cost.total == Fraction(10)
+
+
+def test_a_charge_longer_than_the_horizon_runs_where_its_truncated_block_is_cheapest():
+    # The block prices once padded the hourly prices with charge_hours zeros,
+    # so a charge_hours of 2**64 raised OverflowError, an internal error.
+    for hours in (5, 2**64):
+        cfg = StationConfig(1, 1, hours, Fraction(10), 4, charge_power_kw=Fraction(5))
+        initial = InitialConditions((BatteryStart(state=E),))
+        events = EventProfiles((0,) * 4, (0,) * 4, tuple(Fraction(p) for p in (1, 9, 1, 9)))
+        grid, cost = solve_exact(Instance(cfg, initial, events))
+        assert grid.rows[0] == "EEEC"
+        assert cost.total == 45
 
 
 def test_job_free_instance_costs_nothing():
@@ -539,3 +553,61 @@ def test_exact_matches_an_independent_milp_beyond_the_oracle():
             assert (cost.total / power - fixed) * scale == milp_optimum(instance)
             checked += 1
     assert checked >= 20
+
+
+def test_largest_optimal_potentials_match_brute_force():
+    """Random difference-constraint systems on up to five nodes.  Arcs from and
+    to node 0 box every y[v] into [lo, hi], so the integer points can be
+    enumerated: the solver's y must be optimal and componentwise at least every
+    optimal y, and a system whose other arcs contradict each other or the boxes
+    must raise InfeasibleError."""
+    rng = random.Random(8)
+    feasible = infeasible = 0
+    for _ in range(150):
+        n = rng.randint(2, 5)
+        arcs, boxes = [], []
+        for v in range(1, n):
+            lo = rng.randint(-2, 1)
+            hi = lo + rng.randint(0, 3)
+            arcs += [(0, v, hi), (v, 0, -lo)]
+            boxes.append(range(lo, hi + 1))
+        for _ in range(rng.randint(0, n + 1)):
+            u, v = rng.sample(range(n), 2)
+            arcs.append((u, v, rng.randint(-2, 3)))
+        weight = [0] + [rng.randint(-4, 4) for _ in range(n - 1)]
+        boxed = ((0, *y) for y in itertools.product(*boxes))
+        points = [y for y in boxed if all(y[v] <= y[u] + w for u, v, w in arcs)]
+        if not points:
+            infeasible += 1
+            with pytest.raises(InfeasibleError):
+                solver._largest_optimal_potentials(n, arcs, weight)
+            continue
+        feasible += 1
+        value = {y: sum(c * x for c, x in zip(weight, y)) for y in points}
+        best = min(value.values())
+        got = tuple(solver._largest_optimal_potentials(n, arcs, weight))
+        assert value.get(got) == best
+        assert all(a >= b for y in points if value[y] == best for a, b in zip(got, y))
+    assert feasible >= 80 and infeasible >= 30
+
+
+def test_flow_runs_one_bellman_ford_per_distance_level(monkeypatch, demo):
+    """The flow runs one Bellman-Ford per primal-dual phase and one more for the
+    potentials.  Successive shortest paths ran one per augmentation: 8 on the
+    demo and 14 on the 24-battery station below."""
+    calls = []
+    real = solver._shortest_paths
+    monkeypatch.setattr(solver, "_shortest_paths", lambda *args: calls.append(args) or real(*args))
+    station = ScenarioSpec(
+        config=StationConfig(24, 6, 4, Fraction(60), 24),
+        demand=UniformShape(total=6),
+        arrivals=UniformShape(total=6),
+        tariff=TouTariff(off_peak="0.5", peak=4, peak_hours=((8, 11), (18, 21))),
+        seed=0,
+    )
+    counts = []
+    for instance in (demo[0], generate(station)):
+        calls.clear()
+        solve_exact(instance)
+        counts.append(len(calls))
+    assert counts == [5, 6]
