@@ -20,11 +20,10 @@ where one is passed on its own (start states, ``ScheduleGrid.state``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping, Sequence
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
 
 from .errors import DimensionError, GridParseError, InstanceError, TransitionError
 
@@ -98,13 +97,18 @@ def legal_transition(previous: BatteryState, current: BatteryState) -> bool:
 # ---------------------------------------------------------------------------
 
 
+# Decimal exponents beyond this are refused: the conversion to a Fraction
+# builds 10 ** exponent in full, and a price of 1e-9999999 would take minutes.
+MAX_EXPONENT = 1000
+
+
 def to_exact(value: object) -> Fraction:
     """Convert int/str/Decimal/Fraction/float input to an exact Fraction.
 
     Strings accept plain integers, decimal notation, and "n/d" ratios.
     Floats are interpreted through their shortest decimal representation
-    ("0.1" means one tenth, not the binary expansion).  Infinities and NaNs
-    raise ValueError.
+    ("0.1" means one tenth, not the binary expansion).  Infinities, NaNs
+    and decimal exponents beyond +-MAX_EXPONENT raise ValueError.
     """
     if isinstance(value, Fraction):
         return value
@@ -119,17 +123,18 @@ def to_exact(value: object) -> Fraction:
     elif isinstance(value, str):
         text = value.strip()
         try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            pass
-        try:
             decimal = Decimal(text)
         except InvalidOperation:
-            raise ValueError(f"not an exact number: {value!r}") from None
+            try:
+                return Fraction(text)  # "n/d", the one spelling Decimal lacks
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"not an exact number: {value!r}") from None
     else:
         raise ValueError(f"not an exact number: {value!r}")
     if not decimal.is_finite():
         raise ValueError(f"not a finite number: {value!r}")
+    if abs(decimal.as_tuple().exponent) > MAX_EXPONENT:
+        raise ValueError(f"the exponent of {value!r} lies beyond +-{MAX_EXPONENT}")
     return Fraction(decimal)
 
 
@@ -138,17 +143,22 @@ def is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# A denominator of 2**a * 5**b prints as max(a, b) decimal places.  Fives are
+# stripped one division at a time, so a denominator with more of them than
+# this prints as n/d, which is as exact.
+_MAX_FIVES = 4 * MAX_EXPONENT
+
+
 def format_exact(value: Fraction) -> str:
     """Render a Fraction as minimal exact text (decimal when finite, else n/d)."""
     value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     d = value.denominator
-    twos = fives = 0
-    while d % 2 == 0:
-        d //= 2
-        twos += 1
-    while d % 5 == 0:
+    twos = (d & -d).bit_length() - 1
+    d >>= twos
+    fives = 0
+    while d % 5 == 0 and fives < _MAX_FIVES:
         d //= 5
         fives += 1
     if d != 1:
@@ -161,12 +171,60 @@ def format_exact(value: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Configuration and initial conditions
+# Immutable values
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StationConfig:
+class _Value:
+    """Base of the package's immutable value types.
+
+    Each subclass names its fields, in order, in ``__slots__``, and its
+    ``__init__`` checks its arguments and stores each field with
+    ``object.__setattr__``.  Values are equal when they are of the same class
+    with equal fields, hash as their field tuple and print as
+    ``Name(field=value, ...)``.  Setting or deleting an attribute raises
+    AttributeError.  Copy and pickle rebuild a value by calling its class
+    with its fields.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+# ---------------------------------------------------------------------------
+# Configuration and initial conditions
+# ---------------------------------------------------------------------------
+
+# The most battery-hours (n_batteries x horizon) a station may span, and the
+# most events a scenario shape may draw: every layer holds one cell per
+# battery-hour.
+MAX_CELLS = 1_000_000
+
+
+class StationConfig(_Value):
     """Static description of one station.
 
     ``charge_power_kw`` may be omitted; the effective charging power is then
@@ -174,25 +232,41 @@ class StationConfig:
     fixed charge duration).
     """
 
-    n_batteries: int
-    n_chargers: int
-    charge_hours: int
-    capacity_kwh: Fraction
-    horizon: int
-    charge_power_kw: Fraction | None = None
+    __slots__ = (
+        "n_batteries", "n_chargers", "charge_hours", "capacity_kwh", "horizon", "charge_power_kw"
+    )
 
-    def __post_init__(self):
-        object.__setattr__(self, "capacity_kwh", to_exact(self.capacity_kwh))
-        if self.charge_power_kw is not None:
-            object.__setattr__(self, "charge_power_kw", to_exact(self.charge_power_kw))
-        for name in ("n_batteries", "n_chargers", "charge_hours", "horizon"):
-            v = getattr(self, name)
+    def __init__(
+        self,
+        n_batteries: int,
+        n_chargers: int,
+        charge_hours: int,
+        capacity_kwh: Fraction,
+        horizon: int,
+        charge_power_kw: Fraction | None = None,
+    ):
+        capacity_kwh = to_exact(capacity_kwh)
+        if charge_power_kw is not None:
+            charge_power_kw = to_exact(charge_power_kw)
+        for name, v in (("n_batteries", n_batteries), ("n_chargers", n_chargers),
+                        ("charge_hours", charge_hours), ("horizon", horizon)):
             if not is_int(v) or v < 1:
                 raise InstanceError(f"{name} must be a positive integer, got {v!r}")
-        if self.capacity_kwh <= 0:
+        if capacity_kwh <= 0:
             raise InstanceError("capacity_kwh must be positive")
-        if self.charge_power_kw is not None and self.charge_power_kw <= 0:
+        if charge_power_kw is not None and charge_power_kw <= 0:
             raise InstanceError("charge_power_kw must be positive when given")
+        if n_batteries * horizon > MAX_CELLS:
+            raise InstanceError(
+                f"{n_batteries} batteries over {horizon} hours make "
+                f"{n_batteries * horizon} battery-hours, more than {MAX_CELLS}"
+            )
+        object.__setattr__(self, "n_batteries", n_batteries)
+        object.__setattr__(self, "n_chargers", n_chargers)
+        object.__setattr__(self, "charge_hours", charge_hours)
+        object.__setattr__(self, "capacity_kwh", capacity_kwh)
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "charge_power_kw", charge_power_kw)
 
     @property
     def power_kw(self) -> Fraction:
@@ -241,8 +315,7 @@ def _json_number(value: Fraction):
     return format_exact(value)
 
 
-@dataclass(frozen=True)
-class BatteryStart:
+class BatteryStart(_Value):
     """State of one battery at the start boundary of hour 1.
 
     ``progress`` counts completed charging hours for a battery that enters
@@ -251,36 +324,37 @@ class BatteryStart:
     out first.
     """
 
-    state: BatteryState
-    progress: int = 0
-    full_rank: int | None = None
+    __slots__ = ("state", "progress", "full_rank")
 
-    def __post_init__(self):
-        if not isinstance(self.state, BatteryState):
-            object.__setattr__(self, "state", BatteryState(self.state))
-        if not is_int(self.progress) or self.progress < 0:
-            raise InstanceError(f"progress must be a non-negative integer, got {self.progress!r}")
-        if self.full_rank is not None and not is_int(self.full_rank):
-            raise InstanceError(f"full_rank must be an integer, got {self.full_rank!r}")
-        if self.progress and self.state is not BatteryState.CHARGING:
+    def __init__(self, state: BatteryState, progress: int = 0, full_rank: int | None = None):
+        if not isinstance(state, BatteryState):
+            state = BatteryState(state)
+        if not is_int(progress) or progress < 0:
+            raise InstanceError(f"progress must be a non-negative integer, got {progress!r}")
+        if full_rank is not None and not is_int(full_rank):
+            raise InstanceError(f"full_rank must be an integer, got {full_rank!r}")
+        if progress and state is not BatteryState.CHARGING:
             raise InstanceError("progress only applies to batteries that start charging")
-        if self.full_rank is not None and self.state is not BatteryState.FULL:
+        if full_rank is not None and state is not BatteryState.FULL:
             raise InstanceError("full_rank only applies to batteries that start full")
-        if self.state is BatteryState.FULL and self.full_rank is None:
+        if state is BatteryState.FULL and full_rank is None:
             raise InstanceError("batteries that start full need a full_rank")
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "progress", progress)
+        object.__setattr__(self, "full_rank", full_rank)
 
 
-@dataclass(frozen=True)
-class InitialConditions:
+class InitialConditions(_Value):
     """Per-battery start states, indexed by battery number (1-based)."""
 
-    entries: tuple[BatteryStart, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        ranks = [e.full_rank for e in self.entries if e.state is BatteryState.FULL]
+    def __init__(self, entries: tuple[BatteryStart, ...]):
+        entries = tuple(entries)
+        ranks = [e.full_rank for e in entries if e.state is BatteryState.FULL]
         if len(ranks) != len(set(ranks)):
             raise InstanceError("full_rank values must be distinct")
+        object.__setattr__(self, "entries", entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -297,8 +371,7 @@ class InitialConditions:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScheduleGrid:
+class ScheduleGrid(_Value):
     """Immutable battery-by-hour state matrix: one string of state letters per battery.
 
     ``rows[b - 1][t - 1]`` is the letter of battery ``b`` at hour ``t``, and
@@ -308,13 +381,12 @@ class ScheduleGrid:
     report them.
     """
 
-    rows: tuple[str, ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        if isinstance(self.rows, str):
+    def __init__(self, rows: tuple[str, ...]):
+        if isinstance(rows, str):
             raise DimensionError("a grid takes one string of state letters per battery")
-        rows = tuple(self.rows)
-        object.__setattr__(self, "rows", rows)
+        rows = tuple(rows)
         if not rows:
             raise DimensionError("a grid needs at least one battery row")
         for i, row in enumerate(rows, start=1):
@@ -326,6 +398,7 @@ class ScheduleGrid:
                 raise DimensionError(f"battery B{i}: {row!r} holds a letter other than E, C, F, O")
         if not rows[0]:
             raise DimensionError("a grid needs at least one hour column")
+        object.__setattr__(self, "rows", rows)
 
     @property
     def n_batteries(self) -> int:
@@ -365,18 +438,15 @@ class ScheduleGrid:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EventProfiles:
+class EventProfiles(_Value):
     """Hourly demand (requested swaps), arrivals (returning batteries), prices."""
 
-    demand: tuple[int, ...]
-    arrivals: tuple[int, ...]
-    price: tuple[Fraction, ...]
+    __slots__ = ("demand", "arrivals", "price")
 
-    def __post_init__(self):
-        demand = tuple(self.demand)
-        arrivals = tuple(self.arrivals)
-        price = tuple(to_exact(p) for p in self.price)
+    def __init__(self, demand: tuple[int, ...], arrivals: tuple[int, ...], price: tuple[Fraction, ...]):
+        demand = tuple(demand)
+        arrivals = tuple(arrivals)
+        price = tuple(to_exact(p) for p in price)
         if not (len(demand) == len(arrivals) == len(price)) or not demand:
             raise DimensionError("demand, arrivals and price must share one horizon length")
         for name, seq in (("demand", demand), ("arrivals", arrivals)):

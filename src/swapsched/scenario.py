@@ -23,14 +23,14 @@ import csv
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from collections.abc import Sequence
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence, Union
 
 from .errors import DimensionError, InstanceError, ProfileError
 from .model import (
+    MAX_CELLS,
     BatteryStart,
     BatteryState,
     EventProfiles,
@@ -42,6 +42,7 @@ from .model import (
     is_int,
     render_grid,
     to_exact,
+    _Value,
 )
 from .solver import _fifo_starts
 from .validation import Instance
@@ -74,35 +75,40 @@ _O = BatteryState.OUT
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UniformShape:
+def _check_total(total: object) -> None:
+    if not is_int(total) or total < 0:
+        raise InstanceError(f"shape total must be an integer >= 0, got {total!r}")
+    if total > MAX_CELLS:
+        raise InstanceError(f"shape total must be at most {MAX_CELLS}, got {total}")
+
+
+class UniformShape(_Value):
     """``total`` event units spread uniformly at random over the usable hours."""
 
-    total: int
+    __slots__ = ("total",)
 
-    def __post_init__(self):
-        if not is_int(self.total) or self.total < 0:
-            raise InstanceError(f"shape total must be an integer >= 0, got {self.total!r}")
+    def __init__(self, total: int):
+        _check_total(total)
+        object.__setattr__(self, "total", total)
 
     def draw(self, rng: random.Random, lo: int, hi: int) -> list[int]:
         return [rng.randint(lo, hi) for _ in range(self.total)]
 
 
-@dataclass(frozen=True)
-class PeakedShape:
+class PeakedShape(_Value):
     """``total`` units drawn from a triangular bump around ``peak_hour``."""
 
-    total: int
-    peak_hour: int
-    width: int
+    __slots__ = ("total", "peak_hour", "width")
 
-    def __post_init__(self):
-        if not is_int(self.total) or self.total < 0:
-            raise InstanceError(f"shape total must be an integer >= 0, got {self.total!r}")
-        if not is_int(self.peak_hour):
-            raise InstanceError(f"shape peak_hour must be an integer, got {self.peak_hour!r}")
-        if not is_int(self.width) or self.width < 1:
-            raise InstanceError(f"shape width must be an integer >= 1, got {self.width!r}")
+    def __init__(self, total: int, peak_hour: int, width: int):
+        _check_total(total)
+        if not is_int(peak_hour):
+            raise InstanceError(f"shape peak_hour must be an integer, got {peak_hour!r}")
+        if not is_int(width) or width < 1:
+            raise InstanceError(f"shape width must be an integer >= 1, got {width!r}")
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "peak_hour", peak_hour)
+        object.__setattr__(self, "width", width)
 
     def draw(self, rng: random.Random, lo: int, hi: int) -> list[int]:
         hours = []
@@ -112,20 +118,20 @@ class PeakedShape:
         return hours
 
 
-@dataclass(frozen=True)
-class ExplicitShape:
+class ExplicitShape(_Value):
     """A hand-written per-hour count list, used verbatim (no repairs)."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        for v in self.values:
+    def __init__(self, values: tuple[int, ...]):
+        values = tuple(values)
+        for v in values:
             if not is_int(v) or v < 0:
                 raise InstanceError(f"explicit shape values must be integers >= 0, got {v!r}")
+        object.__setattr__(self, "values", values)
 
 
-Shape = Union[UniformShape, PeakedShape, ExplicitShape]
+Shape = UniformShape | PeakedShape | ExplicitShape
 
 
 # ---------------------------------------------------------------------------
@@ -133,37 +139,35 @@ Shape = Union[UniformShape, PeakedShape, ExplicitShape]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlatTariff:
+class FlatTariff(_Value):
     """One price for every hour."""
 
-    price: Fraction
+    __slots__ = ("price",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "price", to_exact(self.price))
+    def __init__(self, price: Fraction):
+        object.__setattr__(self, "price", to_exact(price))
 
     def render(self, horizon: int) -> tuple[Fraction, ...]:
         return (self.price,) * horizon
 
 
-@dataclass(frozen=True)
-class TouTariff:
+class TouTariff(_Value):
     """Time-of-use: ``peak`` inside the given inclusive hour ranges, ``off_peak`` elsewhere."""
 
-    off_peak: Fraction
-    peak: Fraction
-    peak_hours: tuple[tuple[int, int], ...]
+    __slots__ = ("off_peak", "peak", "peak_hours")
 
-    def __post_init__(self):
-        object.__setattr__(self, "off_peak", to_exact(self.off_peak))
-        object.__setattr__(self, "peak", to_exact(self.peak))
-        ranges = tuple(tuple(r) for r in self.peak_hours)
+    def __init__(self, off_peak: Fraction, peak: Fraction, peak_hours: tuple[tuple[int, int], ...]):
+        off_peak = to_exact(off_peak)
+        peak = to_exact(peak)
+        ranges = tuple(tuple(r) for r in peak_hours)
         for r in ranges:
             if len(r) != 2 or not all(is_int(h) for h in r):
                 raise InstanceError(f"a peak range must be two integer hours, got {list(r)!r}")
             a, b = r
             if a < 1 or b < a:
                 raise InstanceError(f"bad peak range {a}..{b}")
+        object.__setattr__(self, "off_peak", off_peak)
+        object.__setattr__(self, "peak", peak)
         object.__setattr__(self, "peak_hours", ranges)
 
     def render(self, horizon: int) -> tuple[Fraction, ...]:
@@ -176,14 +180,13 @@ class TouTariff:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class ExplicitTariff:
+class ExplicitTariff(_Value):
     """A hand-written per-hour price list."""
 
-    prices: tuple[Fraction, ...]
+    __slots__ = ("prices",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "prices", tuple(to_exact(p) for p in self.prices))
+    def __init__(self, prices: tuple[Fraction, ...]):
+        object.__setattr__(self, "prices", tuple(to_exact(p) for p in prices))
 
     def render(self, horizon: int) -> tuple[Fraction, ...]:
         if len(self.prices) != horizon:
@@ -193,7 +196,7 @@ class ExplicitTariff:
         return self.prices
 
 
-Tariff = Union[FlatTariff, TouTariff, ExplicitTariff]
+Tariff = FlatTariff | TouTariff | ExplicitTariff
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +204,26 @@ Tariff = Union[FlatTariff, TouTariff, ExplicitTariff]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(_Value):
     """Everything needed to draw one instance deterministically."""
 
-    config: StationConfig
-    demand: Shape
-    arrivals: Shape
-    tariff: Tariff
-    seed: int
-    initial: InitialConditions | None = None
+    __slots__ = ("config", "demand", "arrivals", "tariff", "seed", "initial")
+
+    def __init__(
+        self,
+        config: StationConfig,
+        demand: Shape,
+        arrivals: Shape,
+        tariff: Tariff,
+        seed: int,
+        initial: InitialConditions | None = None,
+    ):
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "demand", demand)
+        object.__setattr__(self, "arrivals", arrivals)
+        object.__setattr__(self, "tariff", tariff)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "initial", initial)
 
 
 def _draw_initial(rng: random.Random, cfg: StationConfig) -> InitialConditions:

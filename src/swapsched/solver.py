@@ -48,13 +48,12 @@ import itertools
 import json
 import math
 from collections import Counter, deque
-from dataclasses import dataclass
+from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import DimensionError, EnumerationBudgetError, InfeasibleError
-from .model import BatteryState, ScheduleGrid, StationConfig, to_exact
+from .model import BatteryState, ScheduleGrid, StationConfig, _Value, to_exact
 from .validation import Instance, validate
 
 __all__ = [
@@ -82,8 +81,7 @@ class SolveObjective(Enum):
     MIN_COST = "min-cost"
 
 
-@dataclass(frozen=True)
-class ChargeJob:
+class ChargeJob(_Value):
     """One required charge block of ``duration`` hours, released at ``release``.
 
     ``fixed_start`` pins continuation jobs to hour 1; movable jobs have None.
@@ -91,9 +89,12 @@ class ChargeJob:
     longest-waiting empty batteries.
     """
 
-    release: int
-    duration: int
-    fixed_start: int | None = None
+    __slots__ = ("release", "duration", "fixed_start")
+
+    def __init__(self, release: int, duration: int, fixed_start: int | None = None):
+        object.__setattr__(self, "release", release)
+        object.__setattr__(self, "duration", duration)
+        object.__setattr__(self, "fixed_start", fixed_start)
 
     @property
     def movable(self) -> bool:
@@ -142,14 +143,22 @@ def start_domain(job: ChargeJob, config: StationConfig) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
+class CostBreakdown(_Value):
     """Electricity cost of a schedule, exact end to end."""
 
-    total: Fraction
-    per_hour: tuple[Fraction, ...]
-    per_battery: tuple[Fraction, ...]
-    energy_kwh: Fraction
+    __slots__ = ("total", "per_hour", "per_battery", "energy_kwh")
+
+    def __init__(
+        self,
+        total: Fraction,
+        per_hour: tuple[Fraction, ...],
+        per_battery: tuple[Fraction, ...],
+        energy_kwh: Fraction,
+    ):
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "per_hour", per_hour)
+        object.__setattr__(self, "per_battery", per_battery)
+        object.__setattr__(self, "energy_kwh", energy_kwh)
 
     def to_json_dict(self) -> dict:
         return {

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 
 from .errors import DimensionError, InstanceError
 from .model import (
@@ -31,6 +30,7 @@ from .model import (
     ScheduleGrid,
     StationConfig,
     _edges,
+    _Value,
 )
 
 __all__ = [
@@ -61,39 +61,41 @@ INITIAL_CONDITIONS = "initial_conditions"
 MODES = ("lenient", "strict")
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Value):
     """A complete scheduling problem: station, start states, event profiles."""
 
-    config: StationConfig
-    initial: InitialConditions
-    events: EventProfiles
+    __slots__ = ("config", "initial", "events")
 
-    def __post_init__(self):
-        if len(self.initial) != self.config.n_batteries:
+    def __init__(self, config: StationConfig, initial: InitialConditions, events: EventProfiles):
+        if len(initial) != config.n_batteries:
             raise InstanceError(
-                f"{len(self.initial)} initial entries for {self.config.n_batteries} batteries"
+                f"{len(initial)} initial entries for {config.n_batteries} batteries"
             )
-        if self.events.horizon != self.config.horizon:
+        if events.horizon != config.horizon:
             raise InstanceError(
-                f"profiles cover {self.events.horizon} hours, horizon is {self.config.horizon}"
+                f"profiles cover {events.horizon} hours, horizon is {config.horizon}"
             )
-        for b, entry in enumerate(self.initial.entries, start=1):
-            if entry.state is _C and entry.progress >= self.config.charge_hours:
+        for b, entry in enumerate(initial.entries, start=1):
+            if entry.state is _C and entry.progress >= config.charge_hours:
                 raise InstanceError(
                     f"battery B{b}: progress {entry.progress} must be below "
-                    f"charge_hours {self.config.charge_hours}"
+                    f"charge_hours {config.charge_hours}"
                 )
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "events", events)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Value):
     """One constraint breach; battery/hour are None when not applicable."""
 
-    constraint: str
-    battery: int | None
-    hour: int | None
-    message: str
+    __slots__ = ("constraint", "battery", "hour", "message")
+
+    def __init__(self, constraint: str, battery: int | None, hour: int | None, message: str):
+        object.__setattr__(self, "constraint", constraint)
+        object.__setattr__(self, "battery", battery)
+        object.__setattr__(self, "hour", hour)
+        object.__setattr__(self, "message", message)
 
     def to_json_dict(self) -> dict:
         return {
@@ -104,13 +106,17 @@ class Violation:
         }
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Value):
     """Outcome of validating one grid against one instance."""
 
-    feasible: bool
-    violations: tuple[Violation, ...]
-    hourly: dict[str, tuple[int, ...]]
+    __slots__ = ("feasible", "violations", "hourly")
+
+    def __init__(
+        self, feasible: bool, violations: tuple[Violation, ...], hourly: dict[str, tuple[int, ...]]
+    ):
+        object.__setattr__(self, "feasible", feasible)
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "hourly", hourly)
 
     def to_json_dict(self) -> dict:
         return {

@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from swapsched import (
     solve_greedy,
     solve_oracle,
 )
+from swapsched.model import MAX_CELLS
 from conftest import make_valley
 
 
@@ -312,6 +314,47 @@ def test_malformed_fields_are_input_errors(valley_dir, tmp_path, name, text):
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_a_price_with_a_huge_exponent_is_an_input_error(valley_dir, tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(valley_dir, bundle)
+    profiles = bundle / "profiles.csv"
+    lines = profiles.read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",1e-9999999"
+    profiles.write_text("\n".join(lines) + "\n")
+    start = time.perf_counter()
+    assert cli.main(["solve", "--instance", str(bundle)]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == "error: the exponent of '1e-9999999' lies beyond +-1000\n"
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"demand": {"shape": "uniform", "total": MAX_CELLS + 1}}, "shape total must be at most 1000000"),
+        ({"arrivals": {"shape": "peaked", "total": MAX_CELLS + 1, "peak_hour": 6, "width": 2}},
+         "shape total must be at most 1000000"),
+        ({"config": {**SPEC["config"], "n_batteries": 1001, "horizon": 1000}},
+         "1001 batteries over 1000 hours make 1001000 battery-hours, more than 1000000"),
+    ],
+    ids=["uniform-total", "peaked-total", "battery-hours"],
+)
+def test_specs_past_the_size_caps_are_input_errors(tmp_path, capsys, fields, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_with(**fields))
+    assert cli.main(["generate", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bundles_past_the_battery_hour_cap_are_input_errors(valley_dir, tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(valley_dir, bundle)
+    config = json.loads((bundle / "config.json").read_text())
+    (bundle / "config.json").write_text(json.dumps({**config, "horizon": MAX_CELLS + 1}))
+    assert cli.main(["solve", "--instance", str(bundle)]) == 2
+    assert "battery-hours, more than 1000000" in capsys.readouterr().err
 
 
 def test_negative_budget_is_an_input_error(valley_dir):

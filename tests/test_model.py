@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from swapsched import (
     render_grid,
     to_exact,
 )
+from swapsched.model import MAX_CELLS, MAX_EXPONENT
 from conftest import random_legal_grid
 
 E, C, F, O = BatteryState.EMPTY, BatteryState.CHARGING, BatteryState.FULL, BatteryState.OUT
@@ -68,6 +70,37 @@ def test_to_exact_accepts_the_usual_spellings():
 def test_to_exact_rejects_non_numbers(bad):
     with pytest.raises(ValueError):
         to_exact(bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["1e-9999999", "1E+1001", f"1e-{MAX_EXPONENT + 1}", "0." + "0" * MAX_EXPONENT + "1",
+     Decimal("1e-99999"), Decimal("5e1001")],
+    ids=["tiny", "huge", "just-past", "long-decimal", "decimal-tiny", "decimal-huge"],
+)
+def test_to_exact_refuses_exponents_beyond_the_bound(bad):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exponent"):
+        to_exact(bad)
+    assert time.perf_counter() - start < 1
+
+
+def test_to_exact_takes_exponents_up_to_the_bound():
+    assert to_exact(f"1e-{MAX_EXPONENT}") == Fraction(1, 10**MAX_EXPONENT)
+    assert to_exact(f"1e{MAX_EXPONENT}") == 10**MAX_EXPONENT
+    assert to_exact(5e-324) == Fraction(5, 10**324)
+
+
+def test_format_exact_is_exact_and_fast_on_long_denominators():
+    start = time.perf_counter()
+    tiny = Fraction(1, 2**4000)
+    text = format_exact(tiny)
+    assert text.startswith("0.") and len(text) == 4002
+    assert Fraction(text) == tiny
+    assert format_exact(Fraction(3, 5**4000)) == "0." + str(3 * 2**4000).zfill(4000)
+    many_fives = Fraction(1, 5**4001)  # past the bound on fives: n/d, still exact
+    assert format_exact(many_fives) == f"1/{5**4001}"
+    assert time.perf_counter() - start < 1
 
 
 def test_format_exact_prefers_decimal_when_finite():
@@ -131,6 +164,15 @@ def test_config_rejects_nonpositive_dimensions(kwargs):
     base = dict(n_batteries=2, n_chargers=1, charge_hours=2, capacity_kwh=Fraction(10), horizon=8)
     with pytest.raises(InstanceError):
         StationConfig(**{**base, **kwargs})
+
+
+def test_config_caps_battery_hours():
+    StationConfig(1000, 150, 4, Fraction(30), 336)  # the largest benchmarked station
+    assert StationConfig(1000, 1, 1, Fraction(1), MAX_CELLS // 1000).horizon == 1000
+    with pytest.raises(InstanceError, match="1001000 battery-hours, more than 1000000"):
+        StationConfig(1001, 1, 1, Fraction(1), 1000)
+    with pytest.raises(InstanceError, match="more than"):
+        StationConfig(1, 1, 1, Fraction(1), 10**9)
 
 
 # ---------------------------------------------------------------------------

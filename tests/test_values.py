@@ -1,0 +1,146 @@
+"""The immutable value types, and an import path without dataclasses or typing.
+
+Every public value class keeps its fields in slots and behaves as a frozen
+dataclass did: keyword and positional construction with the same defaults,
+equality within one class, a hash of the field tuple, the
+``Name(field=value, ...)`` repr, no assignment or deletion, and faithful
+copies and pickles.
+"""
+
+from __future__ import annotations
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import swapsched
+from swapsched import (
+    BatteryStart,
+    BatteryState,
+    ChargeJob,
+    CostBreakdown,
+    EventProfiles,
+    ExplicitShape,
+    ExplicitTariff,
+    FlatTariff,
+    InitialConditions,
+    Instance,
+    PeakedShape,
+    ScenarioSpec,
+    ScheduleGrid,
+    StationConfig,
+    TouTariff,
+    UniformShape,
+    ValidationReport,
+    Violation,
+)
+from swapsched.model import _Value
+
+E, C, F = BatteryState.EMPTY, BatteryState.CHARGING, BatteryState.FULL
+
+CONFIG = StationConfig(2, 1, 2, Fraction(30), 3)
+INITIAL = InitialConditions((BatteryStart(E), BatteryStart(F, full_rank=1)))
+EVENTS = EventProfiles((0, 1, 0), (0, 0, 1), (Fraction(1), Fraction(1, 2), Fraction(2)))
+VIOLATION = Violation("transition", 1, 2, "battery B1: illegal transition E->F into hour 2")
+UNIFORM = UniformShape(4)
+PEAKED = PeakedShape(3, 6, 2)
+FLAT = FlatTariff(Fraction(1, 4))
+
+# (class, field names in order, positional arguments, defaults of the trailing fields)
+VALUES = [
+    (StationConfig,
+     ("n_batteries", "n_chargers", "charge_hours", "capacity_kwh", "horizon", "charge_power_kw"),
+     (3, 2, 3, Fraction(30), 14, Fraction(7, 3)), {"charge_power_kw": None}),
+    (BatteryStart, ("state", "progress", "full_rank"), (C, 2, None), {"progress": 0, "full_rank": None}),
+    (InitialConditions, ("entries",), (INITIAL.entries,), {}),
+    (ScheduleGrid, ("rows",), (("ECF", "OOE"),), {}),
+    (EventProfiles, ("demand", "arrivals", "price"), (EVENTS.demand, EVENTS.arrivals, EVENTS.price), {}),
+    (Instance, ("config", "initial", "events"), (CONFIG, INITIAL, EVENTS), {}),
+    (Violation, ("constraint", "battery", "hour", "message"),
+     ("charger_capacity", None, 15, "hour 15: 5 batteries charging, only 4 chargers"), {}),
+    (ValidationReport, ("feasible", "violations", "hourly"),
+     (False, (VIOLATION,), {"E": (1, 0), "C": (0, 1), "F": (1, 1), "O": (0, 0)}), {}),
+    (ChargeJob, ("release", "duration", "fixed_start"), (1, 4, 1), {"fixed_start": None}),
+    (CostBreakdown, ("total", "per_hour", "per_battery", "energy_kwh"),
+     (Fraction(7, 2), (Fraction(3), Fraction(1, 2)), (Fraction(7, 2),), Fraction(20)), {}),
+    (UniformShape, ("total",), (4,), {}),
+    (PeakedShape, ("total", "peak_hour", "width"), (3, 6, 2), {}),
+    (ExplicitShape, ("values",), ((1, 0, 2),), {}),
+    (FlatTariff, ("price",), (Fraction(1, 4),), {}),
+    (TouTariff, ("off_peak", "peak", "peak_hours"),
+     (Fraction(1, 2), Fraction(4), ((8, 11), (18, 21))), {}),
+    (ExplicitTariff, ("prices",), ((Fraction(1), Fraction(5, 2)),), {}),
+    (ScenarioSpec, ("config", "demand", "arrivals", "tariff", "seed", "initial"),
+     (CONFIG, UNIFORM, PEAKED, FLAT, 7, INITIAL), {"initial": None}),
+]
+
+
+def test_every_public_value_class_is_covered():
+    exported = [getattr(swapsched, name) for name in swapsched.__all__]
+    public = {obj for obj in exported if isinstance(obj, type) and issubclass(obj, _Value)}
+    assert public == {cls for cls, *_ in VALUES}
+
+
+@pytest.mark.parametrize("cls, names, args, defaults", VALUES, ids=[cls.__name__ for cls, *_ in VALUES])
+def test_value_semantics(cls, names, args, defaults):
+    value = cls(*args)
+    assert tuple(getattr(value, name) for name in names) == args
+    assert not hasattr(value, "__dict__")  # fields live in slots
+    assert cls(**dict(zip(names, args))) == value
+    required = len(names) - len(defaults)
+    short = cls(*args[:required])
+    assert {name: getattr(short, name) for name in names[required:]} == defaults
+    if defaults:
+        assert short != value
+
+    # equality within one class only: a subclass with the same fields differs
+    assert value == cls(*args) and not value != cls(*args)
+    twin = type("Twin", (cls,), {})(*args)
+    assert value != twin and twin != value
+
+    try:
+        expected = hash(args)
+    except TypeError:  # a report's hourly counts are a dict
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == expected == hash(cls(*args))
+
+    fields = ", ".join(f"{name}={arg!r}" for name, arg in zip(names, args))
+    assert repr(value) == f"{cls.__qualname__}({fields})"
+
+    for name in (names[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in names) == args
+
+    copies = [copy.copy(value), copy.deepcopy(value)]
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    copies += [pickle.loads(pickle.dumps(value, protocol)) for protocol in protocols]
+    for other in copies:
+        assert type(other) is cls
+        assert other == value and repr(other) == repr(value)
+
+
+def test_the_cli_imports_neither_dataclasses_nor_typing():
+    """A CLI process loads none of the machinery a frozen dataclass pulls in."""
+    src = Path(swapsched.__file__).resolve().parents[1]
+    code = "import sys, swapsched.cli; print(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "swapsched.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "typing"})
