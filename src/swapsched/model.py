@@ -100,6 +100,15 @@ def legal_transition(previous: BatteryState, current: BatteryState) -> bool:
 # Decimal exponents beyond this are refused: the conversion to a Fraction
 # builds 10 ** exponent in full, and a price of 1e-9999999 would take minutes.
 MAX_EXPONENT = 1000
+# Numbers of more than this many digits before the decimal point are refused
+# too, and so are "n/d" ratios whose denominator in lowest terms exceeds
+# 10 ** MAX_EXPONENT, the largest a decimal's can be: Python turns no integer
+# of more than 4,300 digits into text, and every accepted value must print.
+# Within both bounds ``format_exact`` writes at most MAX_DIGITS digits before
+# the point and 3,321 after it (2 ** 3322 exceeds 10 ** MAX_EXPONENT).
+MAX_DIGITS = 2000
+_MAX_VALUE = 10**MAX_DIGITS
+_MAX_DENOMINATOR = 10**MAX_EXPONENT
 
 
 def to_exact(value: object) -> Fraction:
@@ -107,14 +116,18 @@ def to_exact(value: object) -> Fraction:
 
     Strings accept plain integers, decimal notation, and "n/d" ratios.
     Floats are interpreted through their shortest decimal representation
-    ("0.1" means one tenth, not the binary expansion).  Infinities, NaNs
-    and decimal exponents beyond +-MAX_EXPONENT raise ValueError.
+    ("0.1" means one tenth, not the binary expansion).  Infinities, NaNs,
+    decimal exponents beyond +-MAX_EXPONENT, more than MAX_DIGITS digits
+    before the decimal point and "n/d" denominators above
+    10 ** MAX_EXPONENT raise ValueError.  A Fraction is returned as it is.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise ValueError(f"not a number: {value!r}")
     if isinstance(value, int):
+        if abs(value) >= _MAX_VALUE:
+            raise _too_many_digits()
         return Fraction(value)
     if isinstance(value, Decimal):
         decimal = value
@@ -126,16 +139,29 @@ def to_exact(value: object) -> Fraction:
             decimal = Decimal(text)
         except InvalidOperation:
             try:
-                return Fraction(text)  # "n/d", the one spelling Decimal lacks
+                exact = Fraction(text)  # "n/d", the one spelling Decimal lacks
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"not an exact number: {value!r}") from None
+            if exact.denominator > _MAX_DENOMINATOR:
+                raise ValueError(f"a denominator lies beyond 10**{MAX_EXPONENT}")
+            if abs(exact) >= _MAX_VALUE:
+                raise _too_many_digits()
+            return exact
     else:
         raise ValueError(f"not an exact number: {value!r}")
     if not decimal.is_finite():
         raise ValueError(f"not a finite number: {value!r}")
-    if abs(decimal.as_tuple().exponent) > MAX_EXPONENT:
+    _, digits, exponent = decimal.as_tuple()
+    if abs(exponent) > MAX_EXPONENT:
         raise ValueError(f"the exponent of {value!r} lies beyond +-{MAX_EXPONENT}")
+    if len(digits) + exponent > MAX_DIGITS:
+        raise _too_many_digits()
     return Fraction(decimal)
+
+
+def _too_many_digits() -> ValueError:
+    # The number is left out of the message: it may be too long to print.
+    return ValueError(f"a number has more than {MAX_DIGITS} digits before its decimal point")
 
 
 def is_int(value: object) -> bool:

@@ -44,7 +44,7 @@ from .model import (
     to_exact,
     _Value,
 )
-from .solver import _fifo_starts
+from .solver import _fifo_starts, _job_table
 from .validation import Instance
 
 __all__ = [
@@ -240,15 +240,6 @@ def _draw_initial(rng: random.Random, cfg: StationConfig) -> InitialConditions:
     progress = [rng.randrange(cfg.charge_hours) if s is _C else 0 for s in states]
     n_full = sum(1 for s in states if s is _F)
     ranks = iter(rng.sample(range(1, n_full + 1), n_full))
-
-    # flip E -> O where an empty battery cannot get a full block; the late
-    # ones are a suffix in FIFO order, and dropping them moves no earlier start
-    fixed = [cfg.charge_hours - p for s, p in zip(states, progress) if s is _C]
-    empties = [i for i, s in enumerate(states) if s is _E]
-    for i, s in zip(empties, _fifo_starts(cfg, fixed, [1] * len(empties))):
-        if s is None or s + cfg.charge_hours - 1 > cfg.horizon:
-            states[i] = _O
-
     entries = []
     for s, p in zip(states, progress):
         if s is _F:
@@ -257,6 +248,14 @@ def _draw_initial(rng: random.Random, cfg: StationConfig) -> InitialConditions:
             entries.append(BatteryStart(state=s, progress=p))
         else:
             entries.append(BatteryStart(state=s))
+
+    # flip E -> O where an empty battery cannot get a full block; the late
+    # ones are a suffix in FIFO order, and dropping them moves no earlier start
+    fixed, releases = _job_table(cfg, InitialConditions(tuple(entries)), ())
+    empties = [i for i, s in enumerate(states) if s is _E]
+    for i, s in zip(empties, _fifo_starts(cfg, fixed, releases)):
+        if s is None or s + cfg.charge_hours - 1 > cfg.horizon:
+            entries[i] = BatteryStart(state=_O)
     return InitialConditions(tuple(entries))
 
 
@@ -300,8 +299,8 @@ def _render_demand(
     drawn = shape.draw(rng, 2, T)
     # The initial fleet's charges under earliest starts; arrival jobs are drawn
     # later and only ever add supply on top of these.
-    fixed = [D - e.progress for e in initial.entries if e.state is _C]
-    starts = _fifo_starts(cfg, fixed, [1] * initial.count(_E))
+    fixed, releases = _job_table(cfg, initial, ())
+    starts = _fifo_starts(cfg, fixed, releases)
     finished = [0] * (T + 1)  # charges finished at hour t
     for c in [f + 1 for f in fixed] + [s + D for s in starts if s is not None]:
         if c <= T:
@@ -341,11 +340,10 @@ def _render_arrivals(
 
     # drop the arrivals that cannot run a full block: they are the latest
     # ones, and dropping a later job never moves an earlier one
-    fixed = [D - e.progress for e in initial.entries if e.state is _C]
+    fixed, releases = _job_table(cfg, initial, counts)
     n_empty = initial.count(_E)
-    releases = [t + 1 for t in range(1, T + 1) for _ in range(counts[t - 1])]
-    starts = _fifo_starts(cfg, fixed, [1] * n_empty + releases)[n_empty:]
-    for release, s in zip(releases, starts):
+    starts = _fifo_starts(cfg, fixed, releases)
+    for release, s in zip(releases[n_empty:], starts[n_empty:]):
         if s is None or s + D - 1 > T:
             counts[release - 2] -= 1
     return counts
@@ -382,13 +380,14 @@ _CSV_COLUMNS = ["hour", "demand", "arrivals", "price"]
 
 
 def save_profiles(path: str | Path, events: EventProfiles) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for t in range(1, events.horizon + 1):
-            writer.writerow(
-                [t, events.demand[t - 1], events.arrivals[t - 1], format_exact(events.price[t - 1])]
-            )
+    Path(path).write_text(_profiles_text(events), newline="")
+
+
+def _profiles_text(events: EventProfiles) -> str:
+    # No field needs CSV quoting: they are integers and format_exact's text.
+    rows = zip(events.demand, events.arrivals, map(format_exact, events.price))
+    lines = [",".join(_CSV_COLUMNS)] + [f"{t},{d},{a},{p}" for t, (d, a, p) in enumerate(rows, 1)]
+    return "\n".join(lines) + "\n"
 
 
 def _csv_int(text: str, what: str, hour: int) -> int:
@@ -488,8 +487,8 @@ def _initial_from_json(data: object) -> InitialConditions:
     return InitialConditions(tuple(by_battery[b] for b in sorted(by_battery)))
 
 
-def _write_json(path: Path, data: object) -> None:
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+def _json_text(data: object) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def _read_json(path: Path, what: str) -> object:
@@ -506,14 +505,22 @@ def _read_json(path: Path, what: str) -> object:
 def save_instance(
     directory: str | Path, instance: Instance, schedule: ScheduleGrid | None = None
 ) -> None:
-    """Write an instance bundle (config.json, profiles.csv, initial.json[, schedule.txt])."""
+    """Write an instance bundle (config.json, profiles.csv, initial.json[, schedule.txt]).
+
+    Every file's text is rendered before the first file is created, so an
+    instance that cannot be written leaves no partial bundle behind.
+    """
+    texts = {
+        "config.json": _json_text(instance.config.to_json_dict()),
+        "profiles.csv": _profiles_text(instance.events),
+        "initial.json": _json_text(_initial_to_json(instance.initial)),
+    }
+    if schedule is not None:
+        texts["schedule.txt"] = render_grid(schedule)
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    _write_json(d / "config.json", instance.config.to_json_dict())
-    save_profiles(d / "profiles.csv", instance.events)
-    _write_json(d / "initial.json", _initial_to_json(instance.initial))
-    if schedule is not None:
-        (d / "schedule.txt").write_text(render_grid(schedule))
+    for name, text in texts.items():
+        (d / name).write_text(text, newline="")
 
 
 def load_instance(directory: str | Path) -> Instance:

@@ -53,7 +53,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import DimensionError, EnumerationBudgetError, InfeasibleError
-from .model import BatteryState, ScheduleGrid, StationConfig, _Value, to_exact
+from .model import BatteryState, InitialConditions, ScheduleGrid, StationConfig, _Value, to_exact
 from .validation import Instance, validate
 
 __all__ = [
@@ -109,12 +109,10 @@ def build_jobs(instance: Instance) -> tuple[ChargeJob, ...]:
     is also the FIFO priority order and the order of start vectors.
     """
     D = instance.config.charge_hours
-    entries = instance.initial.entries
-    releases = enumerate(instance.events.arrivals, start=2)  # the hour after each arrival
+    fixed, releases = _job_table(instance.config, instance.initial, instance.events.arrivals)
     return tuple(
-        [ChargeJob(1, D - e.progress, fixed_start=1) for e in entries if e.state is _C]
-        + [ChargeJob(1, D) for e in entries if e.state is _E]
-        + [ChargeJob(r, D) for r, n in releases for _ in range(n)]
+        [ChargeJob(1, length, fixed_start=1) for length in fixed]
+        + [ChargeJob(r, D) for r in releases]
     )
 
 
@@ -128,14 +126,33 @@ def start_domain(job: ChargeJob, config: StationConfig) -> tuple[int, ...]:
     """
     if not job.movable:
         return (job.fixed_start,)
-    T = config.horizon
-    lo = job.release
-    if lo > T:
-        return ()
-    hi = T - job.duration + 1
-    if hi < lo:
-        hi = T
-    return tuple(range(lo, hi + 1))
+    return tuple(_window(job.release, job.duration, config.horizon))
+
+
+def _job_table(
+    config: StationConfig, initial: InitialConditions, arrivals: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """The jobs of ``build_jobs`` as two tables: each continuation's length, in
+    battery order, and each movable job's release hour, in canonical order.
+
+    Batteries that start empty are released at hour 1; every arrival unit is
+    released the hour after it lands, which is past the horizon for the
+    final hour's arrivals.
+    """
+    D = config.charge_hours
+    fixed = [D - e.progress for e in initial.entries if e.state is _C]
+    releases = [1] * initial.count(_E)
+    releases += [r for r, n in enumerate(arrivals, start=2) for _ in range(n)]
+    return fixed, releases
+
+
+def _window(release: int, duration: int, horizon: int) -> range:
+    """Start hours of a movable job: those whose full block fits in the horizon,
+    or, when none does, every hour from release to the horizon (the block is
+    cut off).  Empty when the job is released after the horizon.
+    """
+    last = horizon - duration + 1
+    return range(release, (last if last >= release else horizon) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -172,39 +189,55 @@ class CostBreakdown(_Value):
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
+_UNCHARGED = str.maketrans("EFO", "...")  # every letter but C ends a charge run
+
+
 def schedule_cost(grid: ScheduleGrid, config: StationConfig, price: Sequence) -> CostBreakdown:
-    """Price out a schedule: every charging battery-hour draws the charge power."""
+    """Price out a schedule: every charging battery-hour draws the charge power.
+
+    Only the ``C`` letters count, whatever surrounds them, so a grid with
+    illegal moves is priced cell by cell like any other.  The sums run over
+    integers: each hour's price of one charging cell, scaled by the power's
+    denominator times the lcm of the prices' denominators.  Each maximal run
+    of ``C`` letters is priced at once from prefix sums of those units and
+    adds one charger to its hours through a difference array.  Each distinct
+    scaled sum becomes one Fraction.
+    """
     if grid.n_batteries != config.n_batteries or grid.horizon != config.horizon:
         raise DimensionError(
             f"grid is {grid.n_batteries}x{grid.horizon}, "
             f"config says {config.n_batteries}x{config.horizon}"
         )
     prices = [to_exact(p) for p in price]
-    if len(prices) != config.horizon:
-        raise DimensionError(
-            f"{len(prices)} prices for a horizon of {config.horizon} hours"
-        )
-    # Sums run over integers: each hour's price of one charging cell, scaled
-    # by the power's denominator times the lcm of the prices' denominators,
-    # back to a Fraction per field.
+    T = config.horizon
+    if len(prices) != T:
+        raise DimensionError(f"{len(prices)} prices for a horizon of {T} hours")
     power = config.power_kw
     lcm = math.lcm(*(p.denominator for p in prices))
     scale = lcm * power.denominator
     unit = [p.numerator * (lcm // p.denominator) * power.numerator for p in prices]
-    charging = [0] * config.horizon
-    per_battery = []
-    for row in grid.rows:
-        acc = 0
-        for t, cell in enumerate(row):
-            if cell == "C":
-                acc += unit[t]
-                charging[t] += 1
-        per_battery.append(Fraction(acc, scale))
+    before = list(itertools.accumulate(unit, initial=0))  # before[i]: cells 0..i-1
+    change = [0] * (T + 1)  # +1 where a run begins, -1 just past its end
+    per_battery = [0] * grid.n_batteries
+    # Rows are joined with a separator, and every letter but C turns into
+    # one, so a run ends at the next separator and never spans two rows.
+    text = ".".join(grid.rows).translate(_UNCHARGED) + "."
+    i = text.find("C")
+    while i >= 0:
+        j = text.find(".", i)
+        b, first = divmod(i, T + 1)
+        stop = first + j - i
+        per_battery[b] += before[stop] - before[first]
+        change[first] += 1
+        change[stop] -= 1
+        i = text.find("C", j)
+    charging = list(itertools.accumulate(change[:T]))
     per_hour = [u * n for u, n in zip(unit, charging)]
+    exact = {x: Fraction(x, scale) for x in {*per_hour, *per_battery}}
     return CostBreakdown(
         total=Fraction(sum(per_hour), scale),
-        per_hour=tuple(Fraction(x, scale) for x in per_hour),
-        per_battery=tuple(per_battery),
+        per_hour=tuple(map(exact.__getitem__, per_hour)),
+        per_battery=tuple(map(exact.__getitem__, per_battery)),
         energy_kwh=power * sum(charging),
     )
 
@@ -216,9 +249,15 @@ def schedule_cost(grid: ScheduleGrid, config: StationConfig, price: Sequence) ->
 # come from _fifo_starts, the exact solver's from the flow, the oracle's from
 # each enumerated start vector.  Each hour's starts go to the longest-waiting
 # empty batteries.  Events within an hour settle in a fixed order: arrivals
-# land, charges complete, charges start, swaps land.  The loop records only
-# these state changes, and each battery's row of letters is written once from
-# them at the end: between changes a battery keeps its state.
+# land, charges complete, charges start, swaps land.
+#
+# The loop does work only where something happens.  The waiting, full and
+# out batteries sit in heaps in their FIFO order, so an hour pops only the
+# batteries it moves.  A charge is filed, when it starts, under the hour it
+# turns full, and a running count of the charges on chargers checks the
+# capacity, so no hour scans the charges in progress.  Only the state
+# changes are recorded, and each battery's row of letters is written once
+# from them at the end: between changes a battery keeps its state.
 # ---------------------------------------------------------------------------
 
 
@@ -259,31 +298,40 @@ def _fifo_starts(
 def _simulate(instance: Instance, n_starts: Counter) -> ScheduleGrid:
     """Realise ``n_starts`` (hour -> charges started) as a schedule grid."""
     cfg = instance.config
-    T = cfg.horizon
+    T, D = cfg.horizon, cfg.charge_hours
     demand, arrivals = instance.events.demand, instance.events.arrivals
     # Each battery's state changes as (hour, letter), starting from its start
     # state; a later change in the same hour overrides an earlier one.
-    changes = [[(1, entry.state.letter)] for entry in instance.initial.entries]
+    changes = []
 
-    # Each pool is a heap in its FIFO order.  A battery that turns full at hour
-    # t is keyed (t, battery), behind every battery full before t, so the
-    # swap stock of hour t is the heap less that hour's finished charges.
+    # Each pool is a heap in its FIFO order; waiting and out_pool are filled
+    # in battery order, which is already theirs.  A battery that turns full
+    # at hour t is keyed (t, battery), behind every battery full before t, so
+    # the swap stock of hour t is the heap less that hour's finished charges.
     waiting: list[tuple[int, int]] = []  # (entry hour, battery)
-    charge_end: dict[int, int] = {}  # battery -> last charging hour
     full: list[tuple[tuple[int, int], int]] = []  # ((hour entered F, tiebreak), battery)
     out_pool: list[tuple[int, int]] = []  # (hour went out, battery)
+    # Batteries by the hour their charge completes; a block that the horizon
+    # ends is filed under T + 1, which the loop never reaches.
+    finishing: list[list[int]] = [[] for _ in range(T + 2)]
+    active = 0  # charges on a charger
 
     for b, entry in enumerate(instance.initial.entries, start=1):
-        if entry.state is _E:
+        state = entry.state
+        if state is _E:
             waiting.append((1, b))
-        elif entry.state is _C:
-            charge_end[b] = min(cfg.charge_hours - entry.progress, T)
-        elif entry.state is _F:
+            changes.append([(1, "E")])
+        elif state is _C:
+            finishing[min(D - entry.progress, T) + 1].append(b)
+            active += 1
+            changes.append([(1, "C")])
+        elif state is _F:
             full.append(((0, entry.full_rank), b))
+            changes.append([(1, "F")])
         else:
             out_pool.append((0, b))
-    for pool in (waiting, full, out_pool):
-        heapq.heapify(pool)
+            changes.append([(1, "O")])
+    heapq.heapify(full)
 
     for t in range(1, T + 1):
         # 1. arrivals land (battery binding is FIFO on time-went-out)
@@ -300,20 +348,24 @@ def _simulate(instance: Instance, n_starts: Counter) -> ScheduleGrid:
                 changes[b - 1].append((t, "E"))
                 heapq.heappush(waiting, (t, b))
 
-        # 2. finished charges become full
-        finished = [b for b, end in charge_end.items() if end < t]
+        # 2. charges that ended at hour t - 1 become full
+        finished = finishing[t]
         for b in finished:
-            del charge_end[b]
             changes[b - 1].append((t, "F"))
             heapq.heappush(full, ((t, b), b))
+        active -= len(finished)
 
         # 3. charge starts, longest-waiting batteries first
-        for _ in range(min(n_starts[t], len(waiting))):
-            _, b = heapq.heappop(waiting)
-            charge_end[b] = min(t + cfg.charge_hours - 1, T)
-            changes[b - 1].append((t, "C"))
-        if len(charge_end) > cfg.n_chargers:
-            raise InfeasibleError(t, f"{len(charge_end)} concurrent charges at hour {t}")
+        starts = min(n_starts[t], len(waiting))
+        if starts:
+            ending = finishing[min(t + D, T + 1)]
+            for _ in range(starts):
+                _, b = heapq.heappop(waiting)
+                ending.append(b)
+                changes[b - 1].append((t, "C"))
+            active += starts
+        if active > cfg.n_chargers:
+            raise InfeasibleError(t, f"{active} concurrent charges at hour {t}")
 
         # 4. swaps consume the batteries full before hour t, longest-full first
         need = demand[t - 1]
@@ -334,8 +386,12 @@ def _simulate(instance: Instance, n_starts: Counter) -> ScheduleGrid:
 
     rows = []
     for marks in changes:
-        ends = [hour for hour, _ in marks[1:]] + [T + 1]
-        rows.append("".join(letter * (end - hour) for (hour, letter), end in zip(marks, ends)))
+        row = ""
+        hour, letter = marks[0]
+        for next_hour, next_letter in marks[1:]:
+            row += letter * (next_hour - hour)
+            hour, letter = next_hour, next_letter
+        rows.append(row + letter * (T + 1 - hour))
     return ScheduleGrid(tuple(rows))
 
 
@@ -345,9 +401,7 @@ def solve_greedy(instance: Instance) -> ScheduleGrid:
     Maximizes completions by every hour, so if this raises InfeasibleError
     (carrying the first failing hour) no schedule covers the demand.
     """
-    jobs = build_jobs(instance)
-    fixed = [j.duration for j in jobs if not j.movable]
-    releases = [j.release for j in jobs if j.movable]
+    fixed, releases = _job_table(instance.config, instance.initial, instance.events.arrivals)
     return _simulate(instance, Counter(_fifo_starts(instance.config, fixed, releases)))
 
 
@@ -389,24 +443,31 @@ def solve_exact(
 
 
 def _cheapest_starts(instance: Instance) -> Counter:
-    """Movable starts per hour of the lexicographically earliest cost-minimizing start vector."""
+    """Movable starts per hour of the lexicographically earliest cost-minimizing start vector.
+
+    The bounds on the start counts come from hour tables built straight
+    from the start states and the arrivals (``_job_table``): how many start
+    windows open and close at each hour (``_window``), how many chargers the
+    continuations hold, and how many batteries are full by each hour without
+    any movable charge.  No job is built one by one.
+    """
     cfg = instance.config
     T, D = cfg.horizon, cfg.charge_hours
+    fixed, releases = _job_table(instance.config, instance.initial, instance.events.arrivals)
     opened = [0] * (T + 1)  # movable start windows opening / closing at hour t
     closed = [0] * (T + 1)
-    busy = [0] * (T + 1)  # chargers held by fixed jobs
+    for release, n in Counter(releases).items():
+        window = _window(release, D, T)
+        if window:
+            opened[window[0]] += n
+            closed[window[-1]] += n
+    busy = [0] * (T + 1)  # chargers held by continuations
     stock = [instance.initial.count(_F)] * (T + 1)  # full by hour t without movable jobs
-    for j in build_jobs(instance):
-        domain = start_domain(j, cfg)
-        if not j.movable:
-            end = j.fixed_start + j.duration - 1
-            for h in range(j.fixed_start, min(end, T) + 1):
-                busy[h] += 1
-            for h in range(end + 1, T + 1):
-                stock[h] += 1
-        elif domain:
-            opened[domain[0]] += 1
-            closed[domain[-1]] += 1
+    for length in fixed:
+        for h in range(1, min(length, T) + 1):
+            busy[h] += 1
+        for h in range(length + 1, T + 1):
+            stock[h] += 1
 
     # An arc (u, v, w) says y[v] <= y[u] + w.  A block started by hour t is
     # full at t + D and serves the swaps of hour t + D + 1 onwards; swaps

@@ -26,7 +26,7 @@ from swapsched import (
     solve_greedy,
     solve_oracle,
 )
-from swapsched.model import MAX_CELLS
+from swapsched.model import MAX_CELLS, MAX_DIGITS
 from conftest import make_valley
 
 
@@ -327,6 +327,15 @@ def test_a_price_with_a_huge_exponent_is_an_input_error(valley_dir, tmp_path, ca
     assert cli.main(["solve", "--instance", str(bundle)]) == 2
     assert time.perf_counter() - start < 1
     assert capsys.readouterr().err == "error: the exponent of '1e-9999999' lies beyond +-1000\n"
+
+
+def test_a_price_too_long_to_print_is_an_input_error_and_writes_no_file(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_with(tariff={"kind": "flat", "price": "1" * 4400 + ".5"}))
+    assert cli.main(["generate", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: a number has more than {MAX_DIGITS} digits before its decimal point\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,7 @@ from swapsched import (
     render_grid,
     to_exact,
 )
-from swapsched.model import MAX_CELLS, MAX_EXPONENT
+from swapsched.model import MAX_CELLS, MAX_DIGITS, MAX_EXPONENT
 from conftest import random_legal_grid
 
 E, C, F, O = BatteryState.EMPTY, BatteryState.CHARGING, BatteryState.FULL, BatteryState.OUT
@@ -89,6 +89,45 @@ def test_to_exact_takes_exponents_up_to_the_bound():
     assert to_exact(f"1e-{MAX_EXPONENT}") == Fraction(1, 10**MAX_EXPONENT)
     assert to_exact(f"1e{MAX_EXPONENT}") == 10**MAX_EXPONENT
     assert to_exact(5e-324) == Fraction(5, 10**324)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("1" * 4400 + ".5", "digits"),
+        ("9" * (MAX_DIGITS + 1), "digits"),
+        (f"1e{MAX_DIGITS}", "exponent"),
+        ("1" * MAX_DIGITS + "0e1", "digits"),
+        (Decimal("7" * (MAX_DIGITS + 1) + ".25"), "digits"),
+        (10**MAX_DIGITS, "digits"),
+        (f"{10**(MAX_DIGITS + 1)}/7", "digits"),
+        (f"1/{10**MAX_EXPONENT + 1}", "denominator"),
+        ("1" * 5000 + "/3", "not an exact number"),
+    ],
+    ids=["long-decimal", "just-past", "past-both", "zero-past", "decimal", "int", "ratio",
+         "denominator", "ratio-past-int-text"],
+)
+def test_to_exact_refuses_numbers_too_long_to_print(bad, message):
+    with pytest.raises(ValueError, match=message):
+        to_exact(bad)
+
+
+@pytest.mark.parametrize(
+    "edge",
+    [
+        "9" * MAX_DIGITS,
+        "9" * MAX_DIGITS + "." + "9" * MAX_EXPONENT,
+        "9" * (MAX_DIGITS - MAX_EXPONENT) + f"e{MAX_EXPONENT}",
+        "-" + "9" * MAX_DIGITS,
+        f"{10**MAX_DIGITS - 1}/3",
+        f"1/{2**3321}",  # the most decimal places a denominator within the bound gives
+        10**MAX_DIGITS - 1,
+    ],
+    ids=["integer", "decimal", "exponent", "negative", "ratio", "twos", "int"],
+)
+def test_every_number_within_the_bounds_prints(edge):
+    value = to_exact(edge)
+    assert Fraction(format_exact(value)) == value
 
 
 def test_format_exact_is_exact_and_fast_on_long_denominators():

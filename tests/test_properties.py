@@ -102,6 +102,37 @@ def test_hourly_counts_partition_the_fleet(grid, data):
             assert report.hourly[letter][t] == sum(row[t] == letter for row in grid.rows)
 
 
+# Rows of every kind the pricing's run search meets: any letters, runs at
+# hour 1 and at the last hour, C then E or O (illegal moves), all C, no C.
+def priced_rows(T: int):
+    return st.one_of(
+        st.text(alphabet="ECFO", min_size=T, max_size=T),
+        st.text(alphabet="CE", min_size=T, max_size=T),
+        st.text(alphabet="CO", min_size=T, max_size=T),
+        st.just("C" * T),
+        st.text(alphabet="EFO", min_size=T, max_size=T),
+    )
+
+
+@no_deadline
+@given(data=st.data())
+def test_schedule_cost_equals_a_per_cell_sum(data):
+    nb, T = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12))
+    grid = ScheduleGrid(tuple(data.draw(priced_rows(T)) for _ in range(nb)))
+    prices = [data.draw(st.fractions(0, 50, max_denominator=12)) for _ in range(T)]
+    power = data.draw(st.fractions(Fraction(1, 9), 40, max_denominator=9))
+    cfg = StationConfig(nb, 1, 1, Fraction(1), T, charge_power_kw=power)
+    cells = [[power * p if letter == "C" else Fraction(0) for letter, p in zip(row, prices)]
+             for row in grid.rows]
+    cost = schedule_cost(grid, cfg, prices)
+    assert cost.per_battery == tuple(sum(row, Fraction(0)) for row in cells)
+    assert cost.per_hour == tuple(sum(column, Fraction(0)) for column in zip(*cells))
+    assert cost.total == sum(map(sum, cells), Fraction(0))
+    assert cost.energy_kwh == power * "".join(grid.rows).count("C")
+    fields = (cost.total, cost.energy_kwh, *cost.per_hour, *cost.per_battery)
+    assert all(type(x) is Fraction for x in fields)
+
+
 @st.composite
 def instances(draw):
     """Small stations built directly, with no generator repairs: demand may

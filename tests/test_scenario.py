@@ -364,6 +364,16 @@ def test_bundle_without_schedule(tmp_path, valley):
     assert load_instance(tmp_path / "v") == valley
 
 
+def test_a_bundle_that_cannot_be_rendered_leaves_no_file(tmp_path, valley, monkeypatch):
+    def unprintable(value):
+        raise ValueError("cannot print this price")
+
+    monkeypatch.setattr("swapsched.scenario.format_exact", unprintable)
+    with pytest.raises(ValueError, match="cannot print"):
+        save_instance(tmp_path / "v", valley, schedule=solve_greedy(valley))
+    assert not (tmp_path / "v").exists()
+
+
 def test_bundle_missing_pieces(tmp_path, valley):
     save_instance(tmp_path / "v", valley)
     (tmp_path / "v" / "initial.json").unlink()

@@ -308,6 +308,43 @@ def test_truncated_continuation_rides_out_the_horizon():
         assert validate(grid, instance, "strict").feasible
 
 
+def test_realisation_files_each_charge_under_the_hour_it_turns_full():
+    """Charges are tracked by the hour they turn full, T + 1 for those the
+    horizon ends.  B2 waits for B1's charger and runs hours 3-5, a block
+    that ends exactly at the last hour; B5 returns at hour 4 and its block,
+    started at hour 5, is cut off by the horizon.  Both hold a charger to
+    the end, and at hour 5 they fill both chargers."""
+    instance = Instance(
+        StationConfig(5, 2, 3, Fraction(30), 5),
+        InitialConditions(
+            (BatteryStart(state=C, progress=1), BatteryStart(state=E),
+             BatteryStart(state=F, full_rank=1), BatteryStart(state=C),
+             BatteryStart(state=O))
+        ),
+        EventProfiles((0, 0, 0, 1, 0), (0, 0, 0, 1, 0), (Fraction(1),) * 5),
+    )
+    grid = solve_greedy(instance)
+    assert grid.rows == ("CCFFF", "EECCC", "FFFOO", "CCCFF", "OOOEC")
+    assert validate(grid, instance, "strict").feasible
+
+
+def test_swaps_wait_for_charges_finishing_in_their_own_hour():
+    """B1 and B2 turn full at hour 3; a swap at hour 3 can take only B3, the
+    one battery full before it, and at hour 4 it takes B3, then B1."""
+    config = StationConfig(3, 2, 2, Fraction(20), 6)
+    initial = InitialConditions(
+        (BatteryStart(state=E), BatteryStart(state=E), BatteryStart(state=F, full_rank=1))
+    )
+    events = EventProfiles((0, 0, 0, 2, 0, 0), (0,) * 6, (Fraction(1),) * 6)
+    grid = solve_greedy(Instance(config, initial, events))
+    assert grid.rows == ("CCFOOO", "CCFFFF", "FFFOOO")
+    events = EventProfiles((0, 0, 2, 0, 0, 0), (0,) * 6, (Fraction(1),) * 6)
+    with pytest.raises(InfeasibleError) as exc:
+        solve_greedy(Instance(config, initial, events))
+    assert exc.value.hour == 3
+    assert str(exc.value) == "demand 2 at hour 3, only 1 fully-charged batteries available"
+
+
 def test_exact_infeasibility_matches_greedy_proof():
     cfg = StationConfig(1, 1, 2, Fraction(10), 4)
     initial = InitialConditions((BatteryStart(state=E),))

@@ -1,4 +1,5 @@
-"""The immutable value types, and an import path without dataclasses or typing.
+"""The immutable value types, and an import path of the standard library
+only, without dataclasses or typing.
 
 Every public value class keeps its fields in slots and behaves as a frozen
 dataclass did: keyword and positional construction with the same defaults,
@@ -9,6 +10,7 @@ copies and pickles.
 
 from __future__ import annotations
 
+import ast
 import copy
 import os
 import pickle
@@ -144,3 +146,25 @@ def test_the_cli_imports_neither_dataclasses_nor_typing():
     loaded = set(proc.stdout.split())
     assert "swapsched.cli" in loaded
     assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "typing"})
+
+
+def test_the_runtime_imports_only_the_standard_library():
+    """Every module under src/ imports the standard library or swapsched itself."""
+    src = Path(swapsched.__file__).resolve().parents[1]
+    imported = {}
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imported.setdefault(name.split(".")[0], path.name)
+    assert {"fractions", "heapq"} <= set(imported)
+    outside = {
+        name: where for name, where in imported.items()
+        if name not in sys.stdlib_module_names and name != "swapsched"
+    }
+    assert outside == {}
