@@ -22,15 +22,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import (
-    DimensionError,
-    EnumerationBudgetError,
-    GridParseError,
-    InfeasibleError,
-    InstanceError,
-    ProfileError,
-    TransitionError,
-)
+from .errors import EnumerationBudgetError, InfeasibleError, InstanceError, SwapSchedError
 from .model import ScheduleGrid, format_exact, parse_grid, render_grid
 from .scenario import demo_instance, generate, load_instance, load_spec, save_instance
 from .solver import (
@@ -90,10 +82,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         grid, cost = solve_oracle(instance, objective, budget=args.budget)
     if args.out:
+        # Both texts are rendered first, so a failure leaves no partial output.
+        texts = {"schedule.txt": render_grid(grid), "cost.json": cost.to_json()}
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "schedule.txt").write_text(render_grid(grid))
-        (out / "cost.json").write_text(cost.to_json())
+        for name, text in texts.items():
+            (out / name).write_text(text)
     if args.format == "json":
         payload = {
             "method": args.method,
@@ -231,15 +225,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"infeasible: {exc}", file=sys.stderr)
         return 1
-    except (
-        GridParseError,
-        TransitionError,
-        ProfileError,
-        InstanceError,
-        DimensionError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (SwapSchedError, ValueError, OSError) as exc:  # every other input error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # exit 1 means "infeasible", so a bug must not end there

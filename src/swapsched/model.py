@@ -20,7 +20,8 @@ where one is passed on its own (start states, ``ScheduleGrid.state``).
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, Sequence
+import re
+from collections.abc import Mapping, Sequence
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from fractions import Fraction
@@ -105,7 +106,8 @@ MAX_EXPONENT = 1000
 # 10 ** MAX_EXPONENT, the largest a decimal's can be: Python turns no integer
 # of more than 4,300 digits into text, and every accepted value must print.
 # Within both bounds ``format_exact`` writes at most MAX_DIGITS digits before
-# the point and 3,321 after it (2 ** 3322 exceeds 10 ** MAX_EXPONENT).
+# the point and MAX_EXPONENT after it, and a value that would need more
+# places as "n/d", so every accepted value reads back.
 MAX_DIGITS = 2000
 _MAX_VALUE = 10**MAX_DIGITS
 _MAX_DENOMINATOR = 10**MAX_EXPONENT
@@ -141,19 +143,19 @@ def to_exact(value: object) -> Fraction:
             try:
                 exact = Fraction(text)  # "n/d", the one spelling Decimal lacks
             except (ValueError, ZeroDivisionError):
-                raise ValueError(f"not an exact number: {value!r}") from None
+                raise ValueError(f"not an exact number: {_shown(value)}") from None
             if exact.denominator > _MAX_DENOMINATOR:
                 raise ValueError(f"a denominator lies beyond 10**{MAX_EXPONENT}")
             if abs(exact) >= _MAX_VALUE:
                 raise _too_many_digits()
             return exact
     else:
-        raise ValueError(f"not an exact number: {value!r}")
+        raise ValueError(f"not an exact number: {_shown(value)}")
     if not decimal.is_finite():
-        raise ValueError(f"not a finite number: {value!r}")
+        raise ValueError(f"not a finite number: {_shown(value)}")
     _, digits, exponent = decimal.as_tuple()
     if abs(exponent) > MAX_EXPONENT:
-        raise ValueError(f"the exponent of {value!r} lies beyond +-{MAX_EXPONENT}")
+        raise ValueError(f"the exponent of {_shown(value)} lies beyond +-{MAX_EXPONENT}")
     if len(digits) + exponent > MAX_DIGITS:
         raise _too_many_digits()
     return Fraction(decimal)
@@ -164,19 +166,24 @@ def _too_many_digits() -> ValueError:
     return ValueError(f"a number has more than {MAX_DIGITS} digits before its decimal point")
 
 
+def _shown(value: object) -> str:
+    """The repr of a refused input, cut to a prefix when it is long."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def is_int(value: object) -> bool:
     """True for an int that is not a bool (JSON true/false must not pass as 1/0)."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# A denominator of 2**a * 5**b prints as max(a, b) decimal places.  Fives are
-# stripped one division at a time, so a denominator with more of them than
-# this prints as n/d, which is as exact.
-_MAX_FIVES = 4 * MAX_EXPONENT
-
-
 def format_exact(value: Fraction) -> str:
-    """Render a Fraction as minimal exact text (decimal when finite, else n/d)."""
+    """Render a Fraction as minimal exact text.
+
+    A value prints as a decimal when it has one of at most MAX_EXPONENT
+    places, the most ``to_exact`` reads, and as "n/d" otherwise.  A
+    denominator of 2**a * 5**b gives max(a, b) places.
+    """
     value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
@@ -184,12 +191,12 @@ def format_exact(value: Fraction) -> str:
     twos = (d & -d).bit_length() - 1
     d >>= twos
     fives = 0
-    while d % 5 == 0 and fives < _MAX_FIVES:
+    while d % 5 == 0 and fives <= MAX_EXPONENT:
         d //= 5
         fives += 1
-    if d != 1:
-        return f"{value.numerator}/{value.denominator}"
     scale = max(twos, fives)
+    if d != 1 or scale > MAX_EXPONENT:
+        return f"{value.numerator}/{value.denominator}"
     scaled = abs(value.numerator) * 10**scale // value.denominator
     sign = "-" if value < 0 else ""
     whole, frac = divmod(scaled, 10**scale)
@@ -205,15 +212,23 @@ class _Value:
     """Base of the package's immutable value types.
 
     Each subclass names its fields, in order, in ``__slots__``, and its
-    ``__init__`` checks its arguments and stores each field with
-    ``object.__setattr__``.  Values are equal when they are of the same class
-    with equal fields, hash as their field tuple and print as
-    ``Name(field=value, ...)``.  Setting or deleting an attribute raises
-    AttributeError.  Copy and pickle rebuild a value by calling its class
-    with its fields.
+    ``__init__`` checks its arguments and passes the fields, in that order,
+    to ``_Value.__init__``, which stores them.  Values are equal when they
+    are of the same class with equal fields, hash as their field tuple and
+    print as ``Name(field=value, ...)``.  Setting or deleting an attribute
+    raises AttributeError.  Copy and pickle rebuild a value by calling its
+    class with its fields.
     """
 
     __slots__ = ()
+
+    def __init__(self, *fields):
+        names = self.__slots__
+        if len(fields) != len(names):
+            # A TypeError, not a ValueError: this is a bug, not bad input.
+            raise TypeError(f"{self.__class__.__qualname__} has {len(names)} fields, got {len(fields)}")
+        for name, value in zip(names, fields):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -287,12 +302,7 @@ class StationConfig(_Value):
                 f"{n_batteries} batteries over {horizon} hours make "
                 f"{n_batteries * horizon} battery-hours, more than {MAX_CELLS}"
             )
-        object.__setattr__(self, "n_batteries", n_batteries)
-        object.__setattr__(self, "n_chargers", n_chargers)
-        object.__setattr__(self, "charge_hours", charge_hours)
-        object.__setattr__(self, "capacity_kwh", capacity_kwh)
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "charge_power_kw", charge_power_kw)
+        super().__init__(n_batteries, n_chargers, charge_hours, capacity_kwh, horizon, charge_power_kw)
 
     @property
     def power_kw(self) -> Fraction:
@@ -322,16 +332,7 @@ class StationConfig(_Value):
         missing = required - set(data)
         if missing:
             raise InstanceError(f"missing config keys: {sorted(missing)}")
-        return cls(
-            n_batteries=data["n_batteries"],
-            n_chargers=data["n_chargers"],
-            charge_hours=data["charge_hours"],
-            capacity_kwh=to_exact(data["capacity_kwh"]),
-            horizon=data["horizon"],
-            charge_power_kw=(
-                to_exact(data["charge_power_kw"]) if data.get("charge_power_kw") is not None else None
-            ),
-        )
+        return cls(**data)  # the constructor converts the numbers
 
 
 def _json_number(value: Fraction):
@@ -365,9 +366,7 @@ class BatteryStart(_Value):
             raise InstanceError("full_rank only applies to batteries that start full")
         if state is BatteryState.FULL and full_rank is None:
             raise InstanceError("batteries that start full need a full_rank")
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "progress", progress)
-        object.__setattr__(self, "full_rank", full_rank)
+        super().__init__(state, progress, full_rank)
 
 
 class InitialConditions(_Value):
@@ -380,7 +379,7 @@ class InitialConditions(_Value):
         ranks = [e.full_rank for e in entries if e.state is BatteryState.FULL]
         if len(ranks) != len(set(ranks)):
             raise InstanceError("full_rank values must be distinct")
-        object.__setattr__(self, "entries", entries)
+        super().__init__(entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -424,7 +423,7 @@ class ScheduleGrid(_Value):
                 raise DimensionError(f"battery B{i}: {row!r} holds a letter other than E, C, F, O")
         if not rows[0]:
             raise DimensionError("a grid needs at least one hour column")
-        object.__setattr__(self, "rows", rows)
+        super().__init__(rows)
 
     @property
     def n_batteries(self) -> int:
@@ -482,31 +481,11 @@ class EventProfiles(_Value):
         for h, p in enumerate(price, start=1):
             if p < 0:
                 raise InstanceError(f"price at hour {h} must be non-negative")
-        object.__setattr__(self, "demand", demand)
-        object.__setattr__(self, "arrivals", arrivals)
-        object.__setattr__(self, "price", price)
+        super().__init__(demand, arrivals, price)
 
     @property
     def horizon(self) -> int:
         return len(self.demand)
-
-    @classmethod
-    def from_maps(
-        cls,
-        horizon: int,
-        demand: Mapping[int, int] | None = None,
-        arrivals: Mapping[int, int] | None = None,
-        price: object = 0,
-    ) -> "EventProfiles":
-        """Build profiles from sparse {hour: count} maps and a flat or per-hour price."""
-        d = [0] * horizon
-        a = [0] * horizon
-        for name, sparse, dense in (("demand", demand, d), ("arrivals", arrivals, a)):
-            for hour, v in (sparse or {}).items():
-                if not is_int(hour) or not 1 <= hour <= horizon:
-                    raise DimensionError(f"{name} hour {hour!r} lies outside hours 1..{horizon}")
-                dense[hour - 1] = v
-        return cls(tuple(d), tuple(a), (0,) * horizon).with_price(price)
 
     def with_price(self, price: Sequence | object) -> "EventProfiles":
         """The same events at a flat price, or a list or tuple of per-hour prices."""
@@ -521,29 +500,22 @@ def _edges(grid: ScheduleGrid) -> tuple[list[int], list[int], list[tuple[int, in
     from hour 1, and the illegal moves as ``(battery, hour, prev, cur)``
     letters in battery-then-hour order.  Most cells repeat the hour before,
     so the moves are searched for in the joined rows rather than read cell
-    by cell.
+    by cell.  Each move joins two different letters, so no two occurrences
+    of one move overlap and ``re.finditer`` finds them all.
     """
     T = grid.horizon
     text = "|".join(grid.rows)  # the bar keeps a move from spanning two batteries
     swaps = [0] * T
     returns = [0] * T
     for counts, move in ((swaps, "FO"), (returns, "OE")):
-        for i in _find_all(text, move):
+        for i in map(re.Match.start, re.finditer(move, text)):
             counts[i % (T + 1) + 1] += 1
     illegal = sorted(
         (i // (T + 1) + 1, i % (T + 1) + 2, *move)
         for move in _ILLEGAL_MOVES
-        for i in _find_all(text, move)
+        for i in map(re.Match.start, re.finditer(move, text))
     )
     return swaps, returns, illegal
-
-
-def _find_all(text: str, part: str) -> Iterator[int]:
-    """Start of every occurrence of ``part`` in ``text``, overlaps included."""
-    i = text.find(part)
-    while i >= 0:
-        yield i
-        i = text.find(part, i + 1)
 
 
 def extract_events(grid: ScheduleGrid) -> EventProfiles:

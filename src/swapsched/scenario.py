@@ -89,7 +89,7 @@ class UniformShape(_Value):
 
     def __init__(self, total: int):
         _check_total(total)
-        object.__setattr__(self, "total", total)
+        super().__init__(total)
 
     def draw(self, rng: random.Random, lo: int, hi: int) -> list[int]:
         return [rng.randint(lo, hi) for _ in range(self.total)]
@@ -106,9 +106,7 @@ class PeakedShape(_Value):
             raise InstanceError(f"shape peak_hour must be an integer, got {peak_hour!r}")
         if not is_int(width) or width < 1:
             raise InstanceError(f"shape width must be an integer >= 1, got {width!r}")
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "peak_hour", peak_hour)
-        object.__setattr__(self, "width", width)
+        super().__init__(total, peak_hour, width)
 
     def draw(self, rng: random.Random, lo: int, hi: int) -> list[int]:
         hours = []
@@ -128,7 +126,7 @@ class ExplicitShape(_Value):
         for v in values:
             if not is_int(v) or v < 0:
                 raise InstanceError(f"explicit shape values must be integers >= 0, got {v!r}")
-        object.__setattr__(self, "values", values)
+        super().__init__(values)
 
 
 Shape = UniformShape | PeakedShape | ExplicitShape
@@ -145,7 +143,7 @@ class FlatTariff(_Value):
     __slots__ = ("price",)
 
     def __init__(self, price: Fraction):
-        object.__setattr__(self, "price", to_exact(price))
+        super().__init__(to_exact(price))
 
     def render(self, horizon: int) -> tuple[Fraction, ...]:
         return (self.price,) * horizon
@@ -166,9 +164,7 @@ class TouTariff(_Value):
             a, b = r
             if a < 1 or b < a:
                 raise InstanceError(f"bad peak range {a}..{b}")
-        object.__setattr__(self, "off_peak", off_peak)
-        object.__setattr__(self, "peak", peak)
-        object.__setattr__(self, "peak_hours", ranges)
+        super().__init__(off_peak, peak, ranges)
 
     def render(self, horizon: int) -> tuple[Fraction, ...]:
         out = []
@@ -186,7 +182,7 @@ class ExplicitTariff(_Value):
     __slots__ = ("prices",)
 
     def __init__(self, prices: tuple[Fraction, ...]):
-        object.__setattr__(self, "prices", tuple(to_exact(p) for p in prices))
+        super().__init__(tuple(to_exact(p) for p in prices))
 
     def render(self, horizon: int) -> tuple[Fraction, ...]:
         if len(self.prices) != horizon:
@@ -218,12 +214,7 @@ class ScenarioSpec(_Value):
         seed: int,
         initial: InitialConditions | None = None,
     ):
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "demand", demand)
-        object.__setattr__(self, "arrivals", arrivals)
-        object.__setattr__(self, "tariff", tariff)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "initial", initial)
+        super().__init__(config, demand, arrivals, tariff, seed, initial)
 
 
 def _draw_initial(rng: random.Random, cfg: StationConfig) -> InitialConditions:

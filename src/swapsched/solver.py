@@ -92,9 +92,7 @@ class ChargeJob(_Value):
     __slots__ = ("release", "duration", "fixed_start")
 
     def __init__(self, release: int, duration: int, fixed_start: int | None = None):
-        object.__setattr__(self, "release", release)
-        object.__setattr__(self, "duration", duration)
-        object.__setattr__(self, "fixed_start", fixed_start)
+        super().__init__(release, duration, fixed_start)
 
     @property
     def movable(self) -> bool:
@@ -172,10 +170,7 @@ class CostBreakdown(_Value):
         per_battery: tuple[Fraction, ...],
         energy_kwh: Fraction,
     ):
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "per_hour", per_hour)
-        object.__setattr__(self, "per_battery", per_battery)
-        object.__setattr__(self, "energy_kwh", energy_kwh)
+        super().__init__(total, per_hour, per_battery, energy_kwh)
 
     def to_json_dict(self) -> dict:
         return {

@@ -20,7 +20,9 @@ Runs cut off by the end of the horizon are exempt in both modes.
 from __future__ import annotations
 
 import json
+import math
 import re
+import sys
 
 from .errors import DimensionError, InstanceError
 from .model import (
@@ -28,6 +30,7 @@ from .model import (
     EventProfiles,
     InitialConditions,
     ScheduleGrid,
+    MAX_EXPONENT,
     StationConfig,
     _edges,
     _Value,
@@ -60,6 +63,9 @@ INITIAL_CONDITIONS = "initial_conditions"
 
 MODES = ("lenient", "strict")
 
+_MAX_SCALE = 10 ** (2 * MAX_EXPONENT)
+_MAX_FLOAT = int(sys.float_info.max)
+
 
 class Instance(_Value):
     """A complete scheduling problem: station, start states, event profiles."""
@@ -81,9 +87,22 @@ class Instance(_Value):
                     f"battery B{b}: progress {entry.progress} must be below "
                     f"charge_hours {config.charge_hours}"
                 )
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "events", events)
+        # Every cost must print: schedule_cost sums in units of one over the
+        # lcm of the prices' denominators times the power's, and cost.json
+        # holds floats.  The energy is bounded as the cost at a price of 1.
+        power = config.power_kw
+        lcm = 1
+        for d in {p.denominator for p in events.price}:
+            lcm = math.lcm(lcm, d)
+            if lcm * power.denominator > _MAX_SCALE:
+                raise InstanceError(
+                    "the lcm of the prices' denominators times the charge power's "
+                    f"lies beyond 10**{2 * MAX_EXPONENT}"
+                )
+        top = max(lcm, *(p.numerator * (lcm // p.denominator) for p in events.price))  # in 1/lcm
+        if top * power.numerator * config.n_batteries * config.horizon > _MAX_FLOAT * lcm * power.denominator:
+            raise InstanceError("the costs this station could report lie beyond the range of a float")
+        super().__init__(config, initial, events)
 
 
 class Violation(_Value):
@@ -92,10 +111,7 @@ class Violation(_Value):
     __slots__ = ("constraint", "battery", "hour", "message")
 
     def __init__(self, constraint: str, battery: int | None, hour: int | None, message: str):
-        object.__setattr__(self, "constraint", constraint)
-        object.__setattr__(self, "battery", battery)
-        object.__setattr__(self, "hour", hour)
-        object.__setattr__(self, "message", message)
+        super().__init__(constraint, battery, hour, message)
 
     def to_json_dict(self) -> dict:
         return {
@@ -114,9 +130,7 @@ class ValidationReport(_Value):
     def __init__(
         self, feasible: bool, violations: tuple[Violation, ...], hourly: dict[str, tuple[int, ...]]
     ):
-        object.__setattr__(self, "feasible", feasible)
-        object.__setattr__(self, "violations", violations)
-        object.__setattr__(self, "hourly", hourly)
+        super().__init__(feasible, violations, hourly)
 
     def to_json_dict(self) -> dict:
         return {

@@ -21,12 +21,16 @@ from swapsched import (
     StationConfig,
     cli,
     demo_instance,
+    errors,
+    load_instance,
+    parse_grid,
     save_instance,
     solve_exact,
     solve_greedy,
     solve_oracle,
+    validate,
 )
-from swapsched.model import MAX_CELLS, MAX_DIGITS
+from swapsched.model import MAX_CELLS, MAX_DIGITS, MAX_EXPONENT
 from conftest import make_valley
 
 
@@ -125,6 +129,15 @@ def test_solve_oracle_agrees_on_the_valley(valley_dir):
     assert "E E C C F O" in data["schedule"]
 
 
+def test_solve_oracle_for_feasibility_returns_a_strictly_valid_schedule(valley_dir, capsys):
+    argv = ["solve", "--instance", str(valley_dir), "--method", "oracle", "--objective", "feasibility"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    instance = load_instance(valley_dir)
+    grid = parse_grid(out[: out.index("total cost: ")], instance.config)
+    assert validate(grid, instance, "strict").feasible
+
+
 def test_solve_oracle_budget_exit_code(demo_dir):
     proc = run_cli("solve", "--instance", str(demo_dir), "--method", "oracle", "--budget", "100")
     assert proc.returncode == 3
@@ -149,6 +162,24 @@ def test_solve_infeasible_exit_code(tmp_path):
     proc = run_cli("solve", "--instance", str(bundle), "--method", "greedy")
     assert proc.returncode == 1
     assert "infeasible at hour 2" in proc.stderr
+
+
+def test_an_infeasibility_without_a_witness_hour_names_none(tmp_path, capsys):
+    """Exact finds no arrangement of full blocks, and greedy no failing hour.
+
+    Greedy solves this instance with a truncated charge, so the one charging
+    model of ROADMAP item 1 makes it solvable; this test then needs an
+    instance that no method solves.
+    """
+    E = BatteryState.EMPTY
+    instance = Instance(
+        StationConfig(2, 1, 3, Fraction(10), 4),
+        InitialConditions((BatteryStart(state=E), BatteryStart(state=E))),
+        EventProfiles((0,) * 4, (0,) * 4, (Fraction(1),) * 4),
+    )
+    save_instance(tmp_path, instance)
+    assert cli.main(["solve", "--instance", str(tmp_path), "--method", "exact"]) == 1
+    assert capsys.readouterr().err == "infeasible: no arrangement of full charge blocks covers the demand\n"
 
 
 @pytest.mark.parametrize(
@@ -296,11 +327,20 @@ def tou_spec(peak_hours) -> str:
         ("spec.json", spec_with(demand={"shape": "explicit", "values": 5})),
         ("spec.json", spec_with(demand={"shape": "explicit", "values": ["1"] + [0] * 13})),
         ("spec.json", spec_with(tariff={"kind": "explicit", "prices": 3})),
+        ("spec.json", spec_with(demand={"shape": "peaked", "total": 4, "peak_hour": 6.5, "width": 2})),
+        ("spec.json", spec_with(demand={"shape": "peaked", "total": 4, "peak_hour": 6, "width": 0})),
+        ("spec.json", spec_with(arrivals={"shape": "explicit", "values": [0] * 13})),
+        ("spec.json", spec_with(demand=5)),
+        ("spec.json", spec_with(tariff="flat")),
+        ("spec.json", spec_with(demand={"shape": "uniform", "total": 4, "peak_hour": 6})),
+        ("spec.json", "[1, 2]"),
     ],
     ids=[
         "infinite-price", "string-progress", "boolean-battery", "string-shape-total",
         "number-peak-hours", "number-peak-range", "boolean-peak-hour", "float-peak-hour",
         "string-peak-hour", "number-explicit-values", "string-explicit-value", "number-explicit-prices",
+        "fractional-shape-peak-hour", "zero-shape-width", "short-explicit-arrivals", "number-shape",
+        "string-tariff", "unknown-shape-key", "list-spec",
     ],
 )
 def test_malformed_fields_are_input_errors(valley_dir, tmp_path, name, text):
@@ -366,11 +406,79 @@ def test_bundles_past_the_battery_hour_cap_are_input_errors(valley_dir, tmp_path
     assert "battery-hours, more than 1000000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "price, message",
+    [
+        ("1e500", "the costs this station could report lie beyond the range of a float"),
+        ([f"1/{10**989 + 2 * i + 1}" for i in range(8)],
+         f"the lcm of the prices' denominators times the charge power's lies beyond 10**{2 * MAX_EXPONENT}"),
+    ],
+    ids=["cost-past-float", "scale-past-bound"],
+)
+def test_a_bundle_whose_solve_report_cannot_be_written_is_refused_at_load(tmp_path, capsys, price, message):
+    """Each bundle used to fail only after the solve: the float of a 1e500
+    cost overflowed in cost.json (exit 4, schedule.txt left behind), and the
+    total of the 990-digit denominators ran past 4,300 digits (exit 2)."""
+    E = BatteryState.EMPTY
+    instance = Instance(
+        StationConfig(1, 1, 6, Fraction(60), 8),
+        InitialConditions((BatteryStart(state=E),)),
+        EventProfiles((0,) * 8, (0,) * 8, (Fraction(1),) * 8),
+    )
+    bundle, out = tmp_path / "bundle", tmp_path / "out"
+    save_instance(bundle, instance)
+    prices = price if isinstance(price, list) else [price] * 8
+    rows = [f"{t},0,0,{p}" for t, p in enumerate(prices, start=1)]
+    (bundle / "profiles.csv").write_text("hour,demand,arrivals,price\n" + "\n".join(rows) + "\n")
+    assert cli.main(["solve", "--instance", str(bundle), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_negative_budget_is_an_input_error(valley_dir):
     proc = run_cli("solve", "--instance", str(valley_dir), "--method", "oracle", "--budget", "-1")
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "argument --budget: must be at least 0, got -1" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_a_budget_that_is_not_an_integer_is_an_input_error(valley_dir, capsys):
+    argv = ["solve", "--instance", str(valley_dir), "--method", "oracle", "--budget", "abc"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "argument --budget: invalid int value: 'abc'" in capsys.readouterr().err
+
+
+# Arguments for one instance of every exception class in swapsched.errors.
+ERRORS = {
+    errors.SwapSchedError: ("boom",),
+    errors.GridParseError: (2, 3, "boom"),
+    errors.TransitionError: (1, 2, "boom"),
+    errors.ProfileError: ("boom", 4),
+    errors.DimensionError: ("boom",),
+    errors.InstanceError: ("boom",),
+    errors.InfeasibleError: (None, "boom"),
+    errors.EnumerationBudgetError: (5, 1),
+}
+
+
+def test_every_error_class_ends_in_its_exit_code(monkeypatch, capsys):
+    """Infeasibility exits 1, the oracle's budget 3, and every other error of
+    the package is an input error: exit 2."""
+    classes = {v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception)}
+    assert classes == set(ERRORS)
+    for cls, args in ERRORS.items():
+        exc = cls(*args)
+
+        def load(directory, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "load_instance", load)
+        code = {errors.InfeasibleError: 1, errors.EnumerationBudgetError: 3}.get(cls, 2)
+        assert cli.main(["solve", "--instance", "unused"]) == code, cls.__name__
+        prefix = "infeasible: " if code == 1 else "error: "
+        assert capsys.readouterr().err == f"{prefix}{exc}\n", cls.__name__
 
 
 def test_unexpected_exceptions_exit_4_without_a_traceback(monkeypatch, capsys):

@@ -120,7 +120,7 @@ def test_to_exact_refuses_numbers_too_long_to_print(bad, message):
         "9" * (MAX_DIGITS - MAX_EXPONENT) + f"e{MAX_EXPONENT}",
         "-" + "9" * MAX_DIGITS,
         f"{10**MAX_DIGITS - 1}/3",
-        f"1/{2**3321}",  # the most decimal places a denominator within the bound gives
+        f"1/{2**3321}",  # the largest power of two a denominator within the bound may be
         10**MAX_DIGITS - 1,
     ],
     ids=["integer", "decimal", "exponent", "negative", "ratio", "twos", "int"],
@@ -131,14 +131,15 @@ def test_every_number_within_the_bounds_prints(edge):
 
 
 def test_format_exact_is_exact_and_fast_on_long_denominators():
+    """Up to MAX_EXPONENT places a value prints as a decimal, past them as n/d."""
     start = time.perf_counter()
-    tiny = Fraction(1, 2**4000)
-    text = format_exact(tiny)
-    assert text.startswith("0.") and len(text) == 4002
-    assert Fraction(text) == tiny
-    assert format_exact(Fraction(3, 5**4000)) == "0." + str(3 * 2**4000).zfill(4000)
-    many_fives = Fraction(1, 5**4001)  # past the bound on fives: n/d, still exact
-    assert format_exact(many_fives) == f"1/{5**4001}"
+    text = format_exact(Fraction(1, 2**MAX_EXPONENT))
+    assert text.startswith("0.") and len(text) == MAX_EXPONENT + 2
+    assert Fraction(text) == Fraction(1, 2**MAX_EXPONENT)
+    assert format_exact(Fraction(3, 5**MAX_EXPONENT)) == "0." + str(3 * 2**MAX_EXPONENT).zfill(MAX_EXPONENT)
+    assert format_exact(Fraction(-1, 10**MAX_EXPONENT)) == "-0." + "1".zfill(MAX_EXPONENT)
+    for d in (2 ** (MAX_EXPONENT + 1), 5 ** (MAX_EXPONENT + 1), 2**4000, 5**4001, 2**3321):
+        assert format_exact(Fraction(3, d)) == f"3/{d}"
     assert time.perf_counter() - start < 1
 
 
@@ -228,6 +229,13 @@ def test_battery_start_invariants():
         BatteryStart(state=O, full_rank=1)
     BatteryStart(state=C, progress=3)
     BatteryStart(state=F, full_rank=2)
+
+
+def test_battery_start_takes_a_state_letter():
+    assert BatteryStart("E") == BatteryStart(E)
+    assert BatteryStart("F", full_rank=1) == BatteryStart(F, full_rank=1)
+    with pytest.raises(ValueError):
+        BatteryStart("X")
 
 
 @pytest.mark.parametrize(
@@ -321,21 +329,14 @@ def test_profiles_validate_shape_and_signs():
 
 
 def test_profiles_from_maps_and_with_price():
-    ev = EventProfiles.from_maps(4, demand={3: 1}, arrivals={2: 2}, price="0.5")
+    ev = EventProfiles((0, 0, 1, 0), (0, 2, 0, 0), ("0",) * 4).with_price("0.5")
     assert ev.demand == (0, 0, 1, 0)
     assert ev.arrivals == (0, 2, 0, 0)
     assert ev.price == (Fraction(1, 2),) * 4
     repriced = ev.with_price([1, 2, 3, 4])
     assert repriced.price == (Fraction(1), Fraction(2), Fraction(3), Fraction(4))
     assert repriced.demand == ev.demand
-
-
-@pytest.mark.parametrize(
-    "maps", [dict(demand={0: 1}), dict(demand={5: 1}), dict(arrivals={-1: 2}), dict(arrivals={"2": 1})]
-)
-def test_profiles_from_maps_rejects_hours_outside_the_horizon(maps):
-    with pytest.raises(DimensionError):
-        EventProfiles.from_maps(4, **maps)
+    assert repriced.arrivals == ev.arrivals
 
 
 def test_extract_events_reads_demo_edges(demo):

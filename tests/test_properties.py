@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from swapsched import (
     BatteryStart,
@@ -26,6 +26,7 @@ from swapsched import (
     ScheduleGrid,
     StationConfig,
     cli,
+    format_exact,
     parse_grid,
     render_grid,
     save_instance,
@@ -33,8 +34,10 @@ from swapsched import (
     solve_exact,
     solve_greedy,
     solve_oracle,
+    to_exact,
     validate,
 )
+from swapsched.model import MAX_DIGITS, MAX_EXPONENT
 from conftest import make_valley
 
 STATES = list(BatteryState)
@@ -45,6 +48,33 @@ no_deadline = settings(deadline=None)  # first runs pay for imports and caches
 
 def config(n_batteries: int, horizon: int) -> StationConfig:
     return StationConfig(n_batteries, 1, 1, Fraction(1), horizon)
+
+
+@st.composite
+def accepted_numbers(draw) -> Fraction:
+    """A value ``to_exact`` accepts, read from "n/d" text.  The denominator is
+    2**a * 5**b times another factor: a and b decide how many decimal places
+    the value needs, up to 3,321 for a power of two below 10**MAX_EXPONENT."""
+    denominator = 2 ** draw(st.integers(0, 3400)) * 5 ** draw(st.integers(0, 1500))
+    denominator *= draw(st.sampled_from([1, 3, 7, 10**9 + 7]))
+    assume(denominator <= 10**MAX_EXPONENT)
+    bound = 10**MAX_DIGITS * denominator - 1
+    return to_exact(f"{draw(st.integers(-bound, bound))}/{denominator}")
+
+
+@no_deadline
+@given(value=accepted_numbers())
+@example(value=to_exact(f"1/{2**3321}"))
+@example(value=to_exact(f"-1/{2**1001}"))
+@example(value=to_exact(f"3/{5**1430}"))
+@example(value=to_exact(f"1/{5**MAX_EXPONENT}"))
+@example(value=to_exact(f"{10**MAX_DIGITS - 1}/{2**MAX_EXPONENT}"))
+@example(value=to_exact("9" * MAX_DIGITS + "." + "9" * MAX_EXPONENT))
+def test_every_accepted_number_reads_back_as_it_prints(value):
+    text = format_exact(value)
+    assert to_exact(text) == value
+    if "/" not in text:
+        assert len(text.partition(".")[2]) <= MAX_EXPONENT
 
 
 @st.composite

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,14 +16,19 @@ from swapsched import (
     GridParseError,
     InitialConditions,
     Instance,
+    InstanceError,
     ScheduleGrid,
     StationConfig,
     TransitionError,
     extract_events,
+    format_exact,
     parse_grid,
     render_grid,
+    schedule_cost,
+    to_exact,
     validate,
 )
+from swapsched.model import MAX_EXPONENT
 from swapsched.validation import (
     ARRIVALS,
     CHARGE_DURATION,
@@ -280,6 +286,32 @@ def test_unknown_mode_rejected(demo):
     instance, reference = demo
     with pytest.raises(ValueError):
         validate(reference, instance, "relaxed")
+
+
+def test_an_instance_refuses_costs_that_no_report_could_hold():
+    """The cost scale (the lcm of the prices' denominators times the power's)
+    may reach 10**(2 * MAX_EXPONENT), and every cost and energy the station
+    could report must lie within float range.  At each bound the cost prints
+    as text and as cost.json."""
+    initial = InitialConditions((BatteryStart(C),))  # charging through hour 1
+    biggest = int(sys.float_info.max)
+    tiny = to_exact(f"1e-{MAX_EXPONENT}")
+
+    def instance(capacity, charge_hours, price):
+        config = StationConfig(1, 1, charge_hours, capacity, 1)
+        return Instance(config, initial, EventProfiles((0,), (0,), (price,)))
+
+    for capacity, charge_hours, price in [(1, 1, biggest), (biggest, 1, 0), (tiny, 1, tiny)]:
+        cost = schedule_cost(ScheduleGrid(("C",)), instance(capacity, charge_hours, price).config, (price,))
+        assert Fraction(format_exact(cost.total)) == cost.total
+        assert json.loads(cost.to_json())["total"] == float(cost.total)
+    for capacity, charge_hours, price, message in [
+        (1, 1, biggest + 1, "range of a float"),
+        (biggest + 1, 1, 0, "range of a float"),
+        (tiny, 3, tiny, f"beyond 10\\*\\*{2 * MAX_EXPONENT}"),
+    ]:
+        with pytest.raises(InstanceError, match=message):
+            instance(capacity, charge_hours, price)
 
 
 # ---------------------------------------------------------------------------

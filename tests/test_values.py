@@ -132,6 +132,38 @@ def test_value_semantics(cls, names, args, defaults):
         assert other == value and repr(other) == repr(value)
 
 
+def test_fields_are_stored_by_value_init_alone():
+    """Only ``_Value.__init__`` writes fields past the frozen ``__setattr__``:
+    every other ``__init__`` passes its fields to it."""
+    src = Path(swapsched.__file__).resolve().parent
+    callers = []
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owners = {}  # the names of the classes and functions around each node
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                owners[child] = owners.get(node, ())
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                    owners[child] += (node.name,)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "__setattr__"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "object"
+            ):
+                callers.append((path.name, owners[node]))
+    assert callers == [("model.py", ("_Value", "__init__"))]
+
+
+def test_a_wrong_number_of_fields_is_a_type_error():
+    """A bug, not bad input: the CLI reports a TypeError as an internal error."""
+    with pytest.raises(TypeError, match="UniformShape has 1 fields, got 2"):
+        _Value.__init__(UniformShape(1), 1, 2)
+    with pytest.raises(TypeError):
+        _Value.__init__(StationConfig(1, 1, 1, Fraction(1), 1))
+
+
 def test_the_cli_imports_neither_dataclasses_nor_typing():
     """A CLI process loads none of the machinery a frozen dataclass pulls in."""
     src = Path(swapsched.__file__).resolve().parents[1]
