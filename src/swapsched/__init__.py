@@ -4,119 +4,78 @@ Validate battery-by-hour schedules against station constraints, plan
 charging greedily or at exact minimum electricity cost under time-of-use
 tariffs, generate reproducible scenarios, and cross-check everything with a
 brute-force oracle.
-"""
 
-from .errors import (
-    DimensionError,
-    EnumerationBudgetError,
-    GridParseError,
-    InfeasibleError,
-    InstanceError,
-    ProfileError,
-    SwapSchedError,
-    TransitionError,
-)
-from .model import (
-    LEGAL_TRANSITIONS,
-    BatteryStart,
-    BatteryState,
-    EventProfiles,
-    InitialConditions,
-    ScheduleGrid,
-    StationConfig,
-    extract_events,
-    format_exact,
-    legal_transition,
-    parse_grid,
-    render_grid,
-    to_exact,
-)
-from .scenario import (
-    ExplicitShape,
-    ExplicitTariff,
-    FlatTariff,
-    PeakedShape,
-    ScenarioSpec,
-    TouTariff,
-    UniformShape,
-    demo_instance,
-    generate,
-    load_instance,
-    load_profiles,
-    load_spec,
-    save_instance,
-    save_profiles,
-)
-from .solver import (
-    DEFAULT_ORACLE_BUDGET,
-    ChargeJob,
-    CostBreakdown,
-    SolveObjective,
-    build_jobs,
-    schedule_cost,
-    solve_exact,
-    solve_greedy,
-    solve_oracle,
-    start_domain,
-)
-from .validation import (
-    Instance,
-    ValidationReport,
-    Violation,
-    validate,
-)
+Importing the package loads none of its modules.  Each public name is
+imported from its home module when it is first looked up (PEP 562), so a
+command loads only the modules it runs.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SwapSchedError",
-    "GridParseError",
-    "TransitionError",
-    "ProfileError",
-    "DimensionError",
-    "InstanceError",
-    "InfeasibleError",
-    "EnumerationBudgetError",
-    "BatteryState",
-    "LEGAL_TRANSITIONS",
-    "legal_transition",
-    "to_exact",
-    "format_exact",
-    "StationConfig",
-    "BatteryStart",
-    "InitialConditions",
-    "ScheduleGrid",
-    "EventProfiles",
-    "extract_events",
-    "render_grid",
-    "parse_grid",
-    "Instance",
-    "Violation",
-    "ValidationReport",
-    "validate",
-    "SolveObjective",
-    "ChargeJob",
-    "CostBreakdown",
-    "DEFAULT_ORACLE_BUDGET",
-    "build_jobs",
-    "start_domain",
-    "schedule_cost",
-    "solve_greedy",
-    "solve_exact",
-    "solve_oracle",
-    "UniformShape",
-    "PeakedShape",
-    "ExplicitShape",
-    "FlatTariff",
-    "TouTariff",
-    "ExplicitTariff",
-    "ScenarioSpec",
-    "generate",
-    "save_profiles",
-    "load_profiles",
-    "save_instance",
-    "load_instance",
-    "load_spec",
-    "demo_instance",
-    "__version__",
-]
+# Each public name and the module that defines it, in ``__all__`` order.
+_HOMES = {
+    "SwapSchedError": "errors",
+    "GridParseError": "errors",
+    "TransitionError": "errors",
+    "ProfileError": "errors",
+    "DimensionError": "errors",
+    "InstanceError": "errors",
+    "InfeasibleError": "errors",
+    "EnumerationBudgetError": "errors",
+    "BatteryState": "model",
+    "LEGAL_TRANSITIONS": "model",
+    "legal_transition": "model",
+    "to_exact": "model",
+    "format_exact": "model",
+    "StationConfig": "model",
+    "BatteryStart": "model",
+    "InitialConditions": "model",
+    "ScheduleGrid": "model",
+    "EventProfiles": "model",
+    "extract_events": "model",
+    "render_grid": "model",
+    "parse_grid": "model",
+    "Instance": "model",
+    "Violation": "validation",
+    "ValidationReport": "validation",
+    "validate": "validation",
+    "SolveObjective": "solver",
+    "ChargeJob": "exact",
+    "CostBreakdown": "solver",
+    "DEFAULT_ORACLE_BUDGET": "model",
+    "build_jobs": "exact",
+    "start_domain": "exact",
+    "schedule_cost": "solver",
+    "solve_greedy": "solver",
+    "solve_exact": "exact",
+    "solve_oracle": "exact",
+    "UniformShape": "scenario",
+    "PeakedShape": "scenario",
+    "ExplicitShape": "scenario",
+    "FlatTariff": "scenario",
+    "TouTariff": "scenario",
+    "ExplicitTariff": "scenario",
+    "ScenarioSpec": "scenario",
+    "generate": "scenario",
+    "save_profiles": "bundle",
+    "load_profiles": "bundle",
+    "save_instance": "bundle",
+    "load_instance": "bundle",
+    "load_spec": "scenario",
+    "demo_instance": "scenario",
+}
+
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{home}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

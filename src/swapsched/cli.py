@@ -13,6 +13,8 @@ Exit codes: 0 success (and, for validate, a feasible schedule); 1 an
 infeasible schedule or an unsatisfiable instance; 2 malformed input
 (files, formats, dimensions); 3 enumeration budget exceeded; 4 an internal
 error (any other exception, reported without a traceback).
+
+Each command imports the modules it runs, and no others, when it runs.
 """
 
 from __future__ import annotations
@@ -22,18 +24,9 @@ import json
 import sys
 from pathlib import Path
 
+from .bundle import load_instance, save_instance
 from .errors import EnumerationBudgetError, InfeasibleError, InstanceError, SwapSchedError
-from .model import ScheduleGrid, format_exact, parse_grid, render_grid
-from .scenario import demo_instance, generate, load_instance, load_spec, save_instance
-from .solver import (
-    DEFAULT_ORACLE_BUDGET,
-    SolveObjective,
-    schedule_cost,
-    solve_exact,
-    solve_greedy,
-    solve_oracle,
-)
-from .validation import Instance, ValidationReport, Violation, validate
+from .model import DEFAULT_ORACLE_BUDGET, Instance, ScheduleGrid, format_exact, parse_grid, render_grid
 
 __all__ = ["main"]
 
@@ -61,6 +54,8 @@ def _print_report(report: ValidationReport, mode: str) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .validation import validate
+
     instance = load_instance(args.instance)
     grid = _read_schedule(instance, args.instance, args.schedule)
     report = validate(grid, instance, args.mode)
@@ -72,14 +67,20 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    from .solver import SolveObjective, schedule_cost, solve_greedy
+
     instance = load_instance(args.instance)
     objective = SolveObjective(args.objective)
     if args.method == "greedy":
         grid = solve_greedy(instance)
         cost = schedule_cost(grid, instance.config, instance.events.price)
     elif args.method == "exact":
+        from .exact import solve_exact
+
         grid, cost = solve_exact(instance, objective)
     else:
+        from .exact import solve_oracle
+
         grid, cost = solve_oracle(instance, objective, budget=args.budget)
     if args.out:
         # Both texts are rendered first, so a failure leaves no partial output.
@@ -105,6 +106,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from .scenario import generate, load_spec
+
     spec = load_spec(args.spec)
     instance = generate(spec)
     save_instance(args.out, instance)
@@ -130,6 +133,10 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    from .scenario import demo_instance
+    from .solver import solve_greedy
+    from .validation import validate
+
     instance, reference = demo_instance()
     print(render_grid(reference), end="")
     print()

@@ -16,11 +16,18 @@ hour t means O at t-1 and E at t.  Nothing can land at hour 1.
 A schedule grid holds these letters as they appear in the text format: one
 string per battery, one letter per hour.  ``BatteryState`` names a state
 where one is passed on its own (start states, ``ScheduleGrid.state``).
+
+An ``Instance`` joins a station, its start states and its hourly events.
+Its charge work reduces to two job tables (``_job_table``), and the FIFO
+rule of the greedy solver (``_fifo_starts``) places those jobs: the solvers
+and the scenario generator's repairs share both.
 """
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from collections.abc import Mapping, Sequence
 from decimal import Decimal, InvalidOperation
 from enum import Enum
@@ -39,6 +46,8 @@ __all__ = [
     "InitialConditions",
     "ScheduleGrid",
     "EventProfiles",
+    "Instance",
+    "DEFAULT_ORACLE_BUDGET",
     "extract_events",
     "render_grid",
     "parse_grid",
@@ -292,7 +301,7 @@ class StationConfig(_Value):
         for name, v in (("n_batteries", n_batteries), ("n_chargers", n_chargers),
                         ("charge_hours", charge_hours), ("horizon", horizon)):
             if not is_int(v) or v < 1:
-                raise InstanceError(f"{name} must be a positive integer, got {v!r}")
+                raise InstanceError(f"{name} must be a positive integer, got {_shown(v)}")
         if capacity_kwh <= 0:
             raise InstanceError("capacity_kwh must be positive")
         if charge_power_kw is not None and charge_power_kw <= 0:
@@ -325,6 +334,8 @@ class StationConfig(_Value):
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "StationConfig":
+        if not isinstance(data, Mapping):
+            raise InstanceError(f"a station config must be a JSON object, got {_shown(data)}")
         required = {"n_batteries", "n_chargers", "charge_hours", "capacity_kwh", "horizon"}
         unknown = set(data) - required - {"charge_power_kw"}
         if unknown:
@@ -357,9 +368,9 @@ class BatteryStart(_Value):
         if not isinstance(state, BatteryState):
             state = BatteryState(state)
         if not is_int(progress) or progress < 0:
-            raise InstanceError(f"progress must be a non-negative integer, got {progress!r}")
+            raise InstanceError(f"progress must be a non-negative integer, got {_shown(progress)}")
         if full_rank is not None and not is_int(full_rank):
-            raise InstanceError(f"full_rank must be an integer, got {full_rank!r}")
+            raise InstanceError(f"full_rank must be an integer, got {_shown(full_rank)}")
         if progress and state is not BatteryState.CHARGING:
             raise InstanceError("progress only applies to batteries that start charging")
         if full_rank is not None and state is not BatteryState.FULL:
@@ -532,6 +543,107 @@ def extract_events(grid: ScheduleGrid) -> EventProfiles:
 
 
 # ---------------------------------------------------------------------------
+# Instances and their charge jobs
+# ---------------------------------------------------------------------------
+
+_MAX_SCALE = 10 ** (2 * MAX_EXPONENT)
+_MAX_FLOAT = int(sys.float_info.max)
+
+# Start vectors the brute-force oracle enumerates unless told otherwise.
+DEFAULT_ORACLE_BUDGET = 200_000
+
+
+class Instance(_Value):
+    """A complete scheduling problem: station, start states, event profiles."""
+
+    __slots__ = ("config", "initial", "events")
+
+    def __init__(self, config: StationConfig, initial: InitialConditions, events: EventProfiles):
+        if len(initial) != config.n_batteries:
+            raise InstanceError(
+                f"{len(initial)} initial entries for {config.n_batteries} batteries"
+            )
+        if events.horizon != config.horizon:
+            raise InstanceError(
+                f"profiles cover {events.horizon} hours, horizon is {config.horizon}"
+            )
+        for b, entry in enumerate(initial.entries, start=1):
+            if entry.state is _C and entry.progress >= config.charge_hours:
+                raise InstanceError(
+                    f"battery B{b}: progress {entry.progress} must be below "
+                    f"charge_hours {config.charge_hours}"
+                )
+        # Every cost must print: schedule_cost sums in units of one over the
+        # lcm of the prices' denominators times the power's, and cost.json
+        # holds floats.  The energy is bounded as the cost at a price of 1.
+        power = config.power_kw
+        lcm = 1
+        for d in {p.denominator for p in events.price}:
+            lcm = math.lcm(lcm, d)
+            if lcm * power.denominator > _MAX_SCALE:
+                raise InstanceError(
+                    "the lcm of the prices' denominators times the charge power's "
+                    f"lies beyond 10**{2 * MAX_EXPONENT}"
+                )
+        top = max(lcm, *(p.numerator * (lcm // p.denominator) for p in events.price))  # in 1/lcm
+        if top * power.numerator * config.n_batteries * config.horizon > _MAX_FLOAT * lcm * power.denominator:
+            raise InstanceError("the costs this station could report lie beyond the range of a float")
+        super().__init__(config, initial, events)
+
+
+def _job_table(
+    config: StationConfig, initial: InitialConditions, arrivals: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """The jobs of ``exact.build_jobs`` as two tables: each continuation's
+    length, in battery order, and each movable job's release hour, in
+    canonical order.
+
+    Batteries that start empty are released at hour 1; every arrival unit is
+    released the hour after it lands, which is past the horizon for the
+    final hour's arrivals.
+    """
+    D = config.charge_hours
+    fixed = [D - e.progress for e in initial.entries if e.state is _C]
+    releases = [1] * initial.count(_E)
+    releases += [r for r, n in enumerate(arrivals, start=2) for _ in range(n)]
+    return fixed, releases
+
+
+def _fifo_starts(
+    config: StationConfig,
+    fixed_lengths: Sequence[int],
+    releases: Sequence[int],
+) -> list[int | None]:
+    """Earliest FIFO start hours for equal-length jobs behind fixed hour-1 blocks.
+
+    This is the greedy rule: every depleted battery starts charging the
+    first hour a charger is free.  ``releases`` must be sorted.  With equal
+    durations and first-in-first-out charger assignment, starts are
+    non-decreasing and a job fits a charger at hour ``s`` exactly when hour
+    ``s`` itself has a charger free.  None marks a job that never starts.
+    """
+    horizon, n_chargers, duration = config.horizon, config.n_chargers, config.charge_hours
+    usage = [0] * (horizon + 2)
+    for length in fixed_lengths:
+        for h in range(1, min(length, horizon) + 1):
+            usage[h] += 1
+    starts: list[int | None] = []
+    floor = 1
+    for release in releases:
+        s = max(release, floor)
+        while s <= horizon and usage[s] >= n_chargers:
+            s += 1
+        if s > horizon:
+            starts.append(None)
+            continue
+        for h in range(s, min(s + duration - 1, horizon) + 1):
+            usage[h] += 1
+        starts.append(s)
+        floor = s
+    return starts
+
+
+# ---------------------------------------------------------------------------
 # Text format
 # ---------------------------------------------------------------------------
 
@@ -607,7 +719,7 @@ def parse_grid(text: str, config: StationConfig) -> ScheduleGrid:
             )
         t = next(t for t, cell in enumerate(cells, start=1) if len(cell) != 1 or cell.strip("ECFO"))
         col = len(prefix) + 2 * (t - 1) + 1
-        raise GridParseError(line_no, col, f"unknown state letter {cells[t - 1]!r} at hour {t}")
+        raise GridParseError(line_no, col, f"unknown state letter {_shown(cells[t - 1])} at hour {t}")
     grid = ScheduleGrid(tuple(rows))
     illegal = _edges(grid)[2]
     if illegal:

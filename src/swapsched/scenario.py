@@ -1,11 +1,4 @@
-"""Scenario generation and on-disk persistence.
-
-Instances live on disk as a bundle directory:
-
-* ``config.json``   - station parameters
-* ``profiles.csv``  - ``hour,demand,arrivals,price`` rows, one per hour
-* ``initial.json``  - per-battery start states
-* ``schedule.txt``  - optional rendered schedule grid
+"""Scenario generation.
 
 Random scenarios are drawn from a :class:`ScenarioSpec` (station config,
 demand shape, arrival shape, tariff, seed).  Generation is deterministic:
@@ -19,33 +12,31 @@ repairs and all bets off.
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 import random
 from collections.abc import Sequence
-from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import DimensionError, InstanceError, ProfileError
+from .bundle import _initial_from_json, _read_json
+from .errors import DimensionError, InstanceError
 from .model import (
     MAX_CELLS,
     BatteryStart,
     BatteryState,
     EventProfiles,
     InitialConditions,
+    Instance,
     ScheduleGrid,
     StationConfig,
+    _fifo_starts,
+    _job_table,
+    _shown,
     extract_events,
-    format_exact,
     is_int,
-    render_grid,
     to_exact,
     _Value,
 )
-from .solver import _fifo_starts, _job_table
-from .validation import Instance
 
 __all__ = [
     "UniformShape",
@@ -56,10 +47,6 @@ __all__ = [
     "ExplicitTariff",
     "ScenarioSpec",
     "generate",
-    "save_profiles",
-    "load_profiles",
-    "save_instance",
-    "load_instance",
     "load_spec",
     "demo_instance",
 ]
@@ -77,7 +64,7 @@ _O = BatteryState.OUT
 
 def _check_total(total: object) -> None:
     if not is_int(total) or total < 0:
-        raise InstanceError(f"shape total must be an integer >= 0, got {total!r}")
+        raise InstanceError(f"shape total must be an integer >= 0, got {_shown(total)}")
     if total > MAX_CELLS:
         raise InstanceError(f"shape total must be at most {MAX_CELLS}, got {total}")
 
@@ -103,9 +90,9 @@ class PeakedShape(_Value):
     def __init__(self, total: int, peak_hour: int, width: int):
         _check_total(total)
         if not is_int(peak_hour):
-            raise InstanceError(f"shape peak_hour must be an integer, got {peak_hour!r}")
+            raise InstanceError(f"shape peak_hour must be an integer, got {_shown(peak_hour)}")
         if not is_int(width) or width < 1:
-            raise InstanceError(f"shape width must be an integer >= 1, got {width!r}")
+            raise InstanceError(f"shape width must be an integer >= 1, got {_shown(width)}")
         super().__init__(total, peak_hour, width)
 
     def draw(self, rng: random.Random, lo: int, hi: int) -> list[int]:
@@ -125,7 +112,7 @@ class ExplicitShape(_Value):
         values = tuple(values)
         for v in values:
             if not is_int(v) or v < 0:
-                raise InstanceError(f"explicit shape values must be integers >= 0, got {v!r}")
+                raise InstanceError(f"explicit shape values must be integers >= 0, got {_shown(v)}")
         super().__init__(values)
 
 
@@ -160,7 +147,7 @@ class TouTariff(_Value):
         ranges = tuple(tuple(r) for r in peak_hours)
         for r in ranges:
             if len(r) != 2 or not all(is_int(h) for h in r):
-                raise InstanceError(f"a peak range must be two integer hours, got {list(r)!r}")
+                raise InstanceError(f"a peak range must be two integer hours, got {_shown(list(r))}")
             a, b = r
             if a < 1 or b < a:
                 raise InstanceError(f"bad peak range {a}..{b}")
@@ -364,169 +351,6 @@ def generate(spec: ScenarioSpec) -> Instance:
 
 
 # ---------------------------------------------------------------------------
-# Profiles CSV
-# ---------------------------------------------------------------------------
-
-_CSV_COLUMNS = ["hour", "demand", "arrivals", "price"]
-
-
-def save_profiles(path: str | Path, events: EventProfiles) -> None:
-    Path(path).write_text(_profiles_text(events), newline="")
-
-
-def _profiles_text(events: EventProfiles) -> str:
-    # No field needs CSV quoting: they are integers and format_exact's text.
-    rows = zip(events.demand, events.arrivals, map(format_exact, events.price))
-    lines = [",".join(_CSV_COLUMNS)] + [f"{t},{d},{a},{p}" for t, (d, a, p) in enumerate(rows, 1)]
-    return "\n".join(lines) + "\n"
-
-
-def _csv_int(text: str, what: str, hour: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ProfileError(f"{what} {text!r} is not an integer", hour=hour) from None
-
-
-def load_profiles(path: str | Path) -> EventProfiles:
-    """Read a ``hour,demand,arrivals,price`` table; hours must run 1..T with no gaps."""
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            rows = [row for row in reader if row]
-    except FileNotFoundError:
-        raise ProfileError(f"no such profiles file: {path}") from None
-    if not rows:
-        raise ProfileError("profiles file is empty")
-    if rows[0] != _CSV_COLUMNS:
-        raise ProfileError(
-            f"header must be {','.join(_CSV_COLUMNS)!r}, got {','.join(rows[0])!r}"
-        )
-    demand, arrivals, price = [], [], []
-    for i, row in enumerate(rows[1:], start=1):
-        if len(row) != 4:
-            raise ProfileError(f"row {i + 1} has {len(row)} fields, expected 4", hour=i)
-        hour = _csv_int(row[0], "hour", i)
-        if hour != i:
-            raise ProfileError(f"hours must be contiguous from 1; row {i + 1} says {hour}", hour=i)
-        d = _csv_int(row[1], "demand", hour)
-        a = _csv_int(row[2], "arrivals", hour)
-        if d < 0 or a < 0:
-            raise ProfileError("demand and arrivals must be >= 0", hour=hour)
-        try:
-            p = to_exact(row[3])
-        except ValueError as exc:
-            raise ProfileError(str(exc), hour=hour) from None
-        if p < 0:
-            raise ProfileError("price must be >= 0", hour=hour)
-        demand.append(d)
-        arrivals.append(a)
-        price.append(p)
-    if not demand:
-        raise ProfileError("profiles file has no hour rows")
-    return EventProfiles(tuple(demand), tuple(arrivals), tuple(price))
-
-
-# ---------------------------------------------------------------------------
-# Instance bundles
-# ---------------------------------------------------------------------------
-
-
-def _initial_to_json(initial: InitialConditions) -> list[dict]:
-    out = []
-    for b, e in enumerate(initial.entries, start=1):
-        entry: dict = {"battery": b, "state": e.state.letter}
-        if e.state is _C:
-            entry["progress"] = e.progress
-        if e.state is _F:
-            entry["full_rank"] = e.full_rank
-        out.append(entry)
-    return out
-
-
-def _initial_from_json(data: object) -> InitialConditions:
-    if not isinstance(data, list):
-        raise InstanceError("initial conditions must be a list of battery entries")
-    by_battery: dict[int, BatteryStart] = {}
-    for item in data:
-        if not isinstance(item, dict):
-            raise InstanceError(f"initial entry {item!r} is not an object")
-        unknown = set(item) - {"battery", "state", "progress", "full_rank"}
-        if unknown:
-            raise InstanceError(f"unknown initial-entry keys: {sorted(unknown)}")
-        if "battery" not in item or "state" not in item:
-            raise InstanceError(f"initial entry {item!r} needs battery and state")
-        b = item["battery"]
-        if not is_int(b) or b < 1:
-            raise InstanceError(f"battery number {b!r} must be a positive integer")
-        if b in by_battery:
-            raise InstanceError(f"battery B{b} listed twice in initial conditions")
-        try:
-            state = BatteryState(item["state"])
-        except ValueError:
-            raise InstanceError(f"battery B{b}: unknown state {item['state']!r}") from None
-        by_battery[b] = BatteryStart(
-            state=state,
-            progress=item.get("progress", 0),
-            full_rank=item.get("full_rank"),
-        )
-    expected = set(range(1, len(by_battery) + 1))
-    if set(by_battery) != expected:
-        raise InstanceError(
-            f"initial conditions must cover batteries 1..{len(by_battery)} exactly"
-        )
-    return InitialConditions(tuple(by_battery[b] for b in sorted(by_battery)))
-
-
-def _json_text(data: object) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
-def _read_json(path: Path, what: str) -> object:
-    try:
-        text = path.read_text()
-    except FileNotFoundError:
-        raise InstanceError(f"missing {what}: {path}") from None
-    try:
-        return json.loads(text, parse_float=Decimal)
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"{what} is not valid JSON: {exc}") from None
-
-
-def save_instance(
-    directory: str | Path, instance: Instance, schedule: ScheduleGrid | None = None
-) -> None:
-    """Write an instance bundle (config.json, profiles.csv, initial.json[, schedule.txt]).
-
-    Every file's text is rendered before the first file is created, so an
-    instance that cannot be written leaves no partial bundle behind.
-    """
-    texts = {
-        "config.json": _json_text(instance.config.to_json_dict()),
-        "profiles.csv": _profiles_text(instance.events),
-        "initial.json": _json_text(_initial_to_json(instance.initial)),
-    }
-    if schedule is not None:
-        texts["schedule.txt"] = render_grid(schedule)
-    d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        (d / name).write_text(text, newline="")
-
-
-def load_instance(directory: str | Path) -> Instance:
-    """Read an instance bundle written by :func:`save_instance`."""
-    d = Path(directory)
-    config_data = _read_json(d / "config.json", "config")
-    if not isinstance(config_data, dict):
-        raise InstanceError("config.json must hold a JSON object")
-    config = StationConfig.from_json_dict(config_data)
-    events = load_profiles(d / "profiles.csv")
-    initial = _initial_from_json(_read_json(d / "initial.json", "initial conditions"))
-    return Instance(config=config, initial=initial, events=events)
-
-
-# ---------------------------------------------------------------------------
 # Scenario spec files
 # ---------------------------------------------------------------------------
 
@@ -544,7 +368,7 @@ def _shape_from_json(data: object, what: str) -> Shape:
     if kind == "explicit":
         _require_keys(data, {"shape", "values"}, what)
         return ExplicitShape(values=tuple(_json_list(data["values"], f"{what} values")))
-    raise InstanceError(f"{what}: unknown shape {kind!r} (uniform, peaked or explicit)")
+    raise InstanceError(f"{what}: unknown shape {_shown(kind)} (uniform, peaked or explicit)")
 
 
 def _tariff_from_json(data: object) -> Tariff:
@@ -566,12 +390,12 @@ def _tariff_from_json(data: object) -> Tariff:
     if kind == "explicit":
         _require_keys(data, {"kind", "prices"}, "tariff")
         return ExplicitTariff(prices=tuple(_json_list(data["prices"], "tariff prices")))
-    raise InstanceError(f"unknown tariff kind {kind!r} (flat, tou or explicit)")
+    raise InstanceError(f"unknown tariff kind {_shown(kind)} (flat, tou or explicit)")
 
 
 def _json_list(value: object, what: str) -> list:
     if not isinstance(value, list):
-        raise InstanceError(f"{what} must be a JSON list, got {value!r}")
+        raise InstanceError(f"{what} must be a JSON list, got {_shown(value)}")
     return value
 
 

@@ -20,24 +20,12 @@ Runs cut off by the end of the horizon are exempt in both modes.
 from __future__ import annotations
 
 import json
-import math
 import re
-import sys
 
-from .errors import DimensionError, InstanceError
-from .model import (
-    BatteryState,
-    EventProfiles,
-    InitialConditions,
-    ScheduleGrid,
-    MAX_EXPONENT,
-    StationConfig,
-    _edges,
-    _Value,
-)
+from .errors import DimensionError
+from .model import BatteryState, Instance, ScheduleGrid, _edges, _Value
 
 __all__ = [
-    "Instance",
     "Violation",
     "ValidationReport",
     "MODES",
@@ -62,47 +50,6 @@ CHARGE_DURATION = "charge_duration"
 INITIAL_CONDITIONS = "initial_conditions"
 
 MODES = ("lenient", "strict")
-
-_MAX_SCALE = 10 ** (2 * MAX_EXPONENT)
-_MAX_FLOAT = int(sys.float_info.max)
-
-
-class Instance(_Value):
-    """A complete scheduling problem: station, start states, event profiles."""
-
-    __slots__ = ("config", "initial", "events")
-
-    def __init__(self, config: StationConfig, initial: InitialConditions, events: EventProfiles):
-        if len(initial) != config.n_batteries:
-            raise InstanceError(
-                f"{len(initial)} initial entries for {config.n_batteries} batteries"
-            )
-        if events.horizon != config.horizon:
-            raise InstanceError(
-                f"profiles cover {events.horizon} hours, horizon is {config.horizon}"
-            )
-        for b, entry in enumerate(initial.entries, start=1):
-            if entry.state is _C and entry.progress >= config.charge_hours:
-                raise InstanceError(
-                    f"battery B{b}: progress {entry.progress} must be below "
-                    f"charge_hours {config.charge_hours}"
-                )
-        # Every cost must print: schedule_cost sums in units of one over the
-        # lcm of the prices' denominators times the power's, and cost.json
-        # holds floats.  The energy is bounded as the cost at a price of 1.
-        power = config.power_kw
-        lcm = 1
-        for d in {p.denominator for p in events.price}:
-            lcm = math.lcm(lcm, d)
-            if lcm * power.denominator > _MAX_SCALE:
-                raise InstanceError(
-                    "the lcm of the prices' denominators times the charge power's "
-                    f"lies beyond 10**{2 * MAX_EXPONENT}"
-                )
-        top = max(lcm, *(p.numerator * (lcm // p.denominator) for p in events.price))  # in 1/lcm
-        if top * power.numerator * config.n_batteries * config.horizon > _MAX_FLOAT * lcm * power.denominator:
-            raise InstanceError("the costs this station could report lie beyond the range of a float")
-        super().__init__(config, initial, events)
 
 
 class Violation(_Value):

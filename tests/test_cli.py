@@ -334,13 +334,14 @@ def tou_spec(peak_hours) -> str:
         ("spec.json", spec_with(tariff="flat")),
         ("spec.json", spec_with(demand={"shape": "uniform", "total": 4, "peak_hour": 6})),
         ("spec.json", "[1, 2]"),
+        ("spec.json", spec_with(config=list(SPEC["config"]))),
     ],
     ids=[
         "infinite-price", "string-progress", "boolean-battery", "string-shape-total",
         "number-peak-hours", "number-peak-range", "boolean-peak-hour", "float-peak-hour",
         "string-peak-hour", "number-explicit-values", "string-explicit-value", "number-explicit-prices",
         "fractional-shape-peak-hour", "zero-shape-width", "short-explicit-arrivals", "number-shape",
-        "string-tariff", "unknown-shape-key", "list-spec",
+        "string-tariff", "unknown-shape-key", "list-spec", "list-config",
     ],
 )
 def test_malformed_fields_are_input_errors(valley_dir, tmp_path, name, text):
@@ -354,6 +355,56 @@ def test_malformed_fields_are_input_errors(valley_dir, tmp_path, name, text):
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+LONG = "x" * 100_000
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("spec.json", tou_spec(LONG)),
+        ("spec.json", tou_spec([LONG])),
+        ("spec.json", tou_spec([[LONG, 3]])),
+        ("spec.json", spec_with(demand={"shape": "uniform", "total": LONG})),
+        ("spec.json", spec_with(demand={"shape": "peaked", "total": 4, "peak_hour": LONG, "width": 2})),
+        ("spec.json", spec_with(demand={"shape": "peaked", "total": 4, "peak_hour": 6, "width": LONG})),
+        ("spec.json", spec_with(demand={"shape": "explicit", "values": LONG})),
+        ("spec.json", spec_with(demand={"shape": "explicit", "values": [LONG] + [0] * 13})),
+        ("spec.json", spec_with(demand={"shape": LONG})),
+        ("spec.json", spec_with(tariff={"kind": LONG})),
+        ("spec.json", spec_with(tariff={"kind": "explicit", "prices": LONG})),
+        ("spec.json", spec_with(config={**SPEC["config"], "n_batteries": LONG})),
+        ("spec.json", spec_with(config=[LONG])),
+        ("spec.json", spec_with(initial=[LONG])),
+        ("spec.json", spec_with(initial=[{"state": LONG}])),
+        ("spec.json", spec_with(initial=[{"battery": LONG, "state": "E"}])),
+        ("spec.json", spec_with(initial=[{"battery": 1, "state": LONG}])),
+        ("spec.json", spec_with(initial=[{"battery": 1, "state": "C", "progress": LONG}])),
+        ("spec.json", spec_with(initial=[{"battery": 1, "state": "F", "full_rank": LONG}])),
+        ("profiles.csv", LONG + "\n1,0,0,1\n"),
+        ("profiles.csv", "hour,demand,arrivals,price\n1," + LONG + ",0,1\n"),
+        ("schedule.txt", "Hours: 1 2 3 4 5 6\nB1: " + LONG + " E E E E E\n"),
+    ],
+    ids=[
+        "peak-hours", "peak-range", "peak-range-hour", "shape-total", "shape-peak-hour", "shape-width",
+        "explicit-values", "explicit-value", "shape-kind", "tariff-kind", "explicit-prices",
+        "config-field", "config-list", "initial-entry", "initial-entry-keys", "battery-number",
+        "battery-state", "battery-progress", "battery-full-rank", "csv-header", "csv-integer",
+        "schedule-letter",
+    ],
+)
+def test_refusals_echo_a_bounded_prefix_of_a_long_field(valley_dir, tmp_path, capsys, name, text):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(valley_dir, bundle)
+    (bundle / name).write_text(text)
+    if name == "spec.json":
+        argv = ["generate", "--spec", str(bundle / name), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["validate", "--instance", str(bundle)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err) < 300, err[:300]
 
 
 def test_a_price_with_a_huge_exponent_is_an_input_error(valley_dir, tmp_path, capsys):

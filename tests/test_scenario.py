@@ -368,7 +368,7 @@ def test_a_bundle_that_cannot_be_rendered_leaves_no_file(tmp_path, valley, monke
     def unprintable(value):
         raise ValueError("cannot print this price")
 
-    monkeypatch.setattr("swapsched.scenario.format_exact", unprintable)
+    monkeypatch.setattr("swapsched.bundle.format_exact", unprintable)
     with pytest.raises(ValueError, match="cannot print"):
         save_instance(tmp_path / "v", valley, schedule=solve_greedy(valley))
     assert not (tmp_path / "v").exists()

@@ -24,13 +24,13 @@ from swapsched import (
     TouTariff,
     UniformShape,
     build_jobs,
+    exact,
     generate,
     render_grid,
     schedule_cost,
     solve_exact,
     solve_greedy,
     solve_oracle,
-    solver,
     start_domain,
     validate,
 )
@@ -617,12 +617,12 @@ def test_largest_optimal_potentials_match_brute_force():
         if not points:
             infeasible += 1
             with pytest.raises(InfeasibleError):
-                solver._largest_optimal_potentials(n, arcs, weight)
+                exact._largest_optimal_potentials(n, arcs, weight)
             continue
         feasible += 1
         value = {y: sum(c * x for c, x in zip(weight, y)) for y in points}
         best = min(value.values())
-        got = tuple(solver._largest_optimal_potentials(n, arcs, weight))
+        got = tuple(exact._largest_optimal_potentials(n, arcs, weight))
         assert value.get(got) == best
         assert all(a >= b for y in points if value[y] == best for a, b in zip(got, y))
     assert feasible >= 80 and infeasible >= 30
@@ -633,8 +633,8 @@ def test_flow_runs_one_bellman_ford_per_distance_level(monkeypatch, demo):
     potentials.  Successive shortest paths ran one per augmentation: 8 on the
     demo and 14 on the 24-battery station below."""
     calls = []
-    real = solver._shortest_paths
-    monkeypatch.setattr(solver, "_shortest_paths", lambda *args: calls.append(args) or real(*args))
+    real = exact._shortest_paths
+    monkeypatch.setattr(exact, "_shortest_paths", lambda *args: calls.append(args) or real(*args))
     station = ScenarioSpec(
         config=StationConfig(24, 6, 4, Fraction(60), 24),
         demand=UniformShape(total=6),

@@ -1,5 +1,6 @@
-"""The immutable value types, and an import path of the standard library
-only, without dataclasses or typing.
+"""The immutable value types, the lazy package, and an import path of the
+standard library only, without dataclasses or typing, that loads only the
+modules each command runs.
 
 Every public value class keeps its fields in slots and behaves as a frozen
 dataclass did: keyword and positional construction with the same defaults,
@@ -12,6 +13,8 @@ from __future__ import annotations
 
 import ast
 import copy
+import importlib
+import json
 import os
 import pickle
 import subprocess
@@ -41,6 +44,9 @@ from swapsched import (
     UniformShape,
     ValidationReport,
     Violation,
+    demo_instance,
+    save_instance,
+    solve_greedy,
 )
 from swapsched.model import _Value
 
@@ -200,3 +206,78 @@ def test_the_runtime_imports_only_the_standard_library():
         if name not in sys.stdlib_module_names and name != "swapsched"
     }
     assert outside == {}
+
+
+def test_every_public_name_resolves_to_its_home_module():
+    """The package imports each name from the module that defines it."""
+    for name in swapsched.__all__:
+        if name == "__version__":
+            continue
+        home = importlib.import_module(f"swapsched.{swapsched._HOMES[name]}")
+        value = getattr(swapsched, name)
+        assert value is getattr(home, name)
+        if callable(value):
+            assert value.__module__ == home.__name__
+
+
+def test_the_package_lists_and_star_imports_every_public_name():
+    assert set(swapsched.__all__) <= set(dir(swapsched))
+    namespace = {}
+    exec("from swapsched import *", namespace)
+    assert set(swapsched.__all__) <= set(namespace)
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'swapsched' has no attribute 'no_such_name'$"):
+        swapsched.no_such_name
+
+
+def _imported(*args: str, cwd: Path) -> set[str]:
+    """The modules a ``python -S`` run imports, as ``-X importtime`` logs them."""
+    src = Path(swapsched.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", *args],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    return {line.rsplit("|", 1)[1].strip() for line in lines[1:]}  # the first is the header
+
+
+def test_importing_the_package_loads_none_of_its_modules(tmp_path):
+    assert {m for m in _imported("-c", "import swapsched", cwd=tmp_path) if "swapsched" in m} == {"swapsched"}
+
+
+# The modules each command loads besides cli, errors, model and bundle.
+COMMANDS = {
+    "validate": (["validate", "--instance", "station"], {"validation"}),
+    "render": (["render", "--instance", "station", "--counts"], set()),
+    "solve-greedy": (["solve", "--instance", "station", "--method", "greedy"], {"solver"}),
+    "solve-exact": (["solve", "--instance", "station", "--method", "exact"], {"solver", "exact", "validation"}),
+    "generate": (["generate", "--spec", "spec.json", "--out", "drawn"], {"scenario"}),
+    "demo": (["demo"], {"scenario", "solver", "validation"}),
+}
+
+
+@pytest.mark.parametrize("argv, extra", COMMANDS.values(), ids=COMMANDS)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, extra):
+    """``python -S -m swapsched <command>`` over a small bundle compiles the
+    package's modules that the command runs and no others, and none of the
+    machinery a frozen dataclass pulls in."""
+    instance, _ = demo_instance()
+    save_instance(tmp_path / "station", instance, schedule=solve_greedy(instance))
+    spec = {
+        "config": {"n_batteries": 3, "n_chargers": 2, "charge_hours": 3, "capacity_kwh": 30, "horizon": 14},
+        "seed": 21,
+        "demand": {"shape": "uniform", "total": 4},
+        "arrivals": {"shape": "uniform", "total": 3},
+        "tariff": {"kind": "flat", "price": "0.25"},
+    }
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    loaded = _imported("-m", "swapsched", *argv, cwd=tmp_path)
+    package = {m.removeprefix("swapsched.") for m in loaded if m.startswith("swapsched.")}
+    assert package == {"cli", "errors", "model", "bundle"} | extra
+    assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "typing"})
