@@ -25,6 +25,7 @@ from .model import (
     ScheduleGrid,
     StationConfig,
     _shown,
+    _shown_keys,
     format_exact,
     is_int,
     render_grid,
@@ -55,7 +56,8 @@ def save_profiles(path: str | Path, events: EventProfiles) -> None:
 
 def _profiles_text(events: EventProfiles) -> str:
     # No field needs CSV quoting: they are integers and format_exact's text.
-    rows = zip(events.demand, events.arrivals, map(format_exact, events.price))
+    texts = {p: format_exact(p) for p in set(events.price)}  # a tariff repeats few prices
+    rows = zip(events.demand, events.arrivals, map(texts.__getitem__, events.price))
     lines = [",".join(_CSV_COLUMNS)] + [f"{t},{d},{a},{p}" for t, (d, a, p) in enumerate(rows, 1)]
     return "\n".join(lines) + "\n"
 
@@ -82,6 +84,7 @@ def load_profiles(path: str | Path) -> EventProfiles:
             f"header must be {','.join(_CSV_COLUMNS)!r}, got {_shown(','.join(rows[0]))}"
         )
     demand, arrivals, price = [], [], []
+    read = {}  # each distinct price cell, converted once
     for i, row in enumerate(rows[1:], start=1):
         if len(row) != 4:
             raise ProfileError(f"row {i + 1} has {len(row)} fields, expected 4", hour=i)
@@ -92,12 +95,15 @@ def load_profiles(path: str | Path) -> EventProfiles:
         a = _csv_int(row[2], "arrivals", hour)
         if d < 0 or a < 0:
             raise ProfileError("demand and arrivals must be >= 0", hour=hour)
-        try:
-            p = to_exact(row[3])
-        except ValueError as exc:
-            raise ProfileError(str(exc), hour=hour) from None
-        if p < 0:
-            raise ProfileError("price must be >= 0", hour=hour)
+        p = read.get(row[3])
+        if p is None:
+            try:
+                p = to_exact(row[3])
+            except ValueError as exc:
+                raise ProfileError(str(exc), hour=hour) from None
+            if p < 0:
+                raise ProfileError("price must be >= 0", hour=hour)
+            read[row[3]] = p
         demand.append(d)
         arrivals.append(a)
         price.append(p)
@@ -132,7 +138,7 @@ def _initial_from_json(data: object) -> InitialConditions:
             raise InstanceError(f"initial entry {_shown(item)} is not an object")
         unknown = set(item) - {"battery", "state", "progress", "full_rank"}
         if unknown:
-            raise InstanceError(f"unknown initial-entry keys: {sorted(unknown)}")
+            raise InstanceError(f"unknown initial-entry keys: {_shown_keys(unknown)}")
         if "battery" not in item or "state" not in item:
             raise InstanceError(f"initial entry {_shown(item)} needs battery and state")
         b = item["battery"]

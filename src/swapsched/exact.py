@@ -11,11 +11,12 @@ Movable jobs all run the same block length, so it works on start counts
 (how many jobs have started by each hour): charger capacity, release
 windows, deadlines and demand coverage are difference constraints on those
 counts, and the cost-minimizing counts are the dual of one min-cost flow on
-the hours, solved in primal-dual phases (one Bellman-Ford per shortest-path
-distance level, then flow along that level's tight arcs) in polynomial time.
-Its dual does not depend on which optimal flow the phases find.  It runs
-``solve_greedy`` only for the feasibility objective, or to prove an
-instance infeasible with the first failing hour.
+the hours.  Each hour's excess or deficit is routed over uncapacitated arcs,
+with no super source or sink, in primal-dual phases (one Bellman-Ford from
+every hour with excess left, then flow along tight arcs to the deficits) in
+polynomial time.  Its dual does not depend on which optimal flow the phases
+find.  It runs ``solve_greedy`` only for the feasibility objective, or to
+prove an instance infeasible with the first failing hour.
 ``solve_oracle`` does the same by exhaustive enumeration and exists to
 cross-check the exact solver; ``ChargeJob``, ``build_jobs`` and
 ``start_domain`` name the jobs and start hours it enumerates.
@@ -39,7 +40,6 @@ from .model import (
     _Value,
 )
 from .solver import CostBreakdown, SolveObjective, _simulate, schedule_cost, solve_greedy
-from .validation import validate
 
 __all__ = [
     "ChargeJob",
@@ -155,7 +155,7 @@ def _cheapest_starts(instance: Instance) -> Counter:
     """
     cfg = instance.config
     T, D = cfg.horizon, cfg.charge_hours
-    fixed, releases = _job_table(instance.config, instance.initial, instance.events.arrivals)
+    fixed, releases = _job_table(cfg, instance.initial, instance.events.arrivals)
     opened = [0] * (T + 1)  # movable start windows opening / closing at hour t
     closed = [0] * (T + 1)
     for release, n in Counter(releases).items():
@@ -163,13 +163,10 @@ def _cheapest_starts(instance: Instance) -> Counter:
         if window:
             opened[window[0]] += n
             closed[window[-1]] += n
-    busy = [0] * (T + 1)  # chargers held by continuations
-    stock = [instance.initial.count(_F)] * (T + 1)  # full by hour t without movable jobs
+    done = [0] * (T + 2)  # continuations full by hour t; the others hold a charger
     for length in fixed:
-        for h in range(1, min(length, T) + 1):
-            busy[h] += 1
-        for h in range(length + 1, T + 1):
-            stock[h] += 1
+        done[min(length, T) + 1] += 1
+    done = list(itertools.accumulate(done))
 
     # An arc (u, v, w) says y[v] <= y[u] + w.  A block started by hour t is
     # full at t + D and serves the swaps of hour t + D + 1 onwards; swaps
@@ -177,18 +174,19 @@ def _cheapest_starts(instance: Instance) -> Counter:
     # Bounds implied by y[t-1] <= y[t] are left out: an upper bound equal to
     # the next hour's, and a lower bound no higher than an earlier one or 0.
     # Hour T's upper bound always stays; it keeps every hour reachable from 0.
+    free, stock = cfg.n_chargers - len(fixed), instance.initial.count(_F)
     served = list(itertools.accumulate(instance.events.demand, initial=0))
     high = list(itertools.accumulate(opened))
-    arcs = []
-    low = floor = 0
-    for t in range(1, T + 1):
-        low += closed[t]
-        need = served[t + D + 1] - stock[t + D] if t + D < T else 0
-        arcs += [(t, t - 1, 0), (max(t - D, 0), t, max(cfg.n_chargers - busy[t], 0))]
-        if t == T or high[t] < high[t + 1]:
-            arcs.append((0, t, high[t]))
-        if max(low, need) > floor:
-            floor = max(low, need)
+    low = list(itertools.accumulate(closed))
+    hours = range(1, T + 1)
+    arcs = [(t, t - 1, 0) for t in hours]
+    arcs += [(max(t - D, 0), t, max(free + done[t], 0)) for t in hours]
+    arcs += [(0, t, high[t]) for t in hours if t == T or high[t] < high[t + 1]]
+    floor = 0
+    for t in hours:
+        bound = max(low[t], served[t + D + 1] - stock - done[t + D] if t + D < T else 0)
+        if bound > floor:
+            floor = bound
             arcs.append((t, 0, -floor))
     # sum_t c_t (y[t] - y[t-1]) = sum_t (c_t - c_{t+1}) y[t], where c_t, the
     # price of a block started at t, telescopes to price[t] - price[t + D]
@@ -196,11 +194,9 @@ def _cheapest_starts(instance: Instance) -> Counter:
     prices = instance.events.price
     scale = math.lcm(*(p.denominator for p in prices))
     level = [p.numerator * (scale // p.denominator) for p in prices]
-    weight = [0] + [
-        level[t - 1] - (level[t + D - 1] if t + D <= T else 0) for t in range(1, T + 1)
-    ]
+    weight = [0] + [level[t - 1] - (level[t + D - 1] if t + D <= T else 0) for t in hours]
     y = _largest_optimal_potentials(T + 1, arcs, weight)
-    return Counter({t: y[t] - y[t - 1] for t in range(1, T + 1)})
+    return Counter({t: y[t] - y[t - 1] for t in hours})
 
 
 def _largest_optimal_potentials(
@@ -209,112 +205,112 @@ def _largest_optimal_potentials(
     """Componentwise-largest integer ``y`` minimizing ``sum(weight[v] * y[v])``
     subject to ``y[v] <= y[u] + w`` for every arc ``(u, v, w)`` and ``y[0] == 0``.
 
-    This LP is the dual of a min-cost flow: node ``v`` supplies
-    ``weight[v]`` units (node 0 takes up the balance) over uncapacitated arcs
-    of cost ``w``.  Primal-dual phases route that flow (Ahuja, Magnanti &
-    Orlin, *Network Flows*, 1993, section 9.8): each runs one Bellman-Ford
-    from the source, then pushes flow along arcs tight for those distances
-    (``dist[u] + cost[e] == dist[v]``) until the sink is cut off on them, so
-    reduced costs stay non-negative and one phase can push along many
-    paths.  The optimal ``y`` are the potentials the residual graph of an
-    optimal flow admits, and the distances from node 0 are the largest of
-    them.  By complementary slackness that set does not depend on which
-    optimal flow the phases find.  Every node must be reachable from node 0.
-    Raises InfeasibleError when the constraints contradict each other (a
-    negative cycle).
+    This LP is the dual of a min-cost flow over uncapacitated arcs of cost
+    ``w``: node ``v`` holds an excess of ``weight[v]`` units, and node 0
+    takes up the balance, so no source or sink node is needed.  An arc's
+    forward residual is always there; its reverse residual, of cost ``-w``,
+    only while the arc carries flow.  Primal-dual phases route the excesses
+    (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, section 9.8): each runs
+    one Bellman-Ford from every node with excess left, then pushes flow from
+    each of them to deficits along arcs tight for those distances
+    (``dist[u] + cost == dist[v]``) until no tight path is left, so reduced
+    costs stay non-negative and one phase can push along many paths.  The
+    optimal ``y`` are the potentials the residual graph of an optimal flow
+    admits, and the distances from node 0 are the largest of them.  By
+    complementary slackness that set does not depend on which optimal flow
+    the phases find.  Every node must be reachable from node 0, and every
+    excess must reach a deficit.  Raises InfeasibleError when the
+    constraints contradict each other (a negative cycle).
     """
-    source, sink = n, n + 1
-    unbounded = sum(abs(w) for w in weight) + 1  # more than the flow can ever need
-    edges = [(u, v, unbounded, w) for u, v, w in arcs]
-    balance = weight[1:]
-    for v, supply in enumerate([-sum(balance)] + balance):
-        if supply > 0:
-            edges.append((source, v, supply, 0))
-        elif supply < 0:
-            edges.append((v, sink, -supply, 0))
-    head: list[int] = []  # arc e and its reverse e ^ 1 are stored side by side
-    cap: list[int] = []
-    cost: list[int] = []
-    out: list[list[int]] = [[] for _ in range(n + 2)]
-    for u, v, c, w in edges:
-        out[u].append(len(head))
-        out[v].append(len(head) + 1)
-        head += (v, u)
-        cap += (c, 0)
-        cost += (w, -w)
-
+    excess = [-sum(weight[1:])] + weight[1:]
+    flow = [0] * len(arcs)
+    residual: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]  # (head, cost, arc)
+    for a, (u, v, w) in enumerate(arcs):
+        residual[u].append((v, w, a))
+        residual[v].append((u, -w, ~a))  # the reverse residual is ~arc
     # Each phase's depth-first search keeps a current-arc pointer per node;
     # ``blocked`` marks the nodes on its path and those it retreated from,
     # which are dead for the rest of the phase.
-    while True:
-        dist = _shortest_paths(out, head, cap, cost, source)
-        if dist[sink] is None:
-            break
-        pointer = [0] * len(out)
-        blocked = [False] * len(out)
-        blocked[source] = True
-        path: list[int] = []
-        u = source
-        while True:
-            if u == sink:
-                push = min(cap[e] for e in path)
-                for e in path:
-                    cap[e] -= push
-                    cap[e ^ 1] += push
-                    blocked[head[e]] = False
-                path.clear()
-                u = source
-                continue
-            out_u, du = out[u], dist[u]
-            for i in range(pointer[u], len(out_u)):
-                e = out_u[i]
-                v = head[e]
-                if cap[e] > 0 and not blocked[v] and du + cost[e] == dist[v]:
-                    pointer[u] = i
-                    path.append(e)
-                    blocked[v] = True
-                    u = v
-                    break
-            else:  # u is dead: retreat, or end the phase at the source
-                if not path:
-                    break
-                u = head[path.pop() ^ 1]
-                pointer[u] += 1
-    return _shortest_paths(out, head, cap, cost, 0)[:n]
+    roots = [v for v in range(n) if excess[v] > 0]
+    while roots:
+        dist = _shortest_paths(residual, flow, roots)
+        if all(dist[v] is None for v in range(n) if excess[v] < 0):
+            break  # an excess that reaches no deficit: the LP has no minimum
+        pointer = [0] * n
+        blocked = [False] * n
+        for root in roots:
+            blocked[root] = True
+            path, steps = [root], []  # the nodes, and the arc into each after the root
+            u = root
+            while True:
+                if excess[u] < 0:
+                    push = min(excess[root], -excess[u], *[flow[~a] for a in steps if a < 0])
+                    for a in steps:
+                        if a < 0:
+                            flow[~a] -= push
+                        else:
+                            flow[a] += push
+                    excess[root] -= push
+                    excess[u] += push
+                    for v in path:
+                        blocked[v] = False
+                    if not excess[root]:
+                        break
+                    blocked[root] = True
+                    del path[1:], steps[:]
+                    u = root
+                    continue
+                res_u, du = residual[u], dist[u]
+                for i in range(pointer[u], len(res_u)):
+                    v, c, a = res_u[i]
+                    if du + c == dist[v] and not blocked[v] and (a >= 0 or flow[~a]):
+                        pointer[u] = i
+                        path.append(v)
+                        steps.append(a)
+                        blocked[v] = True
+                        u = v
+                        break
+                else:  # u is dead: retreat, or leave this root for the next phase
+                    if not steps:
+                        break
+                    steps.pop()
+                    path.pop()
+                    u = path[-1]
+                    pointer[u] += 1
+        roots = [v for v in range(n) if excess[v] > 0]
+    return _shortest_paths(residual, flow, [0])
 
 
 def _shortest_paths(
-    out: list[list[int]], head: list[int], cap: list[int], cost: list[int], origin: int
+    residual: list[list[tuple[int, int, int]]], flow: list[int], origins: list[int]
 ) -> list[int | None]:
-    """Queue-based Bellman-Ford from ``origin`` over arcs with spare capacity.
+    """Queue-based Bellman-Ford over the residual arcs, from every node of
+    ``origins`` at distance 0.
 
     Returns each node's distance (None when unreachable).  A path of as many
     arcs as there are nodes repeats a node, which only a negative cycle makes
     shorter.
     """
-    n = len(out)
+    n = len(residual)
     dist: list[int | None] = [None] * n
     hops = [0] * n
     queued = [False] * n
-    dist[origin] = 0
-    queue = deque([origin])
+    for v in origins:
+        dist[v], queued[v] = 0, True
+    queue = deque(origins)
     while queue:
         u = queue.popleft()
         queued[u] = False
-        du = dist[u]
-        for e in out[u]:
-            if cap[e] > 0:
-                v = head[e]
-                d = du + cost[e]
-                if dist[v] is None or d < dist[v]:
-                    dist[v], hops[v] = d, hops[u] + 1
-                    if hops[v] >= n:
-                        raise InfeasibleError(
-                            None, "no arrangement of full charge blocks covers the demand"
-                        )
-                    if not queued[v]:
-                        queued[v] = True
-                        queue.append(v)
+        du, hop = dist[u], hops[u] + 1
+        if hop > n:
+            raise InfeasibleError(None, "no arrangement of full charge blocks covers the demand")
+        for v, c, a in residual[u]:
+            d = du + c
+            if (a >= 0 or flow[~a]) and (dist[v] is None or d < dist[v]):
+                dist[v], hops[v] = d, hop
+                if not queued[v]:
+                    queued[v] = True
+                    queue.append(v)
     return dist
 
 
@@ -335,6 +331,8 @@ def solve_oracle(
     rather than through the exact solver's reasoning.  Refuses instances whose
     vector count exceeds ``budget``.
     """
+    from .validation import validate  # only the oracle validates; ``solve`` need not load it
+
     cfg = instance.config
     prices = instance.events.price
     movables = [j for j in build_jobs(instance) if j.movable]

@@ -181,6 +181,11 @@ def _shown(value: object) -> str:
     return text if len(text) <= 40 else text[:40] + "..."
 
 
+def _shown_keys(keys: set) -> str:
+    """Refused keys, sorted, each cut like ``_shown``."""
+    return "[" + ", ".join(map(_shown, sorted(keys))) + "]"
+
+
 def is_int(value: object) -> bool:
     """True for an int that is not a bool (JSON true/false must not pass as 1/0)."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -339,7 +344,7 @@ class StationConfig(_Value):
         required = {"n_batteries", "n_chargers", "charge_hours", "capacity_kwh", "horizon"}
         unknown = set(data) - required - {"charge_power_kw"}
         if unknown:
-            raise InstanceError(f"unknown config keys: {sorted(unknown)}")
+            raise InstanceError(f"unknown config keys: {_shown_keys(unknown)}")
         missing = required - set(data)
         if missing:
             raise InstanceError(f"missing config keys: {sorted(missing)}")

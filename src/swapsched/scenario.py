@@ -32,6 +32,7 @@ from .model import (
     _fifo_starts,
     _job_table,
     _shown,
+    _shown_keys,
     extract_events,
     is_int,
     to_exact,
@@ -402,7 +403,7 @@ def _json_list(value: object, what: str) -> list:
 def _require_keys(data: dict, allowed: set, what: str) -> None:
     unknown = set(data) - allowed
     if unknown:
-        raise InstanceError(f"{what}: unknown keys {sorted(unknown)}")
+        raise InstanceError(f"{what}: unknown keys {_shown_keys(unknown)}")
     missing = allowed - set(data)
     if missing:
         raise InstanceError(f"{what}: missing keys {sorted(missing)}")
@@ -429,7 +430,7 @@ def load_spec(path: str | Path) -> ScenarioSpec:
     required = {"config", "seed", "demand", "arrivals", "tariff"}
     unknown = set(data) - required - {"initial"}
     if unknown:
-        raise InstanceError(f"scenario spec: unknown keys {sorted(unknown)}")
+        raise InstanceError(f"scenario spec: unknown keys {_shown_keys(unknown)}")
     missing = required - set(data)
     if missing:
         raise InstanceError(f"scenario spec: missing keys {sorted(missing)}")

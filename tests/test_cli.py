@@ -382,6 +382,10 @@ LONG = "x" * 100_000
         ("spec.json", spec_with(initial=[{"battery": 1, "state": LONG}])),
         ("spec.json", spec_with(initial=[{"battery": 1, "state": "C", "progress": LONG}])),
         ("spec.json", spec_with(initial=[{"battery": 1, "state": "F", "full_rank": LONG}])),
+        ("spec.json", spec_with(initial=[{"battery": 1, "state": "E", LONG: 1}])),
+        ("spec.json", spec_with(config={**SPEC["config"], LONG: 1})),
+        ("spec.json", spec_with(demand={"shape": "uniform", "total": 4, LONG: 1})),
+        ("spec.json", spec_with(**{LONG: 1})),
         ("profiles.csv", LONG + "\n1,0,0,1\n"),
         ("profiles.csv", "hour,demand,arrivals,price\n1," + LONG + ",0,1\n"),
         ("schedule.txt", "Hours: 1 2 3 4 5 6\nB1: " + LONG + " E E E E E\n"),
@@ -390,7 +394,8 @@ LONG = "x" * 100_000
         "peak-hours", "peak-range", "peak-range-hour", "shape-total", "shape-peak-hour", "shape-width",
         "explicit-values", "explicit-value", "shape-kind", "tariff-kind", "explicit-prices",
         "config-field", "config-list", "initial-entry", "initial-entry-keys", "battery-number",
-        "battery-state", "battery-progress", "battery-full-rank", "csv-header", "csv-integer",
+        "battery-state", "battery-progress", "battery-full-rank", "initial-entry-key", "config-key",
+        "shape-key", "spec-key", "csv-header", "csv-integer",
         "schedule-letter",
     ],
 )

@@ -181,8 +181,9 @@ def test_config_json_round_trip():
 
 def test_config_rejects_unknown_and_missing_keys():
     good = StationConfig(1, 1, 1, Fraction(1), 1).to_json_dict()
-    with pytest.raises(InstanceError):
-        StationConfig.from_json_dict({**good, "voltage": 48})
+    with pytest.raises(InstanceError) as refused:
+        StationConfig.from_json_dict({**good, "voltage": 48, "amps": 2})
+    assert str(refused.value) == "unknown config keys: ['amps', 'voltage']"
     bad = dict(good)
     del bad["horizon"]
     with pytest.raises(InstanceError):

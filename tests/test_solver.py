@@ -631,7 +631,8 @@ def test_largest_optimal_potentials_match_brute_force():
 def test_flow_runs_one_bellman_ford_per_distance_level(monkeypatch, demo):
     """The flow runs one Bellman-Ford per primal-dual phase and one more for the
     potentials.  Successive shortest paths ran one per augmentation: 8 on the
-    demo and 14 on the 24-battery station below."""
+    demo and 14 on the 24-battery station below.  Phases that pushed only to
+    the nearest deficits, through a super source and sink, ran 5 and 6."""
     calls = []
     real = exact._shortest_paths
     monkeypatch.setattr(exact, "_shortest_paths", lambda *args: calls.append(args) or real(*args))
@@ -647,4 +648,92 @@ def test_flow_runs_one_bellman_ford_per_distance_level(monkeypatch, demo):
         calls.clear()
         solve_exact(instance)
         counts.append(len(calls))
-    assert counts == [5, 6]
+    assert counts == [3, 4]
+
+
+# y[1] in [-1, 4], y[2] in [y[1], y[1] + 2] and [-3, 5]
+THREE_NODES = [(0, 1, 4), (1, 0, 1), (1, 2, 2), (2, 1, 0), (0, 2, 5), (2, 0, 3)]
+
+
+@pytest.mark.parametrize(
+    "weight, largest",
+    [
+        ([0, 2, -1], [0, -1, 1]),  # node 0 takes a deficit of 1
+        ([0, -2, 1], [0, 4, 4]),  # node 0 supplies 1
+        ([0, 1, -1], [0, 3, 5]),  # node 0 balanced; y[1] - y[2] == -2 for y[1] in [-1, 3]
+    ],
+)
+def test_flow_balances_node_0_either_way(weight, largest):
+    assert exact._largest_optimal_potentials(3, THREE_NODES, weight) == largest
+
+
+def test_zero_weights_run_no_phase_and_return_the_distances_from_0(monkeypatch):
+    calls = []
+    real = exact._shortest_paths
+    monkeypatch.setattr(exact, "_shortest_paths", lambda *args: calls.append(args) or real(*args))
+    assert exact._largest_optimal_potentials(3, THREE_NODES, [0, 0, 0]) == [0, 4, 5]
+    assert len(calls) == 1
+
+
+def test_a_negative_cycle_only_node_0_reaches_fails_the_last_bellman_ford(monkeypatch):
+    """Node 1's excess reaches node 2's deficit without meeting the cycle
+    0 -> 3 -> 0 of cost -1, so only the Bellman-Ford from node 0 finds it."""
+    calls = []
+    real = exact._shortest_paths
+    monkeypatch.setattr(exact, "_shortest_paths", lambda *args: calls.append(args[2]) or real(*args))
+    arcs = [(0, 1, 0), (0, 2, 0), (1, 2, 1), (0, 3, 1), (3, 0, -2)]
+    with pytest.raises(InfeasibleError) as refused:
+        exact._largest_optimal_potentials(4, arcs, [0, 1, -1, 0])
+    assert calls == [[1], [0]]
+    assert (refused.value.hour, str(refused.value)) == (
+        None, "no arrangement of full charge blocks covers the demand"
+    )
+
+
+def test_largest_optimal_potentials_match_linprog():
+    """Random 25-node systems shaped like ``_cheapest_starts``': y never falls
+    (chain arcs), rises by at most a capacity over every D hours and stays in
+    a box per hour.  scipy's LP solver finds the optimal value, then the
+    largest ``sum(y)`` at that value, which is the componentwise-largest
+    optimal ``y``; the vertices of these systems are integral."""
+    np = pytest.importorskip("numpy")
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(13)
+    n = 25
+    feasible = infeasible = 0
+    for _ in range(100):
+        D = rng.randint(1, 5)
+        arcs = [(t, t - 1, 0) for t in range(1, n)]
+        arcs += [(max(t - D, 0), t, rng.randint(0, 3)) for t in range(1, n)]
+        low = high = 0
+        for t in range(1, n):
+            low += rng.random() < 0.3
+            high = max(high + rng.randint(0, 1), low + rng.randint(0, 2))
+            arcs += [(0, t, high), (t, 0, -low)]
+        weight = [0] + [rng.randint(-5, 5) for _ in range(n - 1)]
+        rows = np.zeros((len(arcs), n - 1))  # y[v] - y[u] <= w, with y[0] == 0 left out
+        for i, (u, v, _) in enumerate(arcs):
+            if v:
+                rows[i, v - 1] += 1
+            if u:
+                rows[i, u - 1] -= 1
+        bound = np.array([w for _, _, w in arcs], dtype=float)
+        free = [(None, None)] * (n - 1)
+        best = optimize.linprog(weight[1:], A_ub=rows, b_ub=bound, bounds=free)
+        if best.status == 2:
+            infeasible += 1
+            with pytest.raises(InfeasibleError):
+                exact._largest_optimal_potentials(n, arcs, weight)
+            continue
+        assert best.status == 0, best.message
+        feasible += 1
+        at_best = optimize.linprog(
+            [-1] * (n - 1),
+            A_ub=np.vstack([rows, weight[1:]]),
+            b_ub=np.append(bound, best.fun + 1e-7),
+            bounds=free,
+        )
+        assert at_best.status == 0, at_best.message
+        got = exact._largest_optimal_potentials(n, arcs, weight)
+        assert got == [0] + [round(x) for x in at_best.x]
+    assert feasible >= 30 and infeasible >= 30

@@ -256,7 +256,7 @@ COMMANDS = {
     "validate": (["validate", "--instance", "station"], {"validation"}),
     "render": (["render", "--instance", "station", "--counts"], set()),
     "solve-greedy": (["solve", "--instance", "station", "--method", "greedy"], {"solver"}),
-    "solve-exact": (["solve", "--instance", "station", "--method", "exact"], {"solver", "exact", "validation"}),
+    "solve-exact": (["solve", "--instance", "station", "--method", "exact"], {"solver", "exact"}),
     "generate": (["generate", "--spec", "spec.json", "--out", "drawn"], {"scenario"}),
     "demo": (["demo"], {"scenario", "solver", "validation"}),
 }
