@@ -235,7 +235,7 @@ def _largest_optimal_potentials(
     while roots:
         dist = _shortest_paths(residual, flow, roots)
         if all(dist[v] is None for v in range(n) if excess[v] < 0):
-            break  # an excess that reaches no deficit: the LP has no minimum
+            break  # no excess reaches a deficit: the LP has no minimum
         pointer = [0] * n
         blocked = [False] * n
         for root in roots:
