@@ -25,7 +25,6 @@ cross-check the exact solver; ``ChargeJob``, ``build_jobs`` and
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter, deque
 from fractions import Fraction
 
@@ -39,7 +38,7 @@ from .model import (
     _job_table,
     _Value,
 )
-from .solver import CostBreakdown, SolveObjective, _simulate, schedule_cost, solve_greedy
+from .solver import CostBreakdown, SolveObjective, _price_levels, _priced, _simulate, schedule_cost, solve_greedy
 
 __all__ = [
     "ChargeJob",
@@ -49,7 +48,7 @@ __all__ = [
     "solve_oracle",
 ]
 
-_F = BatteryState.FULL
+_E, _C, _F = BatteryState.EMPTY, BatteryState.CHARGING, BatteryState.FULL
 
 
 class ChargeJob(_Value):
@@ -130,44 +129,44 @@ def solve_exact(
     failing hour.
     """
     cfg = instance.config
-    prices = instance.events.price
     if objective is SolveObjective.FEASIBILITY:
         grid = solve_greedy(instance)  # raises InfeasibleError with the proof hour
-        return grid, schedule_cost(grid, cfg, prices)
+        return grid, schedule_cost(grid, cfg, instance.events.price)
+    level, lcm = _price_levels(instance.events.price)  # the flow and the cost share it
     try:
-        grid = _simulate(instance, _cheapest_starts(instance))
+        grid = _simulate(instance, _cheapest_starts(instance, level))
     except InfeasibleError:
         # Swaps and arrivals that no movable block can reach are outside the
         # flow; greedy names the first hour that fails, if one does.
         solve_greedy(instance)
         raise
-    return grid, schedule_cost(grid, cfg, prices)
+    return grid, _priced(grid, cfg, level, lcm)
 
 
-def _cheapest_starts(instance: Instance) -> Counter:
-    """Movable starts per hour of the lexicographically earliest cost-minimizing start vector.
+def _cheapest_starts(instance: Instance, level: list[int]) -> Counter:
+    """Movable starts per hour of the lexicographically earliest start vector
+    that minimizes cost at the integer prices ``level``.
 
-    The bounds on the start counts come from hour tables built straight
-    from the start states and the arrivals (``_job_table``): how many start
-    windows open and close at each hour (``_window``), how many chargers the
-    continuations hold, and how many batteries are full by each hour without
-    any movable charge.  No job is built one by one.
+    The bounds on the start counts come from hour tables built straight from
+    the start states and the arrivals: how many start windows (``_window``)
+    open and close at each hour, as empty batteries are released at hour 1
+    and arrivals the hour after they land, how many chargers the continuations
+    hold, and how many batteries are full by each hour without any movable
+    charge.  No job is built one by one.
     """
     cfg = instance.config
     T, D = cfg.horizon, cfg.charge_hours
-    fixed, releases = _job_table(cfg, instance.initial, instance.events.arrivals)
     opened = [0] * (T + 1)  # movable start windows opening / closing at hour t
     closed = [0] * (T + 1)
-    for release, n in Counter(releases).items():
-        window = _window(release, D, T)
-        if window:
+    for release, n in enumerate([instance.initial.count(_E), *instance.events.arrivals], start=1):
+        if n and (window := _window(release, D, T)):
             opened[window[0]] += n
             closed[window[-1]] += n
+    fixed = [D - e.progress for e in instance.initial.entries if e.state is _C]
     done = [0] * (T + 2)  # continuations full by hour t; the others hold a charger
     for length in fixed:
         done[min(length, T) + 1] += 1
     done = list(itertools.accumulate(done))
-
     # An arc (u, v, w) says y[v] <= y[u] + w.  A block started by hour t is
     # full at t + D and serves the swaps of hour t + D + 1 onwards; swaps
     # that no movable block can reach in time are left to the realisation.
@@ -191,9 +190,6 @@ def _cheapest_starts(instance: Instance) -> Counter:
     # sum_t c_t (y[t] - y[t-1]) = sum_t (c_t - c_{t+1}) y[t], where c_t, the
     # price of a block started at t, telescopes to price[t] - price[t + D]
     # (prices past the horizon are 0).
-    prices = instance.events.price
-    scale = math.lcm(*(p.denominator for p in prices))
-    level = [p.numerator * (scale // p.denominator) for p in prices]
     weight = [0] + [level[t - 1] - (level[t + D - 1] if t + D <= T else 0) for t in hours]
     y = _largest_optimal_potentials(T + 1, arcs, weight)
     return Counter({t: y[t] - y[t - 1] for t in hours})
@@ -230,21 +226,24 @@ def _largest_optimal_potentials(
         residual[v].append((u, -w, ~a))  # the reverse residual is ~arc
     # Each phase's depth-first search keeps a current-arc pointer per node;
     # ``blocked`` marks the nodes on its path and those it retreated from,
-    # which are dead for the rest of the phase.
+    # which are dead for the rest of the phase.  Until it first pushes, a phase
+    # visits every node its roots reach, so a phase with no push ends the flow.
     roots = [v for v in range(n) if excess[v] > 0]
     while roots:
         dist = _shortest_paths(residual, flow, roots)
-        if all(dist[v] is None for v in range(n) if excess[v] < 0):
-            break  # no excess reaches a deficit: the LP has no minimum
         pointer = [0] * n
         blocked = [False] * n
+        pushed = False
         for root in roots:
             blocked[root] = True
             path, steps = [root], []  # the nodes, and the arc into each after the root
             u = root
             while True:
                 if excess[u] < 0:
-                    push = min(excess[root], -excess[u], *[flow[~a] for a in steps if a < 0])
+                    push = min(excess[root], -excess[u])
+                    for a in steps:
+                        if a < 0 and flow[~a] < push:
+                            push = flow[~a]
                     for a in steps:
                         if a < 0:
                             flow[~a] -= push
@@ -252,6 +251,7 @@ def _largest_optimal_potentials(
                             flow[a] += push
                     excess[root] -= push
                     excess[u] += push
+                    pushed = True
                     for v in path:
                         blocked[v] = False
                     if not excess[root]:
@@ -260,9 +260,8 @@ def _largest_optimal_potentials(
                     del path[1:], steps[:]
                     u = root
                     continue
-                res_u, du = residual[u], dist[u]
-                for i in range(pointer[u], len(res_u)):
-                    v, c, a = res_u[i]
+                du, i = dist[u], pointer[u]
+                for v, c, a in residual[u][i:] if i else residual[u]:
                     if du + c == dist[v] and not blocked[v] and (a >= 0 or flow[~a]):
                         pointer[u] = i
                         path.append(v)
@@ -270,6 +269,7 @@ def _largest_optimal_potentials(
                         blocked[v] = True
                         u = v
                         break
+                    i += 1
                 else:  # u is dead: retreat, or leave this root for the next phase
                     if not steps:
                         break
@@ -277,6 +277,8 @@ def _largest_optimal_potentials(
                     path.pop()
                     u = path[-1]
                     pointer[u] += 1
+        if not pushed:
+            break  # no excess reaches a deficit: the LP has no minimum
         roots = [v for v in range(n) if excess[v] > 0]
     return _shortest_paths(residual, flow, [0])
 

@@ -182,8 +182,10 @@ def _shown(value: object) -> str:
 
 
 def _shown_keys(keys: set) -> str:
-    """Refused keys, sorted, each cut like ``_shown``."""
-    return "[" + ", ".join(map(_shown, sorted(keys))) + "]"
+    """Refused keys, sorted, each cut like ``_shown``; past five, only a count of the rest."""
+    ordered = sorted(keys)
+    more = f" … and {len(ordered) - 5} more" if len(ordered) > 5 else ""
+    return "[" + ", ".join(map(_shown, ordered[:5])) + "]" + more
 
 
 def is_int(value: object) -> bool:

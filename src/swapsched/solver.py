@@ -26,11 +26,10 @@ repairs use as well.  The exact solver and the brute-force oracle live in
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import json
 import math
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
@@ -102,12 +101,9 @@ def schedule_cost(grid: ScheduleGrid, config: StationConfig, price: Sequence) ->
     """Price out a schedule: every charging battery-hour draws the charge power.
 
     Only the ``C`` letters count, whatever surrounds them, so a grid with
-    illegal moves is priced cell by cell like any other.  The sums run over
-    integers: each hour's price of one charging cell, scaled by the power's
-    denominator times the lcm of the prices' denominators.  Each maximal run
-    of ``C`` letters is priced at once from prefix sums of those units and
-    adds one charger to its hours through a difference array.  Each distinct
-    scaled sum becomes one Fraction.
+    illegal moves is priced cell by cell like any other.  The prices are
+    scaled to integers once (``_price_levels``) and ``_priced`` sums them;
+    ``exact.solve_exact`` hands ``_priced`` the table its flow weights used.
     """
     if grid.n_batteries != config.n_batteries or grid.horizon != config.horizon:
         raise DimensionError(
@@ -115,13 +111,30 @@ def schedule_cost(grid: ScheduleGrid, config: StationConfig, price: Sequence) ->
             f"config says {config.n_batteries}x{config.horizon}"
         )
     prices = [to_exact(p) for p in price]
+    if len(prices) != config.horizon:
+        raise DimensionError(f"{len(prices)} prices for a horizon of {config.horizon} hours")
+    return _priced(grid, config, *_price_levels(prices))
+
+
+def _price_levels(prices: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The prices in units of one over the lcm of their denominators, and that lcm."""
+    ratios = [p.as_integer_ratio() for p in prices]
+    lcm = math.lcm(*{d for _, d in ratios})
+    return [n * (lcm // d) for n, d in ratios], lcm
+
+
+def _priced(grid: ScheduleGrid, config: StationConfig, level: list[int], lcm: int) -> CostBreakdown:
+    """``schedule_cost`` of a grid that fits ``config``, at prices ``level[t] / lcm``.
+
+    The sums run over integers, in units of one over ``lcm`` times the
+    power's denominator.  Each maximal run of ``C`` letters is priced at once
+    from prefix sums of those units and adds one charger to its hours through
+    a difference array.  Each distinct scaled sum becomes one Fraction.
+    """
     T = config.horizon
-    if len(prices) != T:
-        raise DimensionError(f"{len(prices)} prices for a horizon of {T} hours")
     power = config.power_kw
-    lcm = math.lcm(*(p.denominator for p in prices))
     scale = lcm * power.denominator
-    unit = [p.numerator * (lcm // p.denominator) * power.numerator for p in prices]
+    unit = [x * power.numerator for x in level]
     before = list(itertools.accumulate(unit, initial=0))  # before[i]: cells 0..i-1
     change = [0] * (T + 1)  # +1 where a run begins, -1 just past its end
     per_battery = [0] * grid.n_batteries
@@ -158,12 +171,14 @@ def schedule_cost(grid: ScheduleGrid, config: StationConfig, price: Sequence) ->
 # land, charges complete, charges start, swaps land.
 #
 # The loop does work only where something happens.  The waiting, full and
-# out batteries sit in heaps in their FIFO order, so an hour pops only the
-# batteries it moves.  A charge is filed, when it starts, under the hour it
-# turns full, and a running count of the charges on chargers checks the
-# capacity, so no hour scans the charges in progress.  Only the state
-# changes are recorded, and each battery's row of letters is written once
-# from them at the end: between changes a battery keeps its state.
+# out batteries sit in FIFO queues, so an hour takes only the batteries it
+# moves from their fronts.  A battery that joins a queue at hour t is behind
+# all that joined before t, so each hour's entrants join at the back in
+# battery order, the FIFO tie-break.  A charge is filed, when it starts,
+# under the hour it turns full, and a running count of the charges on
+# chargers checks the capacity, so no hour scans the charges in progress.
+# Only the state changes are recorded, and each battery's row of letters is
+# written once from them at the end: between changes a battery keeps its state.
 # ---------------------------------------------------------------------------
 
 
@@ -176,13 +191,12 @@ def _simulate(instance: Instance, n_starts: Counter) -> ScheduleGrid:
     # state; a later change in the same hour overrides an earlier one.
     changes = []
 
-    # Each pool is a heap in its FIFO order; waiting and out_pool are filled
-    # in battery order, which is already theirs.  A battery that turns full
-    # at hour t is keyed (t, battery), behind every battery full before t, so
-    # the swap stock of hour t is the heap less that hour's finished charges.
-    waiting: list[tuple[int, int]] = []  # (entry hour, battery)
-    full: list[tuple[tuple[int, int], int]] = []  # ((hour entered F, tiebreak), battery)
-    out_pool: list[tuple[int, int]] = []  # (hour went out, battery)
+    # Batteries in FIFO order.  Those that start the horizon full are ordered
+    # by declared rank; the charges that finish at hour t join full behind
+    # them, so the swap stock of hour t is full less that hour's finished.
+    waiting: deque[int] = deque()
+    ranked: list[tuple[int, int]] = []  # (full rank, battery)
+    out_pool: deque[int] = deque()
     # Batteries by the hour their charge completes; a block that the horizon
     # ends is filed under T + 1, which the loop never reaches.
     finishing: list[list[int]] = [[] for _ in range(T + 2)]
@@ -191,19 +205,19 @@ def _simulate(instance: Instance, n_starts: Counter) -> ScheduleGrid:
     for b, entry in enumerate(instance.initial.entries, start=1):
         state = entry.state
         if state is _E:
-            waiting.append((1, b))
+            waiting.append(b)
             changes.append([(1, "E")])
         elif state is _C:
             finishing[min(D - entry.progress, T) + 1].append(b)
             active += 1
             changes.append([(1, "C")])
         elif state is _F:
-            full.append(((0, entry.full_rank), b))
+            ranked.append((entry.full_rank, b))
             changes.append([(1, "F")])
         else:
-            out_pool.append((0, b))
+            out_pool.append(b)
             changes.append([(1, "O")])
-    heapq.heapify(full)
+    full = deque(b for _, b in sorted(ranked))
 
     for t in range(1, T + 1):
         # 1. arrivals land (battery binding is FIFO on time-went-out)
@@ -215,24 +229,26 @@ def _simulate(instance: Instance, n_starts: Counter) -> ScheduleGrid:
                 raise InfeasibleError(
                     t, f"{need} arrival(s) at hour {t} but only {len(out_pool)} batteries are out"
                 )
-            for _ in range(need):
-                _, b = heapq.heappop(out_pool)
+            landed = sorted([out_pool.popleft() for _ in range(need)])
+            for b in landed:
                 changes[b - 1].append((t, "E"))
-                heapq.heappush(waiting, (t, b))
+            waiting.extend(landed)
 
         # 2. charges that ended at hour t - 1 become full
         finished = finishing[t]
-        for b in finished:
-            changes[b - 1].append((t, "F"))
-            heapq.heappush(full, ((t, b), b))
-        active -= len(finished)
+        if finished:
+            finished.sort()
+            for b in finished:
+                changes[b - 1].append((t, "F"))
+            full.extend(finished)
+            active -= len(finished)
 
         # 3. charge starts, longest-waiting batteries first
         starts = min(n_starts[t], len(waiting))
         if starts:
             ending = finishing[min(t + D, T + 1)]
             for _ in range(starts):
-                _, b = heapq.heappop(waiting)
+                b = waiting.popleft()
                 ending.append(b)
                 changes[b - 1].append((t, "C"))
             active += starts
@@ -251,10 +267,10 @@ def _simulate(instance: Instance, n_starts: Counter) -> ScheduleGrid:
                     f"demand {need} at hour {t}, only {stock} fully-charged "
                     "batteries available",
                 )
-            for _ in range(need):
-                _, b = heapq.heappop(full)
+            gone = sorted([full.popleft() for _ in range(need)])
+            for b in gone:
                 changes[b - 1].append((t, "O"))
-                heapq.heappush(out_pool, (t, b))
+            out_pool.extend(gone)
 
     rows = []
     for marks in changes:

@@ -358,6 +358,7 @@ def test_malformed_fields_are_input_errors(valley_dir, tmp_path, name, text):
 
 
 LONG = "x" * 100_000
+MANY_KEYS = {f"k{i}": 1 for i in range(10_000)}
 
 
 @pytest.mark.parametrize(
@@ -386,6 +387,10 @@ LONG = "x" * 100_000
         ("spec.json", spec_with(config={**SPEC["config"], LONG: 1})),
         ("spec.json", spec_with(demand={"shape": "uniform", "total": 4, LONG: 1})),
         ("spec.json", spec_with(**{LONG: 1})),
+        ("spec.json", spec_with(config={**SPEC["config"], **MANY_KEYS})),
+        ("spec.json", spec_with(demand={"shape": "uniform", "total": 4, **MANY_KEYS})),
+        ("spec.json", spec_with(**MANY_KEYS)),
+        ("initial.json", json.dumps([{"battery": 1, "state": "E", **MANY_KEYS}])),
         ("profiles.csv", LONG + "\n1,0,0,1\n"),
         ("profiles.csv", "hour,demand,arrivals,price\n1," + LONG + ",0,1\n"),
         ("schedule.txt", "Hours: 1 2 3 4 5 6\nB1: " + LONG + " E E E E E\n"),
@@ -395,7 +400,8 @@ LONG = "x" * 100_000
         "explicit-values", "explicit-value", "shape-kind", "tariff-kind", "explicit-prices",
         "config-field", "config-list", "initial-entry", "initial-entry-keys", "battery-number",
         "battery-state", "battery-progress", "battery-full-rank", "initial-entry-key", "config-key",
-        "shape-key", "spec-key", "csv-header", "csv-integer",
+        "shape-key", "spec-key", "many-config-keys", "many-shape-keys", "many-spec-keys",
+        "many-initial-entry-keys", "csv-header", "csv-integer",
         "schedule-letter",
     ],
 )

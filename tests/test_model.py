@@ -184,6 +184,12 @@ def test_config_rejects_unknown_and_missing_keys():
     with pytest.raises(InstanceError) as refused:
         StationConfig.from_json_dict({**good, "voltage": 48, "amps": 2})
     assert str(refused.value) == "unknown config keys: ['amps', 'voltage']"
+    with pytest.raises(InstanceError) as refused:
+        StationConfig.from_json_dict({**good, **dict.fromkeys("abcde", 0)})
+    assert str(refused.value) == "unknown config keys: ['a', 'b', 'c', 'd', 'e']"
+    with pytest.raises(InstanceError) as refused:
+        StationConfig.from_json_dict({**good, **dict.fromkeys("abcdefg", 0)})
+    assert str(refused.value) == "unknown config keys: ['a', 'b', 'c', 'd', 'e'] … and 2 more"
     bad = dict(good)
     del bad["horizon"]
     with pytest.raises(InstanceError):

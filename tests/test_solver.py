@@ -224,6 +224,50 @@ def test_greedy_never_exceeds_capacity(demo, demo_greedy):
         assert demo_greedy.count(C, t) <= instance.config.n_chargers
 
 
+# Each case puts batteries into one FIFO queue in the same hour, in an order
+# other than their index, so a queue that took that order unsorted would
+# realise a different grid.
+FIFO_CASES = {
+    # B2 (rank 1) goes out at hour 2, B1 at hour 3; both land at hour 4, and
+    # B1 takes the one charger first.
+    "landed-arrivals-wait-by-index": (
+        StationConfig(2, 1, 2, Fraction(10), 8),
+        (BatteryStart(state=F, full_rank=2), BatteryStart(state=F, full_rank=1)),
+        (0, 1, 1, 0, 0, 0, 0, 0),
+        (0, 0, 0, 2, 0, 0, 0, 0),
+        ("FFOECCFF", "FOOEEECC"),
+    ),
+    # B2's continuation is filed under hour 3 before B1's hour-1 start, so
+    # both turn full at hour 3.  The swaps of hour 4 take B3, full from the
+    # start, then B1; both go out at hour 4 and B1, by index, lands first.
+    "finished-charges-and-swaps-by-index": (
+        StationConfig(3, 2, 2, Fraction(10), 8),
+        (BatteryStart(state=E), BatteryStart(state=C), BatteryStart(state=F, full_rank=1)),
+        (0, 0, 0, 2, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0, 1, 0, 0),
+        ("CCFOOECC", "CCFFFFFF", "FFFOOOOO"),
+    ),
+    # Ranks 3, 1, 2: the swaps take B2, then B3, then B1.
+    "initial-full-by-rank": (
+        StationConfig(3, 1, 1, Fraction(10), 5),
+        tuple(BatteryStart(state=F, full_rank=r) for r in (3, 1, 2)),
+        (0, 1, 1, 1, 0),
+        (0,) * 5,
+        ("FFFOO", "FOOOO", "FFOOO"),
+    ),
+}
+
+
+@pytest.mark.parametrize("method", ["greedy", "exact"])
+@pytest.mark.parametrize("case", FIFO_CASES.values(), ids=FIFO_CASES)
+def test_the_realisation_keeps_each_queue_in_fifo_order(case, method):
+    cfg, starts, demand, arrivals, rows = case
+    instance = Instance(cfg, InitialConditions(starts), EventProfiles(demand, arrivals, (Fraction(1),) * cfg.horizon))
+    grid = solve_greedy(instance) if method == "greedy" else solve_exact(instance)[0]
+    assert grid.rows == rows
+    assert validate(grid, instance, "strict").feasible
+
+
 # ---------------------------------------------------------------------------
 # Exact and oracle
 # ---------------------------------------------------------------------------
