@@ -94,16 +94,16 @@ def start_domain(job: ChargeJob, config: StationConfig) -> tuple[int, ...]:
     """
     if not job.movable:
         return (job.fixed_start,)
-    return tuple(_window(job.release, job.duration, config.horizon))
+    first, last = _window(job.release, job.duration, config.horizon)
+    return tuple(range(first, last + 1))
 
 
-def _window(release: int, duration: int, horizon: int) -> range:
-    """Start hours of a movable job: those whose full block fits in the horizon,
-    or, when none does, every hour from release to the horizon (the block is
-    cut off).  Empty when the job is released after the horizon.
-    """
+def _window(release: int, duration: int, horizon: int) -> tuple[int, int]:
+    """First and last start hour of a movable job: the last whose full block fits
+    in the horizon, or the horizon itself when even the release is too late for
+    that (the block is cut off).  First exceeds last when released past it."""
     last = horizon - duration + 1
-    return range(release, (last if last >= release else horizon) + 1)
+    return release, (last if last >= release else horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -143,43 +143,52 @@ def solve_exact(
     return grid, _priced(grid, cfg, level, lcm)
 
 
-def _cheapest_starts(instance: Instance, level: list[int]) -> Counter:
-    """Movable starts per hour of the lexicographically earliest start vector
-    that minimizes cost at the integer prices ``level``.
+def _cheapest_starts(instance: Instance, level: list[int]) -> list[int]:
+    """Movable starts per hour (index 0 unused) of the lexicographically
+    earliest start vector that minimizes cost at the integer prices ``level``.
 
-    The bounds on the start counts come from hour tables built straight from
-    the start states and the arrivals: how many start windows (``_window``)
-    open and close at each hour, as empty batteries are released at hour 1
-    and arrivals the hour after they land, how many chargers the continuations
-    hold, and how many batteries are full by each hour without any movable
-    charge.  No job is built one by one.
+    The bounds come from hour tables built from one pass over the start states
+    and from the arrivals: how many start windows (``_window``) open and close
+    at each hour, with empty batteries released at hour 1 and arrivals the hour
+    after they land, how many chargers the continuations hold, and how many
+    batteries are full by each hour without any movable charge.
     """
     cfg = instance.config
     T, D = cfg.horizon, cfg.charge_hours
+    empty = stock = 0
+    done = [0] * (T + 2)  # continuations full by hour t; the others hold a charger
+    for entry in instance.initial.entries:
+        state = entry.state
+        if state is _E:
+            empty += 1
+        elif state is _F:
+            stock += 1
+        elif state is _C:
+            done[min(D - entry.progress, T) + 1] += 1
+    done = list(itertools.accumulate(done))
     opened = [0] * (T + 1)  # movable start windows opening / closing at hour t
     closed = [0] * (T + 1)
-    for release, n in enumerate([instance.initial.count(_E), *instance.events.arrivals], start=1):
-        if n and (window := _window(release, D, T)):
-            opened[window[0]] += n
-            closed[window[-1]] += n
-    fixed = [D - e.progress for e in instance.initial.entries if e.state is _C]
-    done = [0] * (T + 2)  # continuations full by hour t; the others hold a charger
-    for length in fixed:
-        done[min(length, T) + 1] += 1
-    done = list(itertools.accumulate(done))
+    for release, n in enumerate([empty, *instance.events.arrivals], start=1):
+        if n:
+            first, last = _window(release, D, T)
+            if first <= last:
+                opened[first] += n
+                closed[last] += n
     # An arc (u, v, w) says y[v] <= y[u] + w.  A block started by hour t is
     # full at t + D and serves the swaps of hour t + D + 1 onwards; swaps
     # that no movable block can reach in time are left to the realisation.
+    # Blocks started after hour max(t - D, 0) hold chargers at t; fewer than 0
+    # free (continuations outnumber chargers) fails the realisation at hour 1.
     # Bounds implied by y[t-1] <= y[t] are left out: an upper bound equal to
     # the next hour's, and a lower bound no higher than an earlier one or 0.
     # Hour T's upper bound always stays; it keeps every hour reachable from 0.
-    free, stock = cfg.n_chargers - len(fixed), instance.initial.count(_F)
+    free = cfg.n_chargers - done[-1]
     served = list(itertools.accumulate(instance.events.demand, initial=0))
     high = list(itertools.accumulate(opened))
     low = list(itertools.accumulate(closed))
     hours = range(1, T + 1)
     arcs = [(t, t - 1, 0) for t in hours]
-    arcs += [(max(t - D, 0), t, max(free + done[t], 0)) for t in hours]
+    arcs += zip([0] * min(D, T) + list(range(1, T - D + 1)), hours, [free + n for n in done[1:-1]])
     arcs += [(0, t, high[t]) for t in hours if t == T or high[t] < high[t + 1]]
     floor = 0
     for t in hours:
@@ -192,7 +201,7 @@ def _cheapest_starts(instance: Instance, level: list[int]) -> Counter:
     # (prices past the horizon are 0).
     weight = [0] + [level[t - 1] - (level[t + D - 1] if t + D <= T else 0) for t in hours]
     y = _largest_optimal_potentials(T + 1, arcs, weight)
-    return Counter({t: y[t] - y[t - 1] for t in hours})
+    return [0] + [b - a for a, b in zip(y, y[1:])]
 
 
 def _largest_optimal_potentials(

@@ -229,7 +229,8 @@ class _Value:
 
     Each subclass names its fields, in order, in ``__slots__``, and its
     ``__init__`` checks its arguments and passes the fields, in that order,
-    to ``_Value.__init__``, which stores them.  Values are equal when they
+    to ``_Value.__init__``, which stores them, and any value worked out from
+    them by keyword, into a slot of a base class.  Values are equal when they
     are of the same class with equal fields, hash as their field tuple and
     print as ``Name(field=value, ...)``.  Setting or deleting an attribute
     raises AttributeError.  Copy and pickle rebuild a value by calling its
@@ -238,12 +239,12 @@ class _Value:
 
     __slots__ = ()
 
-    def __init__(self, *fields):
+    def __init__(self, *fields, **derived):
         names = self.__slots__
         if len(fields) != len(names):
             # A TypeError, not a ValueError: this is a bug, not bad input.
             raise TypeError(f"{self.__class__.__qualname__} has {len(names)} fields, got {len(fields)}")
-        for name, value in zip(names, fields):
+        for name, value in [*zip(names, fields), *derived.items()]:
             object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
@@ -281,12 +282,17 @@ class _Value:
 MAX_CELLS = 1_000_000
 
 
-class StationConfig(_Value):
+class _Powered(_Value):
+    __slots__ = ("power_kw",)  # worked out from the fields, so not one of them
+
+
+class StationConfig(_Powered):
     """Static description of one station.
 
-    ``charge_power_kw`` may be omitted; the effective charging power is then
-    ``capacity_kwh / charge_hours`` (a full charge spread evenly over the
-    fixed charge duration).
+    ``charge_power_kw`` may be omitted; the effective charging power
+    ``power_kw`` per occupied charger is then ``capacity_kwh / charge_hours``
+    (a full charge spread evenly over the fixed charge duration).  It is
+    worked out once, when the config is built.
     """
 
     __slots__ = (
@@ -318,14 +324,10 @@ class StationConfig(_Value):
                 f"{n_batteries} batteries over {horizon} hours make "
                 f"{n_batteries * horizon} battery-hours, more than {MAX_CELLS}"
             )
-        super().__init__(n_batteries, n_chargers, charge_hours, capacity_kwh, horizon, charge_power_kw)
-
-    @property
-    def power_kw(self) -> Fraction:
-        """Effective charging power per occupied charger."""
-        if self.charge_power_kw is not None:
-            return self.charge_power_kw
-        return self.capacity_kwh / self.charge_hours
+        power = capacity_kwh / charge_hours if charge_power_kw is None else charge_power_kw
+        super().__init__(
+            n_batteries, n_chargers, charge_hours, capacity_kwh, horizon, charge_power_kw, power_kw=power
+        )
 
     def to_json_dict(self) -> dict:
         data = {
@@ -419,9 +421,11 @@ class ScheduleGrid(_Value):
 
     ``rows[b - 1][t - 1]`` is the letter of battery ``b`` at hour ``t``, and
     the accessors take those 1-based indices.  The constructor checks shape
-    and letters only.  Adjacency legality is a *validation* concern: grids
-    carrying illegal transitions must be representable so the validator can
-    report them.
+    and letters only, and so do ``parse_grid``, ``with_cell`` and unpickling,
+    which go through it; ``_trusted`` stores rows unchecked, for the grids
+    the realisation writes from E, C, F and O itself.  Adjacency legality is
+    a *validation* concern: grids carrying illegal transitions must be
+    representable so the validator can report them.
     """
 
     __slots__ = ("rows",)
@@ -442,6 +446,11 @@ class ScheduleGrid(_Value):
         if not rows[0]:
             raise DimensionError("a grid needs at least one hour column")
         super().__init__(rows)
+
+    @classmethod
+    def _trusted(cls, rows: tuple[str, ...]) -> "ScheduleGrid":
+        _Value.__init__(grid := object.__new__(cls), rows)
+        return grid
 
     @property
     def n_batteries(self) -> int:

@@ -154,10 +154,10 @@ def _priced(grid: ScheduleGrid, config: StationConfig, level: list[int], lcm: in
     per_hour = [u * n for u, n in zip(unit, charging)]
     exact = {x: Fraction(x, scale) for x in {*per_hour, *per_battery}}
     return CostBreakdown(
-        total=Fraction(sum(per_hour), scale),
-        per_hour=tuple(map(exact.__getitem__, per_hour)),
-        per_battery=tuple(map(exact.__getitem__, per_battery)),
-        energy_kwh=power * sum(charging),
+        Fraction(sum(per_hour), scale),
+        tuple(map(exact.__getitem__, per_hour)),
+        tuple(map(exact.__getitem__, per_battery)),
+        Fraction(power.numerator * sum(charging), power.denominator),
     )
 
 
@@ -177,19 +177,22 @@ def _priced(grid: ScheduleGrid, config: StationConfig, level: list[int], lcm: in
 # battery order, the FIFO tie-break.  A charge is filed, when it starts,
 # under the hour it turns full, and a running count of the charges on
 # chargers checks the capacity, so no hour scans the charges in progress.
-# Only the state changes are recorded, and each battery's row of letters is
-# written once from them at the end: between changes a battery keeps its state.
+# Only hour 1 and the hours that start charges can raise that count, so only
+# they check it, at step 3.  Between state changes a battery keeps its state,
+# so a row is written a run of letters at a time, as the battery changes.
 # ---------------------------------------------------------------------------
 
 
-def _simulate(instance: Instance, n_starts: Counter) -> ScheduleGrid:
-    """Realise ``n_starts`` (hour -> charges started) as a schedule grid."""
+def _simulate(instance: Instance, n_starts: Sequence[int] | Counter) -> ScheduleGrid:
+    """Realise ``n_starts`` (``n_starts[t]``: charges started at hour t) as a schedule grid."""
     cfg = instance.config
-    T, D = cfg.horizon, cfg.charge_hours
+    T, D, chargers = cfg.horizon, cfg.charge_hours, cfg.n_chargers
     demand, arrivals = instance.events.demand, instance.events.arrivals
-    # Each battery's state changes as (hour, letter), starting from its start
-    # state; a later change in the same hour overrides an earlier one.
-    changes = []
+    # written[b]: battery b's letters before hour since[b].  A battery that
+    # changes state at hour t writes the letter it leaves up to t (nothing for
+    # a state it leaves in the hour it came); at the end, its last letter.
+    written = [""] * (cfg.n_batteries + 1)
+    since = [1] * len(written)
 
     # Batteries in FIFO order.  Those that start the horizon full are ordered
     # by declared rank; the charges that finish at hour t join full behind
@@ -206,17 +209,13 @@ def _simulate(instance: Instance, n_starts: Counter) -> ScheduleGrid:
         state = entry.state
         if state is _E:
             waiting.append(b)
-            changes.append([(1, "E")])
         elif state is _C:
             finishing[min(D - entry.progress, T) + 1].append(b)
             active += 1
-            changes.append([(1, "C")])
         elif state is _F:
             ranked.append((entry.full_rank, b))
-            changes.append([(1, "F")])
         else:
             out_pool.append(b)
-            changes.append([(1, "O")])
     full = deque(b for _, b in sorted(ranked))
 
     for t in range(1, T + 1):
@@ -231,7 +230,8 @@ def _simulate(instance: Instance, n_starts: Counter) -> ScheduleGrid:
                 )
             landed = sorted([out_pool.popleft() for _ in range(need)])
             for b in landed:
-                changes[b - 1].append((t, "E"))
+                written[b] += "O" * (t - since[b])
+                since[b] = t
             waiting.extend(landed)
 
         # 2. charges that ended at hour t - 1 become full
@@ -239,21 +239,24 @@ def _simulate(instance: Instance, n_starts: Counter) -> ScheduleGrid:
         if finished:
             finished.sort()
             for b in finished:
-                changes[b - 1].append((t, "F"))
+                written[b] += "C" * (t - since[b])
+                since[b] = t
             full.extend(finished)
             active -= len(finished)
 
         # 3. charge starts, longest-waiting batteries first
-        starts = min(n_starts[t], len(waiting))
-        if starts:
+        starts = n_starts[t]
+        if starts or t == 1:
+            starts = min(starts, len(waiting))
             ending = finishing[min(t + D, T + 1)]
             for _ in range(starts):
                 b = waiting.popleft()
                 ending.append(b)
-                changes[b - 1].append((t, "C"))
+                written[b] += "E" * (t - since[b])
+                since[b] = t
             active += starts
-        if active > cfg.n_chargers:
-            raise InfeasibleError(t, f"{active} concurrent charges at hour {t}")
+            if active > chargers:
+                raise InfeasibleError(t, f"{active} concurrent charges at hour {t}")
 
         # 4. swaps consume the batteries full before hour t, longest-full first
         need = demand[t - 1]
@@ -269,18 +272,14 @@ def _simulate(instance: Instance, n_starts: Counter) -> ScheduleGrid:
                 )
             gone = sorted([full.popleft() for _ in range(need)])
             for b in gone:
-                changes[b - 1].append((t, "O"))
+                written[b] += "F" * (t - since[b])
+                since[b] = t
             out_pool.extend(gone)
 
-    rows = []
-    for marks in changes:
-        row = ""
-        hour, letter = marks[0]
-        for next_hour, next_letter in marks[1:]:
-            row += letter * (next_hour - hour)
-            hour, letter = next_hour, next_letter
-        rows.append(row + letter * (T + 1 - hour))
-    return ScheduleGrid(tuple(rows))
+    for letter, batteries in (("E", waiting), ("C", finishing[T + 1]), ("F", full), ("O", out_pool)):
+        for b in batteries:
+            written[b] += letter * (T + 1 - since[b])
+    return ScheduleGrid._trusted(tuple(written[1:]))
 
 
 def solve_greedy(instance: Instance) -> ScheduleGrid:

@@ -171,6 +171,26 @@ def test_config_power_defaults_to_capacity_over_duration():
     assert explicit.power_kw == Fraction(20)
 
 
+def test_config_power_survives_copy_and_pickle():
+    """``power_kw`` is worked out when a config is built, not stored as a
+    field: copies and unpickled configs build it again."""
+    import copy
+    import pickle
+
+    for cfg in (
+        StationConfig(12, 4, 6, Fraction(100), 24),
+        StationConfig(3, 2, 4, Fraction(15, 2), 10, charge_power_kw=Fraction(7, 3)),
+    ):
+        copies = [copy.copy(cfg), copy.deepcopy(cfg)]
+        copies += [pickle.loads(pickle.dumps(cfg, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies:
+            assert other == cfg and hash(other) == hash(cfg) and repr(other) == repr(cfg)
+            assert other.power_kw == cfg.power_kw
+            assert type(other.power_kw) is Fraction
+        assert cfg.__reduce__()[1] == (cfg.n_batteries, cfg.n_chargers, cfg.charge_hours,
+                                       cfg.capacity_kwh, cfg.horizon, cfg.charge_power_kw)
+
+
 def test_config_json_round_trip():
     cfg = StationConfig(3, 2, 4, Fraction(15, 2), 10, charge_power_kw=Fraction(7, 3))
     data = cfg.to_json_dict()

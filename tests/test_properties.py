@@ -24,6 +24,7 @@ from swapsched import (
     InitialConditions,
     Instance,
     ScheduleGrid,
+    SolveObjective,
     StationConfig,
     cli,
     format_exact,
@@ -223,6 +224,29 @@ def test_exact_is_valid_no_dearer_than_greedy_and_equals_the_oracle(instance):
     assert validate(grid, instance, "strict").feasible
     assert cost.total <= schedule_cost(greedy, instance.config, instance.events.price).total
     equal_to_the_oracle_or_too_large(instance, (grid, cost))
+
+
+@no_deadline
+@given(instance=instances())
+def test_every_solver_grid_passes_the_public_constructor(instance):
+    """The realisation stores its rows without checking them again, so every
+    grid a solver returns must be one the checking constructor accepts."""
+    cfg = instance.config
+    solvers = (
+        solve_greedy,
+        solve_exact,
+        lambda i: solve_exact(i, SolveObjective.FEASIBILITY),
+        lambda i: solve_oracle(i, budget=2_000),
+    )
+    for solve in solvers:
+        try:
+            out = solve(instance)
+        except (InfeasibleError, EnumerationBudgetError):
+            continue
+        grid = out if isinstance(out, ScheduleGrid) else out[0]
+        assert type(grid.rows) is tuple and all(type(row) is str for row in grid.rows)
+        assert grid == ScheduleGrid(tuple(grid.rows))
+        assert (grid.n_batteries, grid.horizon) == (cfg.n_batteries, cfg.horizon)
 
 
 def mixed_bundle() -> tuple[Instance, ScheduleGrid]:

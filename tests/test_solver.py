@@ -218,6 +218,44 @@ def test_greedy_infeasible_arrival_without_out_battery():
     assert exc.value.hour == 2
 
 
+def test_the_realisation_raises_its_errors_in_event_order():
+    """Within an hour the realisation checks arrivals, then the chargers, then
+    the swaps, and each error carries its hour and its message."""
+    from collections import Counter
+
+    from swapsched.solver import _simulate
+
+    def station(n_chargers, starts, demand, arrivals):
+        cfg = StationConfig(len(starts), n_chargers, 2, Fraction(10), 4)
+        events = EventProfiles(demand, arrivals, (Fraction(1),) * 4)
+        return Instance(cfg, InitialConditions(tuple(starts)), events)
+
+    def error(instance, n_starts):
+        with pytest.raises(InfeasibleError) as exc:
+            _simulate(instance, n_starts)
+        return exc.value.hour, str(exc.value)
+
+    # Hour 1: two continuations on one charger, a swap and an arrival.
+    on_charger = [BatteryStart(state=C), BatteryStart(state=C, progress=1), BatteryStart(state=O)]
+    cases = [
+        (station(1, on_charger, (1, 0, 0, 0), (1, 0, 0, 0)), (1, "arrivals cannot land at hour 1")),
+        (station(1, on_charger, (1, 0, 0, 0), (0, 0, 0, 0)), (1, "2 concurrent charges at hour 1")),
+        (station(2, on_charger, (1, 0, 0, 0), (0, 0, 0, 0)), (1, "demand at hour 1 can never be served")),
+    ]
+    for instance, expected in cases:
+        assert error(instance, Counter()) == expected
+        with pytest.raises(InfeasibleError) as exc:
+            solve_greedy(instance)
+        assert (exc.value.hour, str(exc.value)) == expected
+
+    # A later hour: two starts on one charger and a swap no battery can serve.
+    later = station(1, [BatteryStart(state=E), BatteryStart(state=E)], (0, 1, 0, 0), (0, 0, 0, 0))
+    assert error(later, Counter({2: 2})) == (2, "2 concurrent charges at hour 2")
+    shortfall = (2, "demand 1 at hour 2, only 0 fully-charged batteries available")
+    assert error(later, Counter({2: 1})) == shortfall
+    assert error(later, Counter()) == shortfall
+
+
 def test_greedy_never_exceeds_capacity(demo, demo_greedy):
     instance, _ = demo
     for t in range(1, 25):
