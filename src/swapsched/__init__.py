@@ -32,7 +32,7 @@ _HOMES = {
     "InitialConditions": "model",
     "ScheduleGrid": "model",
     "EventProfiles": "model",
-    "extract_events": "model",
+    "extract_events": "scenario",
     "render_grid": "model",
     "parse_grid": "model",
     "Instance": "model",

@@ -10,12 +10,13 @@ breaking cost ties toward the lexicographically earliest start vector.
 Movable jobs all run the same block length, so it works on start counts
 (how many jobs have started by each hour): charger capacity, release
 windows, deadlines and demand coverage are difference constraints on those
-counts, and the cost-minimizing counts are the dual of one min-cost flow on
-the hours.  Each hour's excess or deficit is routed over uncapacitated arcs,
-with no super source or sink, in primal-dual phases (one Bellman-Ford from
-every hour with excess left, then flow along tight arcs to the deficits) in
-polynomial time.  Its dual does not depend on which optimal flow the phases
-find.  It runs ``solve_greedy`` only for the feasibility objective, or to
+counts, read from the hour tables (``model._hour_tables``) that greedy's
+FIFO rule reads too, and the cost-minimizing counts are the dual of one
+min-cost flow on the hours.  Each hour's excess or deficit is routed over
+uncapacitated arcs, with no super source or sink, in primal-dual phases (one
+Bellman-Ford from every hour with excess left, then flow along tight arcs to
+the deficits) in polynomial time.  Its dual does not depend on which optimal
+flow the phases find.  It runs ``solve_greedy`` only for the feasibility objective, or to
 prove an instance infeasible with the first failing hour.
 ``solve_oracle`` does the same by exhaustive enumeration and exists to
 cross-check the exact solver; ``ChargeJob``, ``build_jobs`` and
@@ -35,8 +36,9 @@ from .model import (
     Instance,
     ScheduleGrid,
     StationConfig,
-    _job_table,
+    _hour_tables,
     _Value,
+    _window,
 )
 from .solver import CostBreakdown, SolveObjective, _price_levels, _priced, _simulate, schedule_cost, solve_greedy
 
@@ -48,7 +50,7 @@ __all__ = [
     "solve_oracle",
 ]
 
-_E, _C, _F = BatteryState.EMPTY, BatteryState.CHARGING, BatteryState.FULL
+_E, _C = BatteryState.EMPTY, BatteryState.CHARGING
 
 
 class ChargeJob(_Value):
@@ -77,10 +79,11 @@ def build_jobs(instance: Instance) -> tuple[ChargeJob, ...]:
     is also the FIFO priority order and the order of start vectors.
     """
     D = instance.config.charge_hours
-    fixed, releases = _job_table(instance.config, instance.initial, instance.events.arrivals)
+    entries = instance.initial.entries
     return tuple(
-        [ChargeJob(1, length, fixed_start=1) for length in fixed]
-        + [ChargeJob(r, D) for r in releases]
+        [ChargeJob(1, D - e.progress, fixed_start=1) for e in entries if e.state is _C]
+        + [ChargeJob(1, D) for e in entries if e.state is _E]
+        + [ChargeJob(r, D) for r, n in enumerate(instance.events.arrivals, start=2) for _ in range(n)]
     )
 
 
@@ -96,14 +99,6 @@ def start_domain(job: ChargeJob, config: StationConfig) -> tuple[int, ...]:
         return (job.fixed_start,)
     first, last = _window(job.release, job.duration, config.horizon)
     return tuple(range(first, last + 1))
-
-
-def _window(release: int, duration: int, horizon: int) -> tuple[int, int]:
-    """First and last start hour of a movable job: the last whose full block fits
-    in the horizon, or the horizon itself when even the release is too late for
-    that (the block is cut off).  First exceeds last when released past it."""
-    last = horizon - duration + 1
-    return release, (last if last >= release else horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -147,33 +142,15 @@ def _cheapest_starts(instance: Instance, level: list[int]) -> list[int]:
     """Movable starts per hour (index 0 unused) of the lexicographically
     earliest start vector that minimizes cost at the integer prices ``level``.
 
-    The bounds come from hour tables built from one pass over the start states
-    and from the arrivals: how many start windows (``_window``) open and close
-    at each hour, with empty batteries released at hour 1 and arrivals the hour
-    after they land, how many chargers the continuations hold, and how many
-    batteries are full by each hour without any movable charge.
+    The bounds come from the hour tables of ``model._hour_tables``, which
+    greedy and the scenario generator's repairs read too: how many start
+    windows have opened and closed by each hour (``high`` and ``low``), how
+    many chargers the continuations hold, and how many batteries are full by
+    each hour without any movable charge.
     """
     cfg = instance.config
     T, D = cfg.horizon, cfg.charge_hours
-    empty = stock = 0
-    done = [0] * (T + 2)  # continuations full by hour t; the others hold a charger
-    for entry in instance.initial.entries:
-        state = entry.state
-        if state is _E:
-            empty += 1
-        elif state is _F:
-            stock += 1
-        elif state is _C:
-            done[min(D - entry.progress, T) + 1] += 1
-    done = list(itertools.accumulate(done))
-    opened = [0] * (T + 1)  # movable start windows opening / closing at hour t
-    closed = [0] * (T + 1)
-    for release, n in enumerate([empty, *instance.events.arrivals], start=1):
-        if n:
-            first, last = _window(release, D, T)
-            if first <= last:
-                opened[first] += n
-                closed[last] += n
+    stock, done, high, low = _hour_tables(cfg, instance.initial, instance.events.arrivals)
     # An arc (u, v, w) says y[v] <= y[u] + w.  A block started by hour t is
     # full at t + D and serves the swaps of hour t + D + 1 onwards; swaps
     # that no movable block can reach in time are left to the realisation.
@@ -184,8 +161,6 @@ def _cheapest_starts(instance: Instance, level: list[int]) -> list[int]:
     # Hour T's upper bound always stays; it keeps every hour reachable from 0.
     free = cfg.n_chargers - done[-1]
     served = list(itertools.accumulate(instance.events.demand, initial=0))
-    high = list(itertools.accumulate(opened))
-    low = list(itertools.accumulate(closed))
     hours = range(1, T + 1)
     arcs = [(t, t - 1, 0) for t in hours]
     arcs += zip([0] * min(D, T) + list(range(1, T - D + 1)), hours, [free + n for n in done[1:-1]])

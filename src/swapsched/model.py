@@ -18,13 +18,16 @@ string per battery, one letter per hour.  ``BatteryState`` names a state
 where one is passed on its own (start states, ``ScheduleGrid.state``).
 
 An ``Instance`` joins a station, its start states and its hourly events.
-Its charge work reduces to two job tables (``_job_table``), and the FIFO
-rule of the greedy solver (``_fifo_starts``) places those jobs: the solvers
-and the scenario generator's repairs share both.
+Its charge work reduces to counts by hour (``_hour_tables``): the batteries
+full from the start, the continuations done by each hour and the start
+windows opened and closed by each hour.  The FIFO rule of the greedy solver
+turns them into start counts by hour (``_fifo_counts``).  Greedy, the exact
+solver's bounds and the scenario generator's repairs all read these tables.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import sys
@@ -33,7 +36,7 @@ from decimal import Decimal, InvalidOperation
 from enum import Enum
 from fractions import Fraction
 
-from .errors import DimensionError, GridParseError, InstanceError, TransitionError
+from .errors import DimensionError, GridParseError, InstanceError
 
 __all__ = [
     "BatteryState",
@@ -48,7 +51,6 @@ __all__ = [
     "EventProfiles",
     "Instance",
     "DEFAULT_ORACLE_BUDGET",
-    "extract_events",
     "render_grid",
     "parse_grid",
 ]
@@ -545,21 +547,8 @@ def _edges(grid: ScheduleGrid) -> tuple[list[int], list[int], list[tuple[int, in
     return swaps, returns, illegal
 
 
-def extract_events(grid: ScheduleGrid) -> EventProfiles:
-    """Read demand and arrival counts off a grid's edges; prices come back zero.
-
-    Raises TransitionError on the first illegal adjacency: event extraction
-    is only meaningful on grids that respect the state cycle.
-    """
-    swaps, returns, illegal = _edges(grid)
-    if illegal:
-        b, hour, prev, cur = illegal[0]
-        raise TransitionError(b, hour, f"illegal transition {prev}->{cur}")
-    return EventProfiles(tuple(swaps), tuple(returns), (Fraction(0),) * grid.horizon)
-
-
 # ---------------------------------------------------------------------------
-# Instances and their charge jobs
+# Instances and the hour tables of their charge work
 # ---------------------------------------------------------------------------
 
 _MAX_SCALE = 10 ** (2 * MAX_EXPONENT)
@@ -607,56 +596,74 @@ class Instance(_Value):
         super().__init__(config, initial, events)
 
 
-def _job_table(
+def _window(release: int, duration: int, horizon: int) -> tuple[int, int]:
+    """First and last start hour of a movable job: the last whose full block fits
+    in the horizon, or the horizon itself when even the release is too late for
+    that (the block is cut off).  First exceeds last when released past it."""
+    last = horizon - duration + 1
+    return release, (last if last >= release else horizon)
+
+
+def _hour_tables(
     config: StationConfig, initial: InitialConditions, arrivals: Sequence[int]
-) -> tuple[list[int], list[int]]:
-    """The jobs of ``exact.build_jobs`` as two tables: each continuation's
-    length, in battery order, and each movable job's release hour, in
-    canonical order.
+) -> tuple[int, list[int], list[int], list[int]]:
+    """An instance's charge work as counts by hour: ``(stock, done, opened, closed)``.
 
-    Batteries that start empty are released at hour 1; every arrival unit is
-    released the hour after it lands, which is past the horizon for the
-    final hour's arrivals.
+    ``stock`` counts the batteries that start full.  ``done[t]`` (hours 0 to
+    T + 1) counts the continuations full by hour t; the others hold a
+    charger at t.  ``opened[t]`` and ``closed[t]`` (hours 0 to T) count the
+    movable start windows (``_window``) opened and closed by hour t.
+    Batteries that start empty are released at hour 1 and every arrival unit
+    the hour after it lands, so a window released past the horizon (an
+    arrival in the final hour) never opens.
     """
-    D = config.charge_hours
-    fixed = [D - e.progress for e in initial.entries if e.state is _C]
-    releases = [1] * initial.count(_E)
-    releases += [r for r, n in enumerate(arrivals, start=2) for _ in range(n)]
-    return fixed, releases
+    T, D = config.horizon, config.charge_hours
+    empty = stock = 0
+    done = [0] * (T + 2)
+    for entry in initial.entries:
+        state = entry.state
+        if state is _E:
+            empty += 1
+        elif state is _F:
+            stock += 1
+        elif state is _C:
+            done[min(D - entry.progress, T) + 1] += 1
+    opened = [0] * (T + 1)
+    closed = [0] * (T + 1)
+    for release, n in enumerate([empty, *arrivals], start=1):
+        if n:
+            first, last = _window(release, D, T)
+            if first <= last:
+                opened[first] += n
+                closed[last] += n
+    accumulate = itertools.accumulate
+    return stock, list(accumulate(done)), list(accumulate(opened)), list(accumulate(closed))
 
 
-def _fifo_starts(
-    config: StationConfig,
-    fixed_lengths: Sequence[int],
-    releases: Sequence[int],
-) -> list[int | None]:
-    """Earliest FIFO start hours for equal-length jobs behind fixed hour-1 blocks.
+def _fifo_counts(config: StationConfig, done: Sequence[int], opened: Sequence[int]) -> list[int]:
+    """Greedy's start counts: ``Y[t]`` movable charges started by hour t
+    (hours 0 to T), from the ``done`` and ``opened`` tables of ``_hour_tables``.
 
     This is the greedy rule: every depleted battery starts charging the
-    first hour a charger is free.  ``releases`` must be sorted.  With equal
-    durations and first-in-first-out charger assignment, starts are
-    non-decreasing and a job fits a charger at hour ``s`` exactly when hour
-    ``s`` itself has a charger free.  None marks a job that never starts.
+    first hour a charger is free, first in, first out.  Every movable block
+    runs ``charge_hours`` (D), so the blocks started after hour t - D hold a
+    charger at t, and by hour t as many have started as are released or as
+    the chargers the continuations leave allow, whichever is fewer:
+    ``Y[t] = min(opened[t], Y[max(t - D, 0)] + n_chargers - done[-1] + done[t])``.
+    Continuations that outnumber the chargers leave fewer than none; the
+    count stays at 0 there, and the realisation refuses hour 1.  Job k in
+    FIFO order starts at the first hour whose count exceeds k, if any does.
     """
-    horizon, n_chargers, duration = config.horizon, config.n_chargers, config.charge_hours
-    usage = [0] * (horizon + 2)
-    for length in fixed_lengths:
-        for h in range(1, min(length, horizon) + 1):
-            usage[h] += 1
-    starts: list[int | None] = []
-    floor = 1
-    for release in releases:
-        s = max(release, floor)
-        while s <= horizon and usage[s] >= n_chargers:
-            s += 1
-        if s > horizon:
-            starts.append(None)
-            continue
-        for h in range(s, min(s + duration - 1, horizon) + 1):
-            usage[h] += 1
-        starts.append(s)
-        floor = s
-    return starts
+    T, D = config.horizon, config.charge_hours
+    free = config.n_chargers - done[-1]
+    y = [0] * (T + 1)
+    for t in range(1, T + 1):
+        n = free + done[t] + (y[t - D] if t > D else 0)
+        if opened[t] < n:
+            n = opened[t]
+        if n > 0:
+            y[t] = n
+    return y
 
 
 # ---------------------------------------------------------------------------

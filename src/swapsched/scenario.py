@@ -12,14 +12,13 @@ repairs and all bets off.
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections.abc import Sequence
 from fractions import Fraction
 from pathlib import Path
 
 from .bundle import _initial_from_json, _read_json
-from .errors import DimensionError, InstanceError
+from .errors import DimensionError, InstanceError, TransitionError
 from .model import (
     MAX_CELLS,
     BatteryStart,
@@ -29,11 +28,11 @@ from .model import (
     Instance,
     ScheduleGrid,
     StationConfig,
-    _fifo_starts,
-    _job_table,
+    _edges,
+    _fifo_counts,
+    _hour_tables,
     _shown,
     _shown_keys,
-    extract_events,
     is_int,
     to_exact,
     _Value,
@@ -49,6 +48,7 @@ __all__ = [
     "ScenarioSpec",
     "generate",
     "load_spec",
+    "extract_events",
     "demo_instance",
 ]
 
@@ -228,13 +228,13 @@ def _draw_initial(rng: random.Random, cfg: StationConfig) -> InitialConditions:
         else:
             entries.append(BatteryStart(state=s))
 
-    # flip E -> O where an empty battery cannot get a full block; the late
-    # ones are a suffix in FIFO order, and dropping them moves no earlier start
-    fixed, releases = _job_table(cfg, InitialConditions(tuple(entries)), ())
-    empties = [i for i, s in enumerate(states) if s is _E]
-    for i, s in zip(empties, _fifo_starts(cfg, fixed, releases)):
-        if s is None or s + cfg.charge_hours - 1 > cfg.horizon:
-            entries[i] = BatteryStart(state=_O)
+    # flip E -> O where an empty battery cannot get a full block: FIFO starts
+    # the empties in battery order, and only those started by the last hour a
+    # full block fits start in time; dropping the rest moves no earlier start
+    _, done, opened, _ = _hour_tables(cfg, InitialConditions(tuple(entries)), ())
+    in_time = _fifo_counts(cfg, done, opened)[max(cfg.horizon - cfg.charge_hours + 1, 0)]
+    for i in [i for i, s in enumerate(states) if s is _E][in_time:]:
+        entries[i] = BatteryStart(state=_O)
     return InitialConditions(tuple(entries))
 
 
@@ -277,15 +277,12 @@ def _render_demand(
         return [0] * T
     drawn = shape.draw(rng, 2, T)
     # The initial fleet's charges under earliest starts; arrival jobs are drawn
-    # later and only ever add supply on top of these.
-    fixed, releases = _job_table(cfg, initial, ())
-    starts = _fifo_starts(cfg, fixed, releases)
-    finished = [0] * (T + 1)  # charges finished at hour t
-    for c in [f + 1 for f in fixed] + [s + D for s in starts if s is not None]:
-        if c <= T:
-            finished[c] += 1
-    # room[t]: swaps servable by hour t = full stock plus charges finished by t-1
-    room = list(itertools.accumulate(finished, initial=initial.count(_F)))
+    # later and only ever add supply on top of these.  room[t]: swaps servable
+    # by hour t = full stock plus continuations and blocks (started by hour
+    # t - 1 - D) finished by t - 1
+    stock, done, opened, _ = _hour_tables(cfg, initial, ())
+    started = _fifo_counts(cfg, done, opened)
+    room = [0] + [stock + done[t - 1] + (started[t - 1 - D] if t > D else 0) for t in range(1, T + 1)]
     return _place_units(drawn, T, room)
 
 
@@ -317,14 +314,14 @@ def _render_arrivals(
         room[t] = n_out + cum_d[t - 1]
     counts = _place_units(drawn, T, room)
 
-    # drop the arrivals that cannot run a full block: they are the latest
-    # ones, and dropping a later job never moves an earlier one
-    fixed, releases = _job_table(cfg, initial, counts)
-    n_empty = initial.count(_E)
-    starts = _fifo_starts(cfg, fixed, releases)
-    for release, s in zip(releases[n_empty:], starts[n_empty:]):
-        if s is None or s + D - 1 > T:
-            counts[release - 2] -= 1
+    # keep the arrivals that can run a full block: FIFO starts them behind
+    # the empty batteries, in hour order, and only those started by hour
+    # T - D + 1 start in time; dropping a later job never moves an earlier one
+    _, done, opened, _ = _hour_tables(cfg, initial, counts)
+    keep = max(_fifo_counts(cfg, done, opened)[T - D + 1] - initial.count(_E), 0)
+    for h, n in enumerate(counts):
+        counts[h] = min(n, keep)
+        keep -= counts[h]
     return counts
 
 
@@ -481,6 +478,19 @@ _DEMO_INITIAL = (
     BatteryStart(state=_O),
     BatteryStart(state=_O),
 )
+
+
+def extract_events(grid: ScheduleGrid) -> EventProfiles:
+    """Read demand and arrival counts off a grid's edges; prices come back zero.
+
+    Raises TransitionError on the first illegal adjacency: event extraction
+    is only meaningful on grids that respect the state cycle.
+    """
+    swaps, returns, illegal = _edges(grid)
+    if illegal:
+        b, hour, prev, cur = illegal[0]
+        raise TransitionError(b, hour, f"illegal transition {prev}->{cur}")
+    return EventProfiles(tuple(swaps), tuple(returns), (Fraction(0),) * grid.horizon)
 
 
 def demo_instance() -> tuple[Instance, ScheduleGrid]:

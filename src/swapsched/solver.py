@@ -19,9 +19,10 @@ Stations serve swaps and bind arrivals first-in-first-out:
 
 ``solve_greedy`` charges as soon as possible under those disciplines.  Its
 rule, every depleted battery starts charging the first hour a charger is
-free, lives in ``model._fifo_starts``, which the scenario generator's
-repairs use as well.  The exact solver and the brute-force oracle live in
-``exact``.
+free, lives in ``model._fifo_counts``, which reads the hour tables of
+``model._hour_tables`` as the exact solver's bounds and the scenario
+generator's repairs do.  The exact solver and the brute-force oracle live
+in ``exact``.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import Counter, deque
-from collections.abc import Sequence
+from collections import deque
+from collections.abc import Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
 
@@ -40,8 +41,8 @@ from .model import (
     Instance,
     ScheduleGrid,
     StationConfig,
-    _fifo_starts,
-    _job_table,
+    _fifo_counts,
+    _hour_tables,
     _Value,
     to_exact,
 )
@@ -165,10 +166,10 @@ def _priced(grid: ScheduleGrid, config: StationConfig, level: list[int], lcm: in
 # Simulation engine
 #
 # One hour loop realises per-hour start counts for every method: greedy's
-# come from _fifo_starts, the exact solver's from the flow, the oracle's from
-# each enumerated start vector.  Each hour's starts go to the longest-waiting
-# empty batteries.  Events within an hour settle in a fixed order: arrivals
-# land, charges complete, charges start, swaps land.
+# are the differences of _fifo_counts, the exact solver's come from the flow,
+# the oracle's from each enumerated start vector.  Each hour's starts go to
+# the longest-waiting empty batteries.  Events within an hour settle in a
+# fixed order: arrivals land, charges complete, charges start, swaps land.
 #
 # The loop does work only where something happens.  The waiting, full and
 # out batteries sit in FIFO queues, so an hour takes only the batteries it
@@ -183,7 +184,7 @@ def _priced(grid: ScheduleGrid, config: StationConfig, level: list[int], lcm: in
 # ---------------------------------------------------------------------------
 
 
-def _simulate(instance: Instance, n_starts: Sequence[int] | Counter) -> ScheduleGrid:
+def _simulate(instance: Instance, n_starts: Sequence[int] | Mapping[int, int]) -> ScheduleGrid:
     """Realise ``n_starts`` (``n_starts[t]``: charges started at hour t) as a schedule grid."""
     cfg = instance.config
     T, D, chargers = cfg.horizon, cfg.charge_hours, cfg.n_chargers
@@ -288,5 +289,7 @@ def solve_greedy(instance: Instance) -> ScheduleGrid:
     Maximizes completions by every hour, so if this raises InfeasibleError
     (carrying the first failing hour) no schedule covers the demand.
     """
-    fixed, releases = _job_table(instance.config, instance.initial, instance.events.arrivals)
-    return _simulate(instance, Counter(_fifo_starts(instance.config, fixed, releases)))
+    cfg = instance.config
+    _, done, opened, _ = _hour_tables(cfg, instance.initial, instance.events.arrivals)
+    started = _fifo_counts(cfg, done, opened)
+    return _simulate(instance, [0] + [b - a for a, b in zip(started, started[1:])])

@@ -38,7 +38,7 @@ from swapsched import (
     to_exact,
     validate,
 )
-from swapsched.model import MAX_DIGITS, MAX_EXPONENT
+from swapsched.model import MAX_DIGITS, MAX_EXPONENT, _fifo_counts, _hour_tables
 from conftest import make_valley
 
 STATES = list(BatteryState)
@@ -247,6 +247,72 @@ def test_every_solver_grid_passes_the_public_constructor(instance):
         assert type(grid.rows) is tuple and all(type(row) is str for row in grid.rows)
         assert grid == ScheduleGrid(tuple(grid.rows))
         assert (grid.n_batteries, grid.horizon) == (cfg.n_batteries, cfg.horizon)
+
+
+def fifo_starts_reference(n_chargers, duration, horizon, fixed_lengths, releases):
+    """Greedy's FIFO rule placed one job at a time, sharing no code with the
+    package: each job starts at the first hour from its release, and from the
+    start before it, that has a charger free.  ``fixed_lengths`` are the
+    continuations' remaining hours, ``releases`` the movable jobs' release
+    hours in FIFO order.  None marks a job that never starts."""
+    usage = [0] * (horizon + 2)
+    for length in fixed_lengths:
+        for h in range(1, min(length, horizon) + 1):
+            usage[h] += 1
+    starts = []
+    floor = 1
+    for release in releases:
+        s = max(release, floor)
+        while s <= horizon and usage[s] >= n_chargers:
+            s += 1
+        if s > horizon:
+            starts.append(None)
+            continue
+        for h in range(s, min(s + duration - 1, horizon) + 1):
+            usage[h] += 1
+        starts.append(s)
+        floor = s
+    return starts
+
+
+@st.composite
+def fifo_cases(draw):
+    """(chargers, charge hours, horizon, continuations' progress, empty
+    batteries, arrivals per hour); continuations may outnumber the chargers,
+    the horizon may be shorter than a charge, and arrivals may land in the
+    final hour."""
+    m, D, T = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    progress = draw(st.lists(st.integers(0, D - 1), max_size=6))
+    arrivals = draw(st.lists(st.integers(0, 3), min_size=T, max_size=T))
+    return m, D, T, tuple(progress), draw(st.integers(0, 5)), tuple(arrivals)
+
+
+@no_deadline
+@given(case=fifo_cases())
+@example(case=(1, 2, 4, (0, 0), 1, (0, 0, 0, 0)))  # continuations outnumber chargers
+@example(case=(2, 5, 3, (1,), 2, (0, 1, 0)))  # T < D
+@example(case=(1, 4, 3, (0,), 1, (0, 2, 1)))  # T == D - 1
+@example(case=(1, 2, 5, (), 1, (0, 0, 0, 0, 3)))  # arrivals in the final hour
+@example(case=(1, 3, 6, (), 3, (0, 1, 0, 0, 0, 0)))  # blocks the horizon cuts off
+def test_fifo_counts_are_the_running_count_of_per_job_fifo_starts(case):
+    """``_fifo_counts`` gives, at every hour, how many jobs the per-job FIFO
+    rule has started by then, and job k starts at the first hour whose count
+    exceeds k.  The counts never fall and never go below 0."""
+    m, D, T, progress, n_empty, arrivals = case
+    entries = [BatteryStart(BatteryState.CHARGING, progress=p) for p in progress]
+    entries += [BatteryStart(BatteryState.EMPTY)] * n_empty
+    cfg = StationConfig(max(len(entries), 1), m, D, Fraction(10), T)
+    _, done, opened, _ = _hour_tables(cfg, InitialConditions(tuple(entries)), arrivals)
+    counts = _fifo_counts(cfg, done, opened)
+
+    releases = [1] * n_empty + [h + 1 for h, n in enumerate(arrivals, start=1) for _ in range(n)]
+    starts = fifo_starts_reference(m, D, T, [D - p for p in progress], releases)
+    assert len(counts) == T + 1
+    assert counts == [sum(1 for s in starts if s is not None and s <= t) for t in range(T + 1)]
+    for k, s in enumerate(starts):
+        assert s == next((t for t in range(T + 1) if counts[t] > k), None)
+    assert counts[0] == 0
+    assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
 def mixed_bundle() -> tuple[Instance, ScheduleGrid]:

@@ -256,6 +256,25 @@ def test_the_realisation_raises_its_errors_in_event_order():
     assert error(later, Counter()) == shortfall
 
 
+def test_greedy_counts_stay_at_zero_while_continuations_outnumber_the_chargers():
+    """Two batteries continue a 2-hour charge on one charger, so the chargers
+    the continuations leave number fewer than none at hours 1 and 2.  The
+    counts stay at 0 there, the empty battery starts at hour 3, and greedy
+    refuses hour 1, where the realisation finds two charges on one charger."""
+    from swapsched.model import _fifo_counts, _hour_tables
+
+    instance = Instance(
+        StationConfig(3, 1, 2, Fraction(10), 4),
+        InitialConditions((BatteryStart(state=C), BatteryStart(state=C), BatteryStart(state=E))),
+        EventProfiles((0,) * 4, (0,) * 4, (Fraction(1),) * 4),
+    )
+    _, done, opened, _ = _hour_tables(instance.config, instance.initial, instance.events.arrivals)
+    assert _fifo_counts(instance.config, done, opened) == [0, 0, 0, 1, 1]
+    with pytest.raises(InfeasibleError) as exc:
+        solve_greedy(instance)
+    assert (exc.value.hour, str(exc.value)) == (1, "2 concurrent charges at hour 1")
+
+
 def test_greedy_never_exceeds_capacity(demo, demo_greedy):
     instance, _ = demo
     for t in range(1, 25):
