@@ -11,13 +11,23 @@ Movable jobs all run the same block length, so it works on start counts
 (how many jobs have started by each hour): charger capacity, release
 windows, deadlines and demand coverage are difference constraints on those
 counts, read from the hour tables (``model._hour_tables``) that greedy's
-FIFO rule reads too, and the cost-minimizing counts are the dual of one
-min-cost flow on the hours.  Each hour's excess or deficit is routed over
-uncapacitated arcs, with no super source or sink, in primal-dual phases (one
-Bellman-Ford from every hour with excess left, then flow along tight arcs to
-the deficits) in polynomial time.  Its dual does not depend on which optimal
-flow the phases find.  It runs ``solve_greedy`` only for the feasibility objective, or to
-prove an instance infeasible with the first failing hour.
+FIFO rule reads too.
+
+The counts come from the LP without the charger bounds past hour D, which
+splits by start: the k-th start goes to the earliest hour of least block
+cost between the first hour whose ceiling reaches k and the first hour
+whose floor reaches k.  Picks that fit the chargers are the answer: they are
+feasible for the full LP, optimal because the relaxation's minimum bounds
+the full LP's, and componentwise largest because every full optimum is a
+relaxation optimum.  A floor above its ceiling refuses at once.  Otherwise
+the counts are the dual of one min-cost flow on the hours.  Each hour's
+excess or deficit is routed over uncapacitated arcs, with no super source
+or sink, in primal-dual phases (one Bellman-Ford from every hour with excess
+left, then flow along tight arcs to the deficits) in polynomial time; its
+dual does not depend on which optimal flow the phases find.  Both read one
+``floors`` list, so a tighter lower bound on the counts changes only that.
+``solve_greedy`` runs only for the feasibility objective, or to prove an
+instance infeasible with the first failing hour.
 ``solve_oracle`` does the same by exhaustive enumeration and exists to
 cross-check the exact solver; ``ChargeJob``, ``build_jobs`` and
 ``start_domain`` name the jobs and start hours it enumerates.
@@ -51,6 +61,7 @@ __all__ = [
 ]
 
 _E, _C = BatteryState.EMPTY, BatteryState.CHARGING
+_NO_ARRANGEMENT = "no arrangement of full charge blocks covers the demand"
 
 
 class ChargeJob(_Value):
@@ -110,7 +121,7 @@ def solve_exact(
     instance: Instance,
     objective: SolveObjective = SolveObjective.MIN_COST,
 ) -> tuple[ScheduleGrid, CostBreakdown]:
-    """Minimum-electricity-cost schedule from one min-cost-flow solve over start counts.
+    """Minimum-electricity-cost schedule, solved over start counts.
 
     Every movable job runs a block of ``charge_hours`` and the start windows
     open and close in canonical order, so cost, charger use and completions
@@ -119,20 +130,20 @@ def solve_exact(
     ``y``, the componentwise-largest one is taken, which is the count
     profile of the lexicographically earliest optimal start vector; its
     starts go to the longest-waiting batteries.  The greedy schedule runs
-    only to answer the feasibility objective, or after the flow or the
-    realisation of its starts fails, to prove infeasibility with the first
-    failing hour.
+    only to answer the feasibility objective, or after the count solve or
+    the realisation of its starts fails, to prove infeasibility with the
+    first failing hour.
     """
     cfg = instance.config
     if objective is SolveObjective.FEASIBILITY:
         grid = solve_greedy(instance)  # raises InfeasibleError with the proof hour
         return grid, schedule_cost(grid, cfg, instance.events.price)
-    level, lcm = _price_levels(instance.events.price)  # the flow and the cost share it
+    level, lcm = _price_levels(instance.events.price)  # the count solve and the cost share it
     try:
         grid = _simulate(instance, _cheapest_starts(instance, level))
     except InfeasibleError:
         # Swaps and arrivals that no movable block can reach are outside the
-        # flow; greedy names the first hour that fails, if one does.
+        # count solve; greedy names the first hour that fails, if one does.
         solve_greedy(instance)
         raise
     return grid, _priced(grid, cfg, level, lcm)
@@ -146,37 +157,98 @@ def _cheapest_starts(instance: Instance, level: list[int]) -> list[int]:
     greedy and the scenario generator's repairs read too: how many start
     windows have opened and closed by each hour (``high`` and ``low``), how
     many chargers the continuations hold, and how many batteries are full by
-    each hour without any movable charge.
+    each hour without any movable charge.  They are worked out once, and
+    ``_relaxed_starts`` solves the LP without the charger arcs ``(t - D, t)``
+    for t > D.  If its picks fit those arcs, they are the flow's answer:
+    (1) they are feasible for the full LP; (2) they are optimal, as the
+    relaxation's minimum bounds the full LP's; (3) they are componentwise
+    largest, as every full optimum is a relaxation optimum.  If a pick
+    overloads a charger, the flow runs.  Both read the same ``floors``: a
+    tighter lower bound, such as leaving out the charges the chargers cannot
+    fit, changes that one list.
     """
     cfg = instance.config
     T, D = cfg.horizon, cfg.charge_hours
     stock, done, high, low = _hour_tables(cfg, instance.initial, instance.events.arrivals)
-    # An arc (u, v, w) says y[v] <= y[u] + w.  A block started by hour t is
-    # full at t + D and serves the swaps of hour t + D + 1 onwards; swaps
-    # that no movable block can reach in time are left to the realisation.
-    # Blocks started after hour max(t - D, 0) hold chargers at t; fewer than 0
-    # free (continuations outnumber chargers) fails the realisation at hour 1.
-    # Bounds implied by y[t-1] <= y[t] are left out: an upper bound equal to
-    # the next hour's, and a lower bound no higher than an earlier one or 0.
-    # Hour T's upper bound always stays; it keeps every hour reachable from 0.
+    # A block started by hour t is full at t + D and serves the swaps of hour
+    # t + D + 1 onwards; swaps that no movable block can reach in time are
+    # left to the realisation.  Blocks started after hour max(t - D, 0) hold
+    # chargers at t, so at most ``room[t]`` of them do; fewer than 0 free
+    # (continuations outnumber chargers) is refused, and greedy names hour 1.
     free = cfg.n_chargers - done[-1]
+    room = [free + n for n in done[:-1]]
     served = list(itertools.accumulate(instance.events.demand, initial=0))
     hours = range(1, T + 1)
-    arcs = [(t, t - 1, 0) for t in hours]
-    arcs += zip([0] * min(D, T) + list(range(1, T - D + 1)), hours, [free + n for n in done[1:-1]])
-    arcs += [(0, t, high[t]) for t in hours if t == T or high[t] < high[t + 1]]
+    floors = [0] * (T + 1)
     floor = 0
     for t in hours:
         bound = max(low[t], served[t + D + 1] - stock - done[t + D] if t + D < T else 0)
         if bound > floor:
             floor = bound
-            arcs.append((t, 0, -floor))
-    # sum_t c_t (y[t] - y[t-1]) = sum_t (c_t - c_{t+1}) y[t], where c_t, the
-    # price of a block started at t, telescopes to price[t] - price[t + D]
-    # (prices past the horizon are 0).
-    weight = [0] + [level[t - 1] - (level[t + D - 1] if t + D <= T else 0) for t in hours]
+        floors[t] = floor
+    ceiling = [min(h, r) for h, r in zip(high[: D + 1], room)] + high[D + 1 :]
+    # cost[t], the price of a block started at t, is cut off by the horizon.
+    before = list(itertools.accumulate(level, initial=0))
+    cost = [0] + [b - a for a, b in zip(before[:T], before[D:] + [before[T]] * min(D, T))]
+    starts = _relaxed_starts(D, floors, ceiling, room, cost)
+    if starts is not None:
+        return starts
+    # An arc (u, v, w) says y[v] <= y[u] + w.  Bounds implied by
+    # y[t-1] <= y[t] are left out: an upper bound equal to the next hour's,
+    # and a lower bound no higher than an earlier one or 0.  Hour T's upper
+    # bound always stays; it keeps every hour reachable from 0.
+    arcs = [(t, t - 1, 0) for t in hours]
+    arcs += zip([0] * min(D, T) + list(range(1, T - D + 1)), hours, room[1:])
+    arcs += [(0, t, high[t]) for t in hours if t == T or high[t] < high[t + 1]]
+    arcs += [(t, 0, -floors[t]) for t in hours if floors[t] > floors[t - 1]]
+    # sum_t cost[t] (y[t] - y[t-1]) = sum_t (cost[t] - cost[t+1]) y[t], where
+    # cost[T + 1] is 0.
+    weight = [0] + [c - d for c, d in zip(cost[1:], cost[2:] + [0])]
     y = _largest_optimal_potentials(T + 1, arcs, weight)
     return [0] + [b - a for a, b in zip(y, y[1:])]
+
+
+def _relaxed_starts(
+    D: int, floors: list[int], ceiling: list[int], room: list[int], cost: list[int]
+) -> list[int] | None:
+    """``_cheapest_starts``' answer from the LP without its charger bounds past
+    hour D, or None when that answer overloads a charger.  A floor above its
+    ceiling makes both LPs infeasible; that raises the flow's InfeasibleError.
+
+    The counts never fall and stay between ``floors`` and ``ceiling``, which
+    never fall either, and a block started at t costs ``cost[t] >= 0``.  So
+    the k-th start goes to the earliest hour of least cost from the first
+    hour whose ceiling reaches k to the first whose floor reaches k (or hour
+    T), and a start past ``floors[T]`` only where that cost is 0 (none is
+    today: every window closes by hour T).  The windows move in order, so
+    the picks never decrease and each run of starts with one window takes
+    one pick.  Each pick past hour D is checked against ``room``; the pick
+    hours suffice, as between them the blocks on chargers only fall and the
+    room never does.
+    """
+    T = len(cost) - 1
+    if any(map(int.__gt__, floors, ceiling)):
+        raise InfeasibleError(None, _NO_ARRANGEMENT)
+    starts = [0] * (T + 1)
+    top, k, a, b = floors[T], 1, 1, 1
+    while k <= ceiling[T]:
+        while ceiling[a] < k:
+            a += 1
+        if k <= top:
+            while floors[b] < k:
+                b += 1
+            last = min(ceiling[a], floors[b])
+            pick = cost.index(min(cost[a : b + 1]), a)
+        elif 0 in cost[a:]:
+            last, pick = ceiling[a], cost.index(0, a)
+        else:
+            break
+        starts[pick] += last - k + 1
+        k = last + 1
+        # The picks so far are every start up to this one, ``last`` of them.
+        if pick > D and last - sum(starts[: pick - D + 1]) > room[pick]:
+            return None
+    return starts
 
 
 def _largest_optimal_potentials(
@@ -289,7 +361,7 @@ def _shortest_paths(
         queued[u] = False
         du, hop = dist[u], hops[u] + 1
         if hop > n:
-            raise InfeasibleError(None, "no arrangement of full charge blocks covers the demand")
+            raise InfeasibleError(None, _NO_ARRANGEMENT)
         for v, c, a in residual[u]:
             d = du + c
             if (a >= 0 or flow[~a]) and (dist[v] is None or d < dist[v]):

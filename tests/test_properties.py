@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -27,6 +29,7 @@ from swapsched import (
     SolveObjective,
     StationConfig,
     cli,
+    exact,
     format_exact,
     parse_grid,
     render_grid,
@@ -164,12 +167,15 @@ def test_schedule_cost_equals_a_per_cell_sum(data):
     assert all(type(x) is Fraction for x in fields)
 
 
+PRICES = st.fractions(0, 6, max_denominator=2)
+
+
 @st.composite
-def instances(draw):
+def instances(draw, max_batteries=5, max_charge=3, horizons=(4, 10), prices=PRICES):
     """Small stations built directly, with no generator repairs: demand may
     come before any battery is ready and arrivals may outrun the out-pool."""
-    nb, m = draw(st.integers(1, 5)), draw(st.integers(1, 3))
-    D, T = draw(st.integers(1, 3)), draw(st.integers(4, 10))
+    nb, m = draw(st.integers(1, max_batteries)), draw(st.integers(1, 3))
+    D, T = draw(st.integers(1, max_charge)), draw(st.integers(*horizons))
     starts, rank = [], 0
     for state in draw(st.lists(st.sampled_from(STATES), min_size=nb, max_size=nb)):
         if state is BatteryState.CHARGING:
@@ -181,8 +187,8 @@ def instances(draw):
             starts.append(BatteryStart(state))
     per_hour = st.sampled_from((0, 0, 0, 0, 1))  # mostly quiet hours, so many instances are feasible
     counts = st.lists(per_hour, min_size=T - 1, max_size=T - 1).map(lambda c: (0, *c))
-    prices = st.lists(st.fractions(0, 6, max_denominator=2), min_size=T, max_size=T)
-    events = EventProfiles(draw(counts), draw(counts), tuple(draw(prices)))
+    price = st.lists(prices, min_size=T, max_size=T)
+    events = EventProfiles(draw(counts), draw(counts), tuple(draw(price)))
     return Instance(StationConfig(nb, m, D, Fraction(10), T), InitialConditions(tuple(starts)), events)
 
 
@@ -247,6 +253,86 @@ def test_every_solver_grid_passes_the_public_constructor(instance):
         assert type(grid.rows) is tuple and all(type(row) is str for row in grid.rows)
         assert grid == ScheduleGrid(tuple(grid.rows))
         assert (grid.n_batteries, grid.horizon) == (cfg.n_batteries, cfg.horizon)
+
+
+def starts_or_refusal(instance: Instance):
+    try:
+        return exact._cheapest_starts(instance, exact._price_levels(instance.events.price)[0])
+    except InfeasibleError as refused:
+        return refused.hour, str(refused)
+
+
+def test_the_relaxation_gives_the_flows_starts():
+    """``_cheapest_starts`` answers as the flow alone does, whether the
+    relaxation's picks fit the chargers or not: the same start counts, or
+    the same refusal.  Both paths must be taken."""
+    real = exact._relaxed_starts
+    fits = []
+
+    # Stations of up to a day with charges of up to 4 hours, and prices that
+    # are 0 in about half the hours, so that cost ties and free hours are common.
+    often_free = st.one_of(st.just(Fraction(0)), st.fractions(0, 6, max_denominator=3))
+
+    @no_deadline
+    @given(instance=instances(max_batteries=8, max_charge=4, horizons=(1, 24), prices=often_free))
+    def check(instance):
+        with mock.patch.object(exact, "_relaxed_starts", lambda *args: fits.append(real(*args)) or fits[-1]):
+            got = starts_or_refusal(instance)
+        with mock.patch.object(exact, "_relaxed_starts", lambda *args: None):
+            assert got == starts_or_refusal(instance)
+
+    check()
+    assert any(f is None for f in fits) and any(f is not None for f in fits)
+
+
+@st.composite
+def start_bounds(draw):
+    """``_relaxed_starts``' inputs as ``_cheapest_starts`` shapes them, but with
+    floors that may stay below the ceilings up to hour T: counts that never
+    fall, ceilings within the chargers' room up to hour D, room that never
+    falls, and costs of 0 in about half the hours."""
+    D, T = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    steps = st.lists(st.sampled_from((0, 0, 1, 2)), min_size=T, max_size=T)
+    free = draw(st.integers(0, 3))
+    room = [free, *(free + n for n in itertools.accumulate(draw(steps)))]
+    high = [0, *itertools.accumulate(draw(steps))]
+    floors = [0, *itertools.accumulate(draw(steps))]
+    ceiling = [min(h, r) if t <= D else h for t, (h, r) in enumerate(zip(high, room))]
+    cost = [0, *draw(st.lists(st.sampled_from((0, 0, 1, 2, 3)), min_size=T, max_size=T))]
+    return D, floors, ceiling, room, cost
+
+
+def test_the_relaxation_equals_the_flow_on_any_bounds():
+    """Where ``_relaxed_starts`` returns starts or refuses, the flow over the
+    full system (the ceilings, the floors and the chargers' room past hour
+    D) returns the same starts or the same refusal.  Optional starts, past
+    the floor at hour T, and refusals must both come up."""
+    outcomes = []
+
+    def refusal_or(solve, *args):
+        try:
+            return solve(*args)
+        except InfeasibleError as refused:
+            return refused.hour, str(refused)
+
+    @no_deadline
+    @given(bounds=start_bounds())
+    def check(bounds):
+        D, floors, ceiling, room, cost = bounds
+        T = len(cost) - 1
+        starts = refusal_or(exact._relaxed_starts, D, floors, ceiling, room, cost)
+        outcomes.append("refused" if type(starts) is tuple else starts and sum(starts) > floors[T])
+        if starts is None:
+            return
+        hours = range(1, T + 1)
+        arcs = [(t, t - 1, 0) for t in hours] + [(0, t, ceiling[t]) for t in hours]
+        arcs += [(t, 0, -floors[t]) for t in hours] + [(t - D, t, room[t]) for t in hours if t > D]
+        weight = [0] + [c - d for c, d in zip(cost[1:], cost[2:] + [0])]
+        y = refusal_or(exact._largest_optimal_potentials, T + 1, arcs, weight)
+        assert starts == (y if type(y) is tuple else [0] + [b - a for a, b in zip(y, y[1:])])
+
+    check()
+    assert {True, False, "refused"} <= set(outcomes)
 
 
 def fifo_starts_reference(n_chargers, duration, horizon, fixed_lengths, releases):

@@ -667,9 +667,14 @@ def milp_optimum(instance: Instance) -> int:
     return round(result.fun)
 
 
-def test_exact_matches_an_independent_milp_beyond_the_oracle():
+def test_exact_matches_an_independent_milp_beyond_the_oracle(monkeypatch):
     """Stations the oracle cannot enumerate and the old branch-and-bound often
-    did not finish: 16-24 batteries over a day of time-of-use prices."""
+    did not finish: 16-24 batteries over a day of time-of-use prices.  Most
+    of them take the relaxation and some overload a charger there and take
+    the flow; both paths must be checked."""
+    paths = []
+    real = exact._relaxed_starts
+    monkeypatch.setattr(exact, "_relaxed_starts", lambda *args: paths.append(real(*args)) or paths[-1])
     checked = 0
     for seed in range(7):
         for batteries, chargers in ((16, 4), (20, 5), (24, 6)):
@@ -691,6 +696,7 @@ def test_exact_matches_an_independent_milp_beyond_the_oracle():
             assert (cost.total / power - fixed) * scale == milp_optimum(instance)
             checked += 1
     assert checked >= 20
+    assert any(p is None for p in paths) and any(p is not None for p in paths)
 
 
 def test_largest_optimal_potentials_match_brute_force():
@@ -733,7 +739,10 @@ def test_flow_runs_one_bellman_ford_per_distance_level(monkeypatch, demo):
     """The flow runs one Bellman-Ford per primal-dual phase and one more for the
     potentials.  Successive shortest paths ran one per augmentation: 8 on the
     demo and 14 on the 24-battery station below.  Phases that pushed only to
-    the nearest deficits, through a super source and sink, ran 5 and 6."""
+    the nearest deficits, through a super source and sink, ran 5 and 6.  The
+    24-battery station fits the relaxation, so the relaxation is made to
+    report an overload and the flow runs on both."""
+    monkeypatch.setattr(exact, "_relaxed_starts", lambda *args: None)
     calls = []
     real = exact._shortest_paths
     monkeypatch.setattr(exact, "_shortest_paths", lambda *args: calls.append(args) or real(*args))
@@ -750,6 +759,77 @@ def test_flow_runs_one_bellman_ford_per_distance_level(monkeypatch, demo):
         solve_exact(instance)
         counts.append(len(calls))
     assert counts == [3, 4]
+
+
+def station(states: str, chargers: int, charge_hours: int, demand, price) -> Instance:
+    """Batteries that start empty, out or on a charger from its first hour,
+    with the given swaps and prices per hour and no arrivals."""
+    T = len(demand)
+    return Instance(
+        StationConfig(len(states), chargers, charge_hours, Fraction(10), T),
+        InitialConditions(tuple(BatteryStart(BatteryState(s)) for s in states)),
+        EventProfiles(tuple(demand), (0,) * T, tuple(map(Fraction, price))),
+    )
+
+
+def cheapest_starts(instance: Instance) -> list[int]:
+    return exact._cheapest_starts(instance, exact._price_levels(instance.events.price)[0])
+
+
+def test_starts_that_fit_the_chargers_never_run_the_flow(monkeypatch):
+    """Two empty batteries on two chargers, two-hour blocks, one swap at hour 6:
+    the first block starts by hour 3, the second by hour 5.  Blocks started
+    at hours 2, 3 and 4 cost 2 each, so both go to hour 2, the earliest."""
+    monkeypatch.setattr(exact, "_largest_optimal_potentials", None)  # any call fails
+    instance = station("EE", 2, 2, demand=(0, 0, 0, 0, 0, 1), price=(3, 1, 1, 1, 1, 3))
+    assert cheapest_starts(instance) == [0, 0, 2, 0, 0, 0, 0]
+    assert solve_exact(instance)[0].rows == ("ECCFFO", "ECCFFF")
+
+
+def test_starts_that_overload_a_charger_run_the_flow(monkeypatch):
+    """Two empty batteries on one charger: a block at hour 3 costs 2, the
+    least, so both blocks go there and hold the one charger twice at hour 3.
+    The flow then spaces them out, to the earliest of the three pairs at
+    cost 10."""
+    calls = []
+    real = exact._largest_optimal_potentials
+    monkeypatch.setattr(exact, "_largest_optimal_potentials", lambda *args: calls.append(args) or real(*args))
+    instance = station("EE", 1, 2, demand=(0,) * 6, price=(4, 4, 1, 1, 4, 4))
+    assert cheapest_starts(instance) == [0, 1, 0, 1, 0, 0, 0]
+    assert len(calls) == 1
+
+
+def test_starts_past_the_floors_go_to_the_earliest_free_hour():
+    """Every start window closes by the horizon, so today the floor at hour T
+    reaches the ceiling there; a floor below the ceiling (a bound that leaves
+    some charges out) makes the later starts optional.  The first start is
+    due by hour 3 and costs 0 at hour 2; the optional second and third open
+    at hours 2 and 3 and are taken only at no cost, at hours 2 and 4."""
+    D, floors, ceiling, room = 2, [0, 0, 0, 1, 1, 1, 1], [0, 1, 2, 3, 3, 3, 3], [2] * 7
+    assert exact._relaxed_starts(D, floors, ceiling, room, [0, 3, 0, 2, 0, 0, 5]) == [0, 0, 2, 0, 1, 0, 0]
+    assert exact._relaxed_starts(D, floors, ceiling, room, [0, 3, 0, 2, 1, 1, 5]) == [0, 0, 2, 0, 0, 0, 0]
+
+
+def test_a_floor_above_its_ceiling_refuses_as_the_flow_does_and_greedy_names_the_hour(monkeypatch):
+    """A continuation holds the one charger through hour 2, so no block can
+    start before hour 3, but the second swap at hour 4 needs one started by
+    hour 1.  The relaxation refuses with the flow's error, without an hour,
+    and without running the flow; ``solve_exact`` then raises greedy's proof."""
+    instance = station("CE", 1, 2, demand=(0, 0, 0, 2), price=(1, 1, 1, 1))
+    refusals = []
+    for relaxed in (exact._relaxed_starts, lambda *args: None):
+        monkeypatch.setattr(exact, "_relaxed_starts", relaxed)
+        with pytest.raises(InfeasibleError) as refused:
+            cheapest_starts(instance)
+        refusals.append((refused.value.hour, str(refused.value)))
+    assert refusals == [(None, "no arrangement of full charge blocks covers the demand")] * 2
+    monkeypatch.undo()
+    monkeypatch.setattr(exact, "_largest_optimal_potentials", None)  # any call fails
+    with pytest.raises(InfeasibleError) as refused:
+        solve_exact(instance)
+    assert (refused.value.hour, str(refused.value)) == (
+        4, "demand 2 at hour 4, only 1 fully-charged batteries available"
+    )
 
 
 # y[1] in [-1, 4], y[2] in [y[1], y[1] + 2] and [-3, 5]
