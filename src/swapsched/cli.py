@@ -24,9 +24,10 @@ import json
 import sys
 from pathlib import Path
 
+import swapsched  # its lazy names type the reports without loading validation
 from .bundle import load_instance, save_instance
 from .errors import EnumerationBudgetError, InfeasibleError, InstanceError, SwapSchedError
-from .model import DEFAULT_ORACLE_BUDGET, Instance, ScheduleGrid, format_exact, parse_grid, render_grid
+from .model import DEFAULT_ORACLE_BUDGET, Instance, ScheduleGrid, _scan, format_exact, parse_grid, render_grid
 
 __all__ = ["main"]
 
@@ -40,11 +41,11 @@ def _read_schedule(instance: Instance, instance_dir: str, override: str | None) 
     return parse_grid(text, instance.config)
 
 
-def _print_violation(v: Violation) -> None:
+def _print_violation(v: swapsched.Violation) -> None:
     print(f"  [{v.constraint}] {v.message}")
 
 
-def _print_report(report: ValidationReport, mode: str) -> None:
+def _print_report(report: swapsched.ValidationReport, mode: str) -> None:
     if report.feasible:
         print(f"feasible ({mode} mode): all constraints hold")
     else:
@@ -126,9 +127,8 @@ def cmd_render(args: argparse.Namespace) -> int:
     print(render_grid(grid), end="")
     if args.counts:
         print()
-        columns = tuple(zip(*grid.rows))
-        for letter in "ECFO":
-            print(f"{letter}: " + " ".join(str(column.count(letter)) for column in columns))
+        for letter, counts in _scan(grid)[0].items():
+            print(f"{letter}: " + " ".join(map(str, counts)))
     return 0
 
 

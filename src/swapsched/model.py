@@ -16,6 +16,8 @@ hour t means O at t-1 and E at t.  Nothing can land at hour 1.
 A schedule grid holds these letters as they appear in the text format: one
 string per battery, one letter per hour.  ``BatteryState`` names a state
 where one is passed on its own (start states, ``ScheduleGrid.state``).
+Every reader of a grid finds its runs of one letter, and the moves between
+them, through one scanner (``_runs``, ``_scan``).
 
 An ``Instance`` joins a station, its start states and its hourly events.
 Its charge work reduces to counts by hour (``_hour_tables``): the batteries
@@ -29,9 +31,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 import sys
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from fractions import Fraction
@@ -88,10 +89,6 @@ LEGAL_TRANSITIONS: frozenset[tuple[BatteryState, BatteryState]] = frozenset(
         (_O, _O), (_O, _E),
     }
 )
-
-
-_LEGAL_MOVES = frozenset(prev.letter + cur.letter for prev, cur in LEGAL_TRANSITIONS)
-_ILLEGAL_MOVES = tuple(a + b for a in "ECFO" for b in "ECFO" if a + b not in _LEGAL_MOVES)
 
 
 def legal_transition(previous: BatteryState, current: BatteryState) -> bool:
@@ -522,29 +519,55 @@ class EventProfiles(_Value):
         return EventProfiles(self.demand, self.arrivals, per_hour)
 
 
-def _edges(grid: ScheduleGrid) -> tuple[list[int], list[int], list[tuple[int, int, str, str]]]:
-    """Every battery's hour-to-hour moves that land an event or break the cycle.
+# Per letter, the table that turns every other letter into the row separator,
+# and the one letter that may follow a run of it: the next round the cycle.
+_APART = {letter: str.maketrans({other: "." for other in "ECFO" if other != letter}) for letter in "ECFO"}
+_NEXT = {prev.letter: cur.letter for prev, cur in LEGAL_TRANSITIONS if prev is not cur}
 
-    Returns the swaps (F->O) and returns (O->E) landing at each hour, indexed
-    from hour 1, and the illegal moves as ``(battery, hour, prev, cur)``
-    letters in battery-then-hour order.  Most cells repeat the hour before,
-    so the moves are searched for in the joined rows rather than read cell
-    by cell.  Each move joins two different letters, so no two occurrences
-    of one move overlap and ``re.finditer`` finds them all.
+
+def _runs(grid: ScheduleGrid, letter: str) -> Iterator[tuple[int, int, int]]:
+    """Each maximal run of ``letter`` as ``(battery, first, stop)``, battery then
+    hour: row ``battery`` holds it in cells ``first`` to ``stop - 1``, all from 0.
+
+    Every other letter turns into the separator that joins the rows, so a
+    run ends at the next separator and never spans two rows.
     """
     T = grid.horizon
-    text = "|".join(grid.rows)  # the bar keeps a move from spanning two batteries
-    swaps = [0] * T
-    returns = [0] * T
-    for counts, move in ((swaps, "FO"), (returns, "OE")):
-        for i in map(re.Match.start, re.finditer(move, text)):
-            counts[i % (T + 1) + 1] += 1
-    illegal = sorted(
-        (i // (T + 1) + 1, i % (T + 1) + 2, *move)
-        for move in _ILLEGAL_MOVES
-        for i in map(re.Match.start, re.finditer(move, text))
-    )
-    return swaps, returns, illegal
+    text = ".".join(grid.rows).translate(_APART[letter]) + "."
+    i = text.find(letter)
+    while i >= 0:
+        j = text.find(".", i)
+        b, first = divmod(i, T + 1)
+        yield b, first, first + j - i
+        i = text.find(letter, j)
+
+
+def _scan(grid: ScheduleGrid) -> tuple[dict[str, tuple[int, ...]], list[int], list[int], list[tuple]]:
+    """``(hourly, swaps, returns, illegal)``: each letter's count by hour, the
+    swaps (F->O) and returns (O->E) landing at each hour, both from hour 1,
+    and the illegal moves as ``(battery, hour, prev, cur)``, battery then hour.
+
+    Each run (``_runs``) adds one battery to its hours through a difference
+    array, and one that stops before the horizon ends in exactly one move.
+    """
+    T, rows = grid.horizon, grid.rows
+    swaps, returns, illegal, hourly = [0] * T, [0] * T, [], {}
+    landing = {"F": swaps, "O": returns}  # where F->O and O->E land
+    for letter in "ECFO":
+        following, lands = _NEXT[letter], landing.get(letter)
+        change = [0] * (T + 1)  # +1 where a run begins, -1 just past its end
+        for b, first, stop in _runs(grid, letter):
+            change[first] += 1
+            change[stop] -= 1
+            if stop < T:
+                after = rows[b][stop]
+                if after != following:
+                    illegal.append((b + 1, stop + 1, letter, after))
+                elif lands is not None:
+                    lands[stop] += 1
+        hourly[letter] = tuple(itertools.accumulate(change[:T]))
+    illegal.sort()
+    return hourly, swaps, returns, illegal
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +767,7 @@ def parse_grid(text: str, config: StationConfig) -> ScheduleGrid:
         col = len(prefix) + 2 * (t - 1) + 1
         raise GridParseError(line_no, col, f"unknown state letter {_shown(cells[t - 1])} at hour {t}")
     grid = ScheduleGrid(tuple(rows))
-    illegal = _edges(grid)[2]
+    illegal = _scan(grid)[3]
     if illegal:
         b, hour, prev, cur = illegal[0]
         raise GridParseError(

@@ -12,6 +12,7 @@ repairs and all bets off.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections.abc import Sequence
 from fractions import Fraction
@@ -28,9 +29,9 @@ from .model import (
     Instance,
     ScheduleGrid,
     StationConfig,
-    _edges,
     _fifo_counts,
     _hour_tables,
+    _scan,
     _shown,
     _shown_keys,
     is_int,
@@ -304,14 +305,8 @@ def _render_arrivals(
     if hi < 2 or shape.total == 0:
         return [0] * T
     drawn = shape.draw(rng, 2, hi)
-    n_out = initial.count(_O)
-    cum_d = [0] * (T + 1)
-    for t in range(1, T + 1):
-        cum_d[t] = cum_d[t - 1] + demand[t - 1]
-    # room[t]: arrivals by hour t can't exceed batteries that have been out
-    room = [0] * (T + 1)
-    for t in range(1, T + 1):
-        room[t] = n_out + cum_d[t - 1]
+    # room[t]: arrivals by hour t can't exceed the batteries out by hour t - 1
+    room = [0, *itertools.accumulate(demand[:-1], initial=initial.count(_O))]
     counts = _place_units(drawn, T, room)
 
     # keep the arrivals that can run a full block: FIFO starts them behind
@@ -486,7 +481,7 @@ def extract_events(grid: ScheduleGrid) -> EventProfiles:
     Raises TransitionError on the first illegal adjacency: event extraction
     is only meaningful on grids that respect the state cycle.
     """
-    swaps, returns, illegal = _edges(grid)
+    _, swaps, returns, illegal = _scan(grid)
     if illegal:
         b, hour, prev, cur = illegal[0]
         raise TransitionError(b, hour, f"illegal transition {prev}->{cur}")

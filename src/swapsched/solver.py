@@ -43,6 +43,7 @@ from .model import (
     StationConfig,
     _fifo_counts,
     _hour_tables,
+    _runs,
     _Value,
     to_exact,
 )
@@ -95,9 +96,6 @@ class CostBreakdown(_Value):
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
-_UNCHARGED = str.maketrans("EFO", "...")  # every letter but C ends a charge run
-
-
 def schedule_cost(grid: ScheduleGrid, config: StationConfig, price: Sequence) -> CostBreakdown:
     """Price out a schedule: every charging battery-hour draws the charge power.
 
@@ -128,9 +126,9 @@ def _priced(grid: ScheduleGrid, config: StationConfig, level: list[int], lcm: in
     """``schedule_cost`` of a grid that fits ``config``, at prices ``level[t] / lcm``.
 
     The sums run over integers, in units of one over ``lcm`` times the
-    power's denominator.  Each maximal run of ``C`` letters is priced at once
-    from prefix sums of those units and adds one charger to its hours through
-    a difference array.  Each distinct scaled sum becomes one Fraction.
+    power's denominator.  Each run of ``C`` letters (``_runs``) is priced at
+    once from prefix sums of those units and adds one charger to its hours
+    through a difference array.  Each distinct scaled sum becomes one Fraction.
     """
     T = config.horizon
     power = config.power_kw
@@ -139,18 +137,10 @@ def _priced(grid: ScheduleGrid, config: StationConfig, level: list[int], lcm: in
     before = list(itertools.accumulate(unit, initial=0))  # before[i]: cells 0..i-1
     change = [0] * (T + 1)  # +1 where a run begins, -1 just past its end
     per_battery = [0] * grid.n_batteries
-    # Rows are joined with a separator, and every letter but C turns into
-    # one, so a run ends at the next separator and never spans two rows.
-    text = ".".join(grid.rows).translate(_UNCHARGED) + "."
-    i = text.find("C")
-    while i >= 0:
-        j = text.find(".", i)
-        b, first = divmod(i, T + 1)
-        stop = first + j - i
+    for b, first, stop in _runs(grid, "C"):
         per_battery[b] += before[stop] - before[first]
         change[first] += 1
         change[stop] -= 1
-        i = text.find("C", j)
     charging = list(itertools.accumulate(change[:T]))
     per_hour = [u * n for u, n in zip(unit, charging)]
     exact = {x: Fraction(x, scale) for x in {*per_hour, *per_battery}}
@@ -166,10 +156,11 @@ def _priced(grid: ScheduleGrid, config: StationConfig, level: list[int], lcm: in
 # Simulation engine
 #
 # One hour loop realises per-hour start counts for every method: greedy's
-# are the differences of _fifo_counts, the exact solver's come from the flow,
-# the oracle's from each enumerated start vector.  Each hour's starts go to
-# the longest-waiting empty batteries.  Events within an hour settle in a
-# fixed order: arrivals land, charges complete, charges start, swaps land.
+# are the differences of _fifo_counts, the exact solver's come from the
+# capacity-free relaxation or the flow, the oracle's from each enumerated
+# start vector.  Each hour's starts go to the longest-waiting empty
+# batteries.  Events within an hour settle in a fixed order: arrivals land,
+# charges complete, charges start, swaps land.
 #
 # The loop does work only where something happens.  The waiting, full and
 # out batteries sit in FIFO queues, so an hour takes only the batteries it

@@ -1,12 +1,12 @@
 """Constraint checks for schedule grids.
 
 ``validate`` checks one grid against one instance and reports every breach.
-It counts each hour's letters once, reads the grid's hour-to-hour moves in
-one scan (``model._edges``) and finds each battery's charge runs as the
-runs of ``C`` in its row.  Violations come grouped by family in
-a fixed order: transitions, charger capacity, demand coverage, arrivals,
-charge duration, initial conditions.  No family short-circuits another, so
-a grid shows every breach at once.
+It reads each hour's letter counts and the grid's hour-to-hour moves from
+one scan of the grid's runs (``model._scan``), and each battery's charge
+runs as its runs of ``C`` (``model._runs``).  Violations come grouped by
+family in a fixed order: transitions, charger capacity, demand coverage,
+arrivals, charge duration, initial conditions.  No family short-circuits
+another, so a grid shows every breach at once.
 
 Charge-duration checking has two modes:
 
@@ -20,10 +20,9 @@ Runs cut off by the end of the horizon are exempt in both modes.
 from __future__ import annotations
 
 import json
-import re
 
 from .errors import DimensionError
-from .model import BatteryState, Instance, ScheduleGrid, _edges, _Value
+from .model import BatteryState, Instance, ScheduleGrid, _runs, _scan, _Value
 
 __all__ = [
     "Violation",
@@ -108,9 +107,7 @@ def validate(grid: ScheduleGrid, instance: Instance, mode: str = "lenient") -> V
             f"instance is {cfg.n_batteries}x{cfg.horizon}"
         )
     T = grid.horizon
-    columns = ["".join(column) for column in zip(*grid.rows)]
-    hourly = {letter: tuple(column.count(letter) for column in columns) for letter in "ECFO"}
-    swaps, returns, illegal = _edges(grid)
+    hourly, swaps, returns, illegal = _scan(grid)
 
     # Transitions: every hour-to-hour move outside the legal state cycle.
     violations = [
@@ -176,30 +173,23 @@ def validate(grid: ScheduleGrid, instance: Instance, mode: str = "lenient") -> V
 
     # Charge duration: completed runs must cover the configured duration.  A
     # run starting at hour 1 on a battery that entered the horizon charging
-    # gets its declared progress credited; runs still open at the end of the
-    # horizon are exempt.
-    for b, row in enumerate(grid.rows, start=1):
-        for run in re.finditer("C+", row):
-            start, end = run.start() + 1, run.end()  # first and last charging hour
-            if end == T:
-                continue  # truncated by the horizon: exempt
-            if row[end] != "F":
-                continue  # not a completed charge; the transition check owns this
-            effective = end - start + 1
-            entry = initial.for_battery(b)
-            if start == 1 and entry.state is _C:
-                effective += entry.progress
-            if effective < cfg.charge_hours or (
-                mode == "strict" and effective != cfg.charge_hours
-            ):
-                violations.append(
-                    Violation(
-                        CHARGE_DURATION, b, start,
-                        f"battery B{b}: charge run hours {start}-{end} has effective "
-                        f"length {effective}, required {cfg.charge_hours}"
-                        + (" exactly" if mode == "strict" else " at least"),
-                    )
+    # gets its declared progress credited.
+    for row, first, end in _runs(grid, "C"):  # charging hours first + 1 to end
+        if end == T or grid.rows[row][end] != "F":
+            continue  # cut off by the horizon (exempt) or not completed (a transition)
+        b, start, effective = row + 1, first + 1, end - first
+        entry = initial.for_battery(b)
+        if start == 1 and entry.state is _C:
+            effective += entry.progress
+        if effective < cfg.charge_hours or (mode == "strict" and effective != cfg.charge_hours):
+            violations.append(
+                Violation(
+                    CHARGE_DURATION, b, start,
+                    f"battery B{b}: charge run hours {start}-{end} has effective "
+                    f"length {effective}, required {cfg.charge_hours}"
+                    + (" exactly" if mode == "strict" else " at least"),
                 )
+            )
 
     # Initial conditions: hour 1 matches the declared start states.  A battery
     # that enters empty may already be charging at hour 1 (it can be moved

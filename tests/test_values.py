@@ -19,6 +19,7 @@ import os
 import pickle
 import subprocess
 import sys
+import typing
 from fractions import Fraction
 from pathlib import Path
 
@@ -206,6 +207,38 @@ def test_the_runtime_imports_only_the_standard_library():
         if name not in sys.stdlib_module_names and name != "swapsched"
     }
     assert outside == {}
+
+
+def test_every_annotation_in_the_package_resolves():
+    """``typing.get_type_hints`` resolves the annotations of every function,
+    class and method of every module under src/.  No linter runs on this
+    code, so this test is what catches an annotation naming a type that its
+    module never imports.  ``__main__`` is left out: importing it runs the
+    CLI, and it defines nothing."""
+    src = Path(swapsched.__file__).resolve().parent
+    resolved = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "__main__":
+            continue
+        module = importlib.import_module("swapsched" if path.stem == "__init__" else f"swapsched.{path.stem}")
+        for value in vars(module).values():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            if isinstance(value, type):
+                members = [value, *vars(value).values()]
+            elif callable(value):
+                members = [value]
+            else:
+                continue
+            for member in members:
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                for function in (member.fget, member.fset) if isinstance(member, property) else (member,):
+                    if callable(function) and getattr(function, "__module__", None) == module.__name__:
+                        typing.get_type_hints(function)
+                        resolved.append(f"{module.__name__}.{function.__qualname__}")
+    assert {"swapsched.cli._print_violation", "swapsched.cli._print_report"} <= set(resolved)
+    assert "swapsched.model.ScheduleGrid._trusted" in resolved
 
 
 def test_every_public_name_resolves_to_its_home_module():
