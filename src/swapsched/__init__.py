@@ -23,8 +23,6 @@ _HOMES = {
     "InfeasibleError": "errors",
     "EnumerationBudgetError": "errors",
     "BatteryState": "model",
-    "LEGAL_TRANSITIONS": "model",
-    "legal_transition": "model",
     "to_exact": "model",
     "format_exact": "model",
     "StationConfig": "model",

@@ -24,6 +24,7 @@ from .model import (
     Instance,
     ScheduleGrid,
     StationConfig,
+    _json_text,
     _shown,
     _shown_keys,
     format_exact,
@@ -161,10 +162,6 @@ def _initial_from_json(data: object) -> InitialConditions:
             f"initial conditions must cover batteries 1..{len(by_battery)} exactly"
         )
     return InitialConditions(tuple(by_battery[b] for b in sorted(by_battery)))
-
-
-def _json_text(data: object) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def _read_json(path: Path, what: str) -> object:

@@ -20,14 +20,15 @@ Each command imports the modules it runs, and no others, when it runs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 import swapsched  # its lazy names type the reports without loading validation
 from .bundle import load_instance, save_instance
 from .errors import EnumerationBudgetError, InfeasibleError, InstanceError, SwapSchedError
-from .model import DEFAULT_ORACLE_BUDGET, Instance, ScheduleGrid, _scan, format_exact, parse_grid, render_grid
+from .model import (
+    DEFAULT_ORACLE_BUDGET, Instance, ScheduleGrid, _json_text, _scan, format_exact, parse_grid, render_grid
+)
 
 __all__ = ["main"]
 
@@ -98,7 +99,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "energy_kwh": format_exact(cost.energy_kwh),
             "schedule": render_grid(grid),
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text(payload), end="")
     else:
         print(render_grid(grid), end="")
         print(f"total cost: {format_exact(cost.total)}")

@@ -24,8 +24,8 @@ the counts are the dual of one min-cost flow on the hours.  Each hour's
 excess or deficit is routed over uncapacitated arcs, with no super source
 or sink, in primal-dual phases (one Bellman-Ford from every hour with excess
 left, then flow along tight arcs to the deficits) in polynomial time; its
-dual does not depend on which optimal flow the phases find.  Both read one
-``floors`` list, so a tighter lower bound on the counts changes only that.
+dual does not depend on which optimal flow the phases find.  The flow's arcs
+are the relaxation's own bounds, so a tighter floor changes one list.
 ``solve_greedy`` runs only for the feasibility objective, or to prove an
 instance infeasible with the first failing hour.
 ``solve_oracle`` does the same by exhaustive enumeration and exists to
@@ -163,9 +163,9 @@ def _cheapest_starts(instance: Instance, level: list[int]) -> list[int]:
     (1) they are feasible for the full LP; (2) they are optimal, as the
     relaxation's minimum bounds the full LP's; (3) they are componentwise
     largest, as every full optimum is a relaxation optimum.  If a pick
-    overloads a charger, the flow runs.  Both read the same ``floors``: a
-    tighter lower bound, such as leaving out the charges the chargers cannot
-    fit, changes that one list.
+    overloads a charger, the flow runs over arcs built from the same
+    ``ceiling``, ``floors`` and ``room``: a tighter lower bound, such as
+    leaving out the charges the chargers cannot fit, changes one list.
     """
     cfg = instance.config
     T, D = cfg.horizon, cfg.charge_hours
@@ -193,14 +193,14 @@ def _cheapest_starts(instance: Instance, level: list[int]) -> list[int]:
     starts = _relaxed_starts(D, floors, ceiling, room, cost)
     if starts is not None:
         return starts
-    # An arc (u, v, w) says y[v] <= y[u] + w.  Bounds implied by
-    # y[t-1] <= y[t] are left out: an upper bound equal to the next hour's,
-    # and a lower bound no higher than an earlier one or 0.  Hour T's upper
-    # bound always stays; it keeps every hour reachable from 0.
+    # An arc (u, v, w) says y[v] <= y[u] + w: the relaxation's ceilings and
+    # floors, and the room past hour D.  Bounds implied by y[t-1] <= y[t] are
+    # left out (a ceiling equal to the next, a floor no higher than one before
+    # or 0); hour T's ceiling stays, so every hour is reachable from 0.
     arcs = [(t, t - 1, 0) for t in hours]
-    arcs += zip([0] * min(D, T) + list(range(1, T - D + 1)), hours, room[1:])
-    arcs += [(0, t, high[t]) for t in hours if t == T or high[t] < high[t + 1]]
+    arcs += [(0, t, ceiling[t]) for t in hours if t == T or ceiling[t] < ceiling[t + 1]]
     arcs += [(t, 0, -floors[t]) for t in hours if floors[t] > floors[t - 1]]
+    arcs += [(t - D, t, room[t]) for t in hours if t > D]
     # sum_t cost[t] (y[t] - y[t-1]) = sum_t (cost[t] - cost[t+1]) y[t], where
     # cost[T + 1] is 0.
     weight = [0] + [c - d for c, d in zip(cost[1:], cost[2:] + [0])]

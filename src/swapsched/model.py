@@ -30,6 +30,7 @@ solver's bounds and the scenario generator's repairs all read these tables.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import sys
 from collections.abc import Iterator, Mapping, Sequence
@@ -41,8 +42,6 @@ from .errors import DimensionError, GridParseError, InstanceError
 
 __all__ = [
     "BatteryState",
-    "LEGAL_TRANSITIONS",
-    "legal_transition",
     "to_exact",
     "format_exact",
     "StationConfig",
@@ -76,24 +75,6 @@ class BatteryState(Enum):
 _E = BatteryState.EMPTY
 _C = BatteryState.CHARGING
 _F = BatteryState.FULL
-_O = BatteryState.OUT
-
-# The eight legal hour-to-hour moves: stay anywhere, or advance one step
-# around the cycle.  Everything else (skipping a step, moving backwards)
-# is illegal.
-LEGAL_TRANSITIONS: frozenset[tuple[BatteryState, BatteryState]] = frozenset(
-    {
-        (_E, _E), (_E, _C),
-        (_C, _C), (_C, _F),
-        (_F, _F), (_F, _O),
-        (_O, _O), (_O, _E),
-    }
-)
-
-
-def legal_transition(previous: BatteryState, current: BatteryState) -> bool:
-    """True when a battery may be in ``current`` the hour after ``previous``."""
-    return (previous, current) in LEGAL_TRANSITIONS
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +342,11 @@ def _json_number(value: Fraction):
     return format_exact(value)
 
 
+def _json_text(data: object) -> str:
+    """The package's one JSON text format: two-space indents, sorted keys, a final newline."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
 class BatteryStart(_Value):
     """State of one battery at the start boundary of hour 1.
 
@@ -513,16 +499,12 @@ class EventProfiles(_Value):
     def horizon(self) -> int:
         return len(self.demand)
 
-    def with_price(self, price: Sequence | object) -> "EventProfiles":
-        """The same events at a flat price, or a list or tuple of per-hour prices."""
-        per_hour = price if isinstance(price, (list, tuple)) else (price,) * self.horizon
-        return EventProfiles(self.demand, self.arrivals, per_hour)
-
 
 # Per letter, the table that turns every other letter into the row separator,
 # and the one letter that may follow a run of it: the next round the cycle.
+# Staying put is legal too, and only lengthens the run.
 _APART = {letter: str.maketrans({other: "." for other in "ECFO" if other != letter}) for letter in "ECFO"}
-_NEXT = {prev.letter: cur.letter for prev, cur in LEGAL_TRANSITIONS if prev is not cur}
+_NEXT = dict(zip("ECFO", "CFOE"))
 
 
 def _runs(grid: ScheduleGrid, letter: str) -> Iterator[tuple[int, int, int]]:
@@ -542,10 +524,11 @@ def _runs(grid: ScheduleGrid, letter: str) -> Iterator[tuple[int, int, int]]:
         i = text.find(letter, j)
 
 
-def _scan(grid: ScheduleGrid) -> tuple[dict[str, tuple[int, ...]], list[int], list[int], list[tuple]]:
-    """``(hourly, swaps, returns, illegal)``: each letter's count by hour, the
-    swaps (F->O) and returns (O->E) landing at each hour, both from hour 1,
-    and the illegal moves as ``(battery, hour, prev, cur)``, battery then hour.
+def _scan(grid: ScheduleGrid) -> tuple[dict[str, tuple[int, ...]], list[int], list[int], list[tuple], list[tuple]]:
+    """``(hourly, swaps, returns, illegal, charges)``: each letter's count by
+    hour, the swaps (F->O) and returns (O->E) landing at each hour, both from
+    hour 1, the illegal moves as ``(battery, hour, prev, cur)``, battery then
+    hour, and the runs of ``C`` as ``_runs`` yields them.
 
     Each run (``_runs``) adds one battery to its hours through a difference
     array, and one that stops before the horizon ends in exactly one move.
@@ -556,7 +539,10 @@ def _scan(grid: ScheduleGrid) -> tuple[dict[str, tuple[int, ...]], list[int], li
     for letter in "ECFO":
         following, lands = _NEXT[letter], landing.get(letter)
         change = [0] * (T + 1)  # +1 where a run begins, -1 just past its end
-        for b, first, stop in _runs(grid, letter):
+        runs = _runs(grid, letter)
+        if letter == "C":
+            runs = charges = list(runs)
+        for b, first, stop in runs:
             change[first] += 1
             change[stop] -= 1
             if stop < T:
@@ -567,7 +553,7 @@ def _scan(grid: ScheduleGrid) -> tuple[dict[str, tuple[int, ...]], list[int], li
                     lands[stop] += 1
         hourly[letter] = tuple(itertools.accumulate(change[:T]))
     illegal.sort()
-    return hourly, swaps, returns, illegal
+    return hourly, swaps, returns, illegal, charges
 
 
 # ---------------------------------------------------------------------------

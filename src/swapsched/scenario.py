@@ -481,7 +481,7 @@ def extract_events(grid: ScheduleGrid) -> EventProfiles:
     Raises TransitionError on the first illegal adjacency: event extraction
     is only meaningful on grids that respect the state cycle.
     """
-    _, swaps, returns, illegal = _scan(grid)
+    _, swaps, returns, illegal, _ = _scan(grid)
     if illegal:
         b, hour, prev, cur = illegal[0]
         raise TransitionError(b, hour, f"illegal transition {prev}->{cur}")
@@ -505,10 +505,10 @@ def demo_instance() -> tuple[Instance, ScheduleGrid]:
         horizon=24,
     )
     grid = ScheduleGrid(_DEMO_ROWS)
-    events = extract_events(grid).with_price(1)
+    events = extract_events(grid)
     instance = Instance(
         config=config,
         initial=InitialConditions(_DEMO_INITIAL),
-        events=events,
+        events=EventProfiles(events.demand, events.arrivals, (1,) * 24),
     )
     return instance, grid

@@ -1,12 +1,11 @@
 """Charge scheduling: cost accounting, the shared realisation and greedy FIFO.
 
-Charging work is organized as jobs.  A battery that enters the horizon on a
-charger continues as a fixed job (start hour 1, remaining duration); a
-battery that enters empty is one job released at hour 1; every arrival unit
-is one job released the hour after the arrival lands.  Jobs carry no
-battery: only how many charges start in each hour affects cost, charger use
-and demand coverage, so every method hands its per-hour start counts to one
-realisation, which starts the longest-waiting empty batteries.
+A battery that enters the horizon on a charger finishes its charge first;
+one that enters empty may start charging from hour 1, and one that returns
+from the hour after it lands.  Only how many charges start in each hour
+affects cost, charger use and demand coverage, so every method hands its
+per-hour start counts to one realisation, which starts the longest-waiting
+empty batteries.  No method starts more batteries than are waiting.
 
 Stations serve swaps and bind arrivals first-in-first-out:
 
@@ -28,7 +27,6 @@ in ``exact``.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections import deque
 from collections.abc import Mapping, Sequence
@@ -43,6 +41,7 @@ from .model import (
     StationConfig,
     _fifo_counts,
     _hour_tables,
+    _json_text,
     _runs,
     _Value,
     to_exact,
@@ -93,7 +92,7 @@ class CostBreakdown(_Value):
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return _json_text(self.to_json_dict())
 
 
 def schedule_cost(grid: ScheduleGrid, config: StationConfig, price: Sequence) -> CostBreakdown:
@@ -239,7 +238,6 @@ def _simulate(instance: Instance, n_starts: Sequence[int] | Mapping[int, int]) -
         # 3. charge starts, longest-waiting batteries first
         starts = n_starts[t]
         if starts or t == 1:
-            starts = min(starts, len(waiting))
             ending = finishing[min(t + D, T + 1)]
             for _ in range(starts):
                 b = waiting.popleft()

@@ -1,12 +1,12 @@
 """Constraint checks for schedule grids.
 
 ``validate`` checks one grid against one instance and reports every breach.
-It reads each hour's letter counts and the grid's hour-to-hour moves from
-one scan of the grid's runs (``model._scan``), and each battery's charge
-runs as its runs of ``C`` (``model._runs``).  Violations come grouped by
-family in a fixed order: transitions, charger capacity, demand coverage,
-arrivals, charge duration, initial conditions.  No family short-circuits
-another, so a grid shows every breach at once.
+It reads each hour's letter counts, the grid's hour-to-hour moves and each
+battery's charge runs (its runs of ``C``) from one scan of the grid's runs
+(``model._scan``).  Violations come grouped by family in a fixed order:
+transitions, charger capacity, demand coverage, arrivals, charge duration,
+initial conditions.  No family short-circuits another, so a grid shows
+every breach at once.
 
 Charge-duration checking has two modes:
 
@@ -19,10 +19,8 @@ Runs cut off by the end of the horizon are exempt in both modes.
 
 from __future__ import annotations
 
-import json
-
 from .errors import DimensionError
-from .model import BatteryState, Instance, ScheduleGrid, _runs, _scan, _Value
+from .model import BatteryState, Instance, ScheduleGrid, _json_text, _scan, _Value
 
 __all__ = [
     "Violation",
@@ -86,7 +84,7 @@ class ValidationReport(_Value):
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return _json_text(self.to_json_dict())
 
     def constraint_ids(self) -> set[str]:
         return {v.constraint for v in self.violations}
@@ -107,7 +105,7 @@ def validate(grid: ScheduleGrid, instance: Instance, mode: str = "lenient") -> V
             f"instance is {cfg.n_batteries}x{cfg.horizon}"
         )
     T = grid.horizon
-    hourly, swaps, returns, illegal = _scan(grid)
+    hourly, swaps, returns, illegal, charges = _scan(grid)
 
     # Transitions: every hour-to-hour move outside the legal state cycle.
     violations = [
@@ -174,7 +172,7 @@ def validate(grid: ScheduleGrid, instance: Instance, mode: str = "lenient") -> V
     # Charge duration: completed runs must cover the configured duration.  A
     # run starting at hour 1 on a battery that entered the horizon charging
     # gets its declared progress credited.
-    for row, first, end in _runs(grid, "C"):  # charging hours first + 1 to end
+    for row, first, end in charges:  # charging hours first + 1 to end
         if end == T or grid.rows[row][end] != "F":
             continue  # cut off by the horizon (exempt) or not completed (a transition)
         b, start, effective = row + 1, first + 1, end - first

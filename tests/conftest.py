@@ -14,7 +14,6 @@ from swapsched import (
     ScheduleGrid,
     StationConfig,
     demo_instance,
-    legal_transition,
     solve_greedy,
 )
 
@@ -59,12 +58,16 @@ def valley() -> Instance:
     return make_valley()
 
 
+# Each letter's legal successors: stay put, or advance one step round the cycle.
+SUCCESSORS = {"E": "EC", "C": "CF", "F": "FO", "O": "EO"}
+
+
 def random_legal_grid(rng: random.Random, n_batteries: int, horizon: int) -> ScheduleGrid:
     """A grid built by walking legal transitions only."""
     rows = []
     for _ in range(n_batteries):
         row = rng.choice("ECFO")
         for _ in range(horizon - 1):
-            row += rng.choice([s for s in "ECFO" if legal_transition(BatteryState(row[-1]), BatteryState(s))])
+            row += rng.choice(SUCCESSORS[row[-1]])
         rows.append(row)
     return ScheduleGrid(tuple(rows))

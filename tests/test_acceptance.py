@@ -332,7 +332,8 @@ def test_c6_flat_tariff_equality(suite):
     cost-optimal schedule can't beat the greedy one."""
     failures = []
     for i, instance in enumerate(suite):
-        flat = Instance(instance.config, instance.initial, instance.events.with_price(3))
+        events = EventProfiles(instance.events.demand, instance.events.arrivals, (3,) * instance.config.horizon)
+        flat = Instance(instance.config, instance.initial, events)
         greedy_cost = schedule_cost(solve_greedy(flat), flat.config, flat.events.price)
         _, exact_cost = solve_exact(flat)
         if exact_cost.total != greedy_cost.total:
@@ -351,7 +352,7 @@ def test_c6_price_scaling(suite):
             scaled = Instance(
                 instance.config,
                 instance.initial,
-                instance.events.with_price([p * k for p in instance.events.price]),
+                EventProfiles(instance.events.demand, instance.events.arrivals, [p * k for p in instance.events.price]),
             )
             grid, cost = solve_exact(scaled)
             if grid != base_grid or cost.total != k * base_cost.total:
@@ -359,7 +360,7 @@ def test_c6_price_scaling(suite):
         zeroed = Instance(
             instance.config,
             instance.initial,
-            instance.events.with_price([0] * instance.config.horizon),
+            EventProfiles(instance.events.demand, instance.events.arrivals, (0,) * instance.config.horizon),
         )
         _, zero_cost = solve_exact(zeroed)
         if zero_cost.total != 0:

@@ -440,6 +440,34 @@ def test_a_price_too_long_to_print_is_an_input_error_and_writes_no_file(tmp_path
     assert not (tmp_path / "out").exists()
 
 
+def test_progress_at_the_charge_length_is_an_input_error(valley_dir, tmp_path, capsys):
+    """A battery that enters charging with its charge already done is refused."""
+    bundle = tmp_path / "bundle"
+    shutil.copytree(valley_dir, bundle)
+    (bundle / "initial.json").write_text('[{"battery": 1, "state": "C", "progress": 2}]')
+    assert cli.main(["solve", "--instance", str(bundle)]) == 2
+    assert capsys.readouterr().err == "error: battery B1: progress 2 must be below charge_hours 2\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (spec_with(arrivals={"shape": "explicit", "values": [0] * 13}),
+         "explicit arrivals list 13 hours, horizon is 14"),
+        (spec_with(demand=5), "demand must be an object with a 'shape' key"),
+        (spec_with(tariff="flat"), "tariff must be an object with a 'kind' key"),
+        ("[1, 2]", "scenario spec must be a JSON object"),
+    ],
+    ids=["short-explicit-arrivals", "number-shape", "string-tariff", "list-spec"],
+)
+def test_specs_of_the_wrong_shape_are_refused_with_their_message(tmp_path, capsys, text, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    assert cli.main(["generate", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "fields, message",
     [

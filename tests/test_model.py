@@ -20,7 +20,6 @@ from swapsched import (
     TransitionError,
     extract_events,
     format_exact,
-    legal_transition,
     parse_grid,
     render_grid,
     to_exact,
@@ -45,8 +44,15 @@ TRANSITION_TABLE = {
 
 
 def test_transition_table_is_exactly_the_cycle():
+    """Each of the 16 moves, as a one-battery, two-hour grid that parses or not."""
+    config = StationConfig(1, 1, 1, Fraction(1), 2)
     for (prev, cur), expected in TRANSITION_TABLE.items():
-        assert legal_transition(prev, cur) is expected, f"{prev.letter}->{cur.letter}"
+        text = f"Hours: 1 2\nB1: {prev.letter} {cur.letter}\n"
+        if expected:
+            assert parse_grid(text, config).rows == (prev.letter + cur.letter,)
+        else:
+            with pytest.raises(GridParseError, match=f"column 7: illegal transition {prev.letter}->{cur.letter} "):
+                parse_grid(text, config)
     assert sum(TRANSITION_TABLE.values()) == 8
 
 
@@ -353,17 +359,6 @@ def test_profiles_validate_shape_and_signs():
         EventProfiles((0, -1), (0, 0), (Fraction(1),) * 2)
     with pytest.raises(InstanceError):
         EventProfiles((0, 0), (0, 0), (Fraction(1), Fraction(-1)))
-
-
-def test_profiles_from_maps_and_with_price():
-    ev = EventProfiles((0, 0, 1, 0), (0, 2, 0, 0), ("0",) * 4).with_price("0.5")
-    assert ev.demand == (0, 0, 1, 0)
-    assert ev.arrivals == (0, 2, 0, 0)
-    assert ev.price == (Fraction(1, 2),) * 4
-    repriced = ev.with_price([1, 2, 3, 4])
-    assert repriced.price == (Fraction(1), Fraction(2), Fraction(3), Fraction(4))
-    assert repriced.demand == ev.demand
-    assert repriced.arrivals == ev.arrivals
 
 
 def test_extract_events_reads_demo_edges(demo):

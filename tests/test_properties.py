@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -28,6 +29,7 @@ from swapsched import (
     ScheduleGrid,
     SolveObjective,
     StationConfig,
+    build_jobs,
     cli,
     exact,
     format_exact,
@@ -38,10 +40,12 @@ from swapsched import (
     solve_exact,
     solve_greedy,
     solve_oracle,
+    start_domain,
     to_exact,
     validate,
 )
 from swapsched.model import MAX_DIGITS, MAX_EXPONENT, _fifo_counts, _hour_tables
+from swapsched.solver import _simulate
 from conftest import make_valley
 
 STATES = list(BatteryState)
@@ -253,6 +257,33 @@ def test_every_solver_grid_passes_the_public_constructor(instance):
         assert type(grid.rows) is tuple and all(type(row) is str for row in grid.rows)
         assert grid == ScheduleGrid(tuple(grid.rows))
         assert (grid.n_batteries, grid.horizon) == (cfg.n_batteries, cfg.horizon)
+
+
+def test_every_start_vector_realises_strictly_valid_or_refuses():
+    """Realising any per-job start vector the oracle may enumerate, each job
+    at an hour of its ``start_domain`` (or never, where that is empty), raises
+    InfeasibleError or returns a grid that strict ``validate`` passes.  The
+    oracle also filters its grids through strict validation, so a faulty
+    realisation would be skipped there rather than reported.  Both outcomes
+    must come up."""
+    outcomes = set()
+
+    @settings(deadline=None, max_examples=400)
+    @given(instance=instances(), data=st.data())
+    def check(instance, data):
+        movable = [job for job in build_jobs(instance) if job.movable]
+        vector = [data.draw(st.sampled_from(start_domain(job, instance.config) or (None,))) for job in movable]
+        try:
+            grid = _simulate(instance, Counter(vector))
+        except InfeasibleError:
+            outcomes.add("refused")
+            return
+        report = validate(grid, instance, "strict")
+        assert report.feasible, report.violations
+        outcomes.add("valid")
+
+    check()
+    assert outcomes == {"refused", "valid"}
 
 
 def starts_or_refusal(instance: Instance):

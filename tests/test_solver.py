@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -918,3 +919,67 @@ def test_largest_optimal_potentials_match_linprog():
         got = exact._largest_optimal_potentials(n, arcs, weight)
         assert got == [0] + [round(x) for x in at_best.x]
     assert feasible >= 30 and infeasible >= 30
+
+
+def random_station(rng: random.Random) -> Instance:
+    """A station built directly, with no generator repairs: 1-6 batteries,
+    1-3 chargers, 1-4-hour charges, 1-12 hours and price denominators 1-7.
+    Demand and arrivals may fall at hour 1, and continuations may outnumber
+    the chargers, so every refusal comes up."""
+    nb, m, D, T = rng.randint(1, 6), rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 12)
+    entries = []
+    for b in range(nb):
+        s = rng.choice("ECFO")
+        if s == "C":
+            entries.append(BatteryStart(state=C, progress=rng.randrange(D)))
+        elif s == "F":
+            entries.append(BatteryStart(state=F, full_rank=b + 1))
+        else:
+            entries.append(BatteryStart(state=BatteryState(s)))
+    odds = [0.03] + [0.2] * (T - 1)  # events at hour 1 refuse at once, so they are rare
+    demand = [int(rng.random() < p) for p in odds]
+    arrivals = [int(rng.random() < p) for p in odds]
+    price = [Fraction(rng.randint(0, 9), rng.randint(1, 7)) for _ in range(T)]
+    return Instance(
+        StationConfig(nb, m, D, Fraction(10), T),
+        InitialConditions(tuple(entries)),
+        EventProfiles(tuple(demand), tuple(arrivals), tuple(price)),
+    )
+
+
+def test_solver_outputs_are_pinned(monkeypatch, demo):
+    """Every solver's answer, or refusal, on 2,000 random stations, the demo
+    and the valley, as one digest: greedy's grid, ``_cheapest_starts`` through
+    the relaxation and with the flow forced, ``solve_exact`` under both
+    objectives with every cost field, and the oracle at a budget of 3,000.
+    A change that is meant to leave every output as it was keeps the digest."""
+
+    def outcome(solve, *args):
+        try:
+            out = solve(*args)
+        except (InfeasibleError, EnumerationBudgetError) as refused:
+            return type(refused).__name__, getattr(refused, "hour", None), str(refused)
+        if isinstance(out, ScheduleGrid):
+            return out.rows
+        if isinstance(out, tuple):
+            grid, cost = out
+            return grid.rows, cost.total, cost.per_hour, cost.per_battery, cost.energy_kwh
+        return out
+
+    def flow_only(instance):
+        with monkeypatch.context() as patched:
+            patched.setattr(exact, "_relaxed_starts", lambda *args: None)
+            return cheapest_starts(instance)
+
+    rng = random.Random(2020)
+    instances = [demo[0], make_valley()] + [random_station(rng) for _ in range(2_000)]
+    digest = hashlib.sha256()
+    for instance in instances:
+        digest.update(repr((
+            outcome(solve_greedy, instance),
+            outcome(cheapest_starts, instance),
+            outcome(flow_only, instance),
+            *(outcome(solve_exact, instance, objective) for objective in SolveObjective),
+            outcome(solve_oracle, instance, SolveObjective.MIN_COST, 3_000),
+        )).encode())
+    assert digest.hexdigest() == "623f39777295376247468e2a7de097bd8fbd61f136c1898f6d9d38ce39db1f8e"
