@@ -178,11 +178,7 @@ def _read_json(path: Path, what: str) -> object:
 def save_instance(
     directory: str | Path, instance: Instance, schedule: ScheduleGrid | None = None
 ) -> None:
-    """Write an instance bundle (config.json, profiles.csv, initial.json[, schedule.txt]).
-
-    Every file's text is rendered before the first file is created, so an
-    instance that cannot be written leaves no partial bundle behind.
-    """
+    """Write an instance bundle (config.json, profiles.csv, initial.json[, schedule.txt])."""
     texts = {
         "config.json": _json_text(instance.config.to_json_dict()),
         "profiles.csv": _profiles_text(instance.events),
@@ -190,6 +186,13 @@ def save_instance(
     }
     if schedule is not None:
         texts["schedule.txt"] = render_grid(schedule)
+    _write_texts(directory, texts)
+
+
+def _write_texts(directory: str | Path, texts: dict[str, str]) -> None:
+    """Write each ``name: text`` file into ``directory``, made if missing, with
+    ``\n`` line ends.  Callers render every text before they call, so input
+    that cannot be written leaves no partial output behind."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     for name, text in texts.items():

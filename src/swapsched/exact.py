@@ -1,36 +1,14 @@
 """The exact solver, the brute-force oracle and the job API they search over.
 
-Every job is scheduled.  A movable job whose full charge block fits inside
-the horizon must run the full block (its start domain is capped so the block
-fits); a job released too late to ever complete may start anywhere from its
-release and is truncated by the horizon.
-
-``solve_exact`` minimizes total electricity cost over all start vectors,
-breaking cost ties toward the lexicographically earliest start vector.
-Movable jobs all run the same block length, so it works on start counts
-(how many jobs have started by each hour): charger capacity, release
-windows, deadlines and demand coverage are difference constraints on those
-counts, read from the hour tables (``model._hour_tables``) that greedy's
-FIFO rule reads too.
-
-The counts come from the LP without the charger bounds past hour D, which
-splits by start: the k-th start goes to the earliest hour of least block
-cost between the first hour whose ceiling reaches k and the first hour
-whose floor reaches k.  Picks that fit the chargers are the answer: they are
-feasible for the full LP, optimal because the relaxation's minimum bounds
-the full LP's, and componentwise largest because every full optimum is a
-relaxation optimum.  A floor above its ceiling refuses at once.  Otherwise
-the counts are the dual of one min-cost flow on the hours.  Each hour's
-excess or deficit is routed over uncapacitated arcs, with no super source
-or sink, in primal-dual phases (one Bellman-Ford from every hour with excess
-left, then flow along tight arcs to the deficits) in polynomial time; its
-dual does not depend on which optimal flow the phases find.  The flow's arcs
-are the relaxation's own bounds, so a tighter floor changes one list.
-``solve_greedy`` runs only for the feasibility objective, or to prove an
-instance infeasible with the first failing hour.
-``solve_oracle`` does the same by exhaustive enumeration and exists to
-cross-check the exact solver; ``ChargeJob``, ``build_jobs`` and
-``start_domain`` name the jobs and start hours it enumerates.
+``solve_exact`` finds the cheapest schedule, breaking cost ties toward the
+lexicographically earliest start vector.  It works on start counts:
+``_cheapest_starts`` states the bounds on them and why they suffice,
+``_relaxed_starts`` solves them without the charger bounds past the first
+block and says when that answer is optimal, and
+``_largest_optimal_potentials`` solves the full system as a min-cost flow.
+``solve_oracle`` enumerates start vectors to cross-check it; ``ChargeJob``,
+``build_jobs`` and ``start_domain`` name the jobs and the start hours it
+enumerates.
 """
 
 from __future__ import annotations
@@ -231,6 +209,7 @@ def _relaxed_starts(
         raise InfeasibleError(None, _NO_ARRANGEMENT)
     starts = [0] * (T + 1)
     top, k, a, b = floors[T], 1, 1, 1
+    early, e = 0, 0  # early: the starts at hours before e, which only grows
     while k <= ceiling[T]:
         while ceiling[a] < k:
             a += 1
@@ -245,8 +224,12 @@ def _relaxed_starts(
             break
         starts[pick] += last - k + 1
         k = last + 1
-        # The picks so far are every start up to this one, ``last`` of them.
-        if pick > D and last - sum(starts[: pick - D + 1]) > room[pick]:
+        # The picks so far are every start up to this one, ``last`` of them;
+        # those at hours up to pick - D are off the chargers by hour pick.
+        while e <= pick - D:
+            early += starts[e]
+            e += 1
+        if pick > D and last - early > room[pick]:
             return None
     return starts
 

@@ -406,11 +406,12 @@ class ScheduleGrid(_Value):
 
     ``rows[b - 1][t - 1]`` is the letter of battery ``b`` at hour ``t``, and
     the accessors take those 1-based indices.  The constructor checks shape
-    and letters only, and so do ``parse_grid``, ``with_cell`` and unpickling,
-    which go through it; ``_trusted`` stores rows unchecked, for the grids
-    the realisation writes from E, C, F and O itself.  Adjacency legality is
-    a *validation* concern: grids carrying illegal transitions must be
-    representable so the validator can report them.
+    and letters only, and so do ``with_cell`` and unpickling, which go
+    through it; ``_trusted`` stores rows unchecked, for the grids the
+    realisation writes from E, C, F and O itself and the rows ``parse_grid``
+    has checked line by line.  Adjacency legality is a *validation* concern:
+    grids carrying illegal transitions must be representable so the
+    validator can report them.
     """
 
     __slots__ = ("rows",)
@@ -752,7 +753,9 @@ def parse_grid(text: str, config: StationConfig) -> ScheduleGrid:
         t = next(t for t, cell in enumerate(cells, start=1) if len(cell) != 1 or cell.strip("ECFO"))
         col = len(prefix) + 2 * (t - 1) + 1
         raise GridParseError(line_no, col, f"unknown state letter {_shown(cells[t - 1])} at hour {t}")
-    grid = ScheduleGrid(tuple(rows))
+    # Each row passed the checks above: config.horizon >= 1 letters of E, C,
+    # F and O, and config.n_batteries >= 1 of them, all the constructor checks.
+    grid = ScheduleGrid._trusted(tuple(rows))
     illegal = _scan(grid)[3]
     if illegal:
         b, hour, prev, cur = illegal[0]

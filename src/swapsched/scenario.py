@@ -156,13 +156,13 @@ class TouTariff(_Value):
         super().__init__(off_peak, peak, ranges)
 
     def render(self, horizon: int) -> tuple[Fraction, ...]:
-        out = []
-        for h in range(1, horizon + 1):
-            if any(a <= h <= b for a, b in self.peak_hours):
-                out.append(self.peak)
-            else:
-                out.append(self.off_peak)
-        return tuple(out)
+        change = [0] * (horizon + 2)  # +1 where a range begins, -1 just past its end
+        for a, b in self.peak_hours:
+            if a <= horizon:
+                change[a] += 1
+                change[min(b, horizon) + 1] -= 1
+        ranges = itertools.accumulate(change[1 : horizon + 1])
+        return tuple(self.peak if n else self.off_peak for n in ranges)
 
 
 class ExplicitTariff(_Value):
@@ -247,20 +247,19 @@ def _place_units(
     """Push drawn event hours forward until each fits its cumulative headroom.
 
     ``room[t]`` is how many units may land at hours 1..t in total.  Units are
-    placed in hour order; a unit with no legal hour left is dropped.
+    placed in hour order, each no earlier than the one before it.  The first
+    unit with no legal hour left is dropped, and so is every unit after it:
+    each would scan from no earlier hour with as many units placed.
     """
     counts = [0] * (horizon + 1)
-    placed = 0
-    floor = 1
-    for hour in sorted(drawn):
-        h = max(hour, floor)
-        while h <= horizon and placed + 1 > room[h]:
+    h = 1
+    for placed, hour in enumerate(sorted(drawn)):
+        h = max(hour, h)
+        while h <= horizon and placed >= room[h]:
             h += 1
         if h > horizon:
-            continue
+            break
         counts[h] += 1
-        placed += 1
-        floor = h
     return counts[1:]
 
 
@@ -392,11 +391,11 @@ def _json_list(value: object, what: str) -> list:
     return value
 
 
-def _require_keys(data: dict, allowed: set, what: str) -> None:
-    unknown = set(data) - allowed
+def _require_keys(data: dict, required: set, what: str, optional: set = frozenset()) -> None:
+    unknown = set(data) - required - optional
     if unknown:
         raise InstanceError(f"{what}: unknown keys {_shown_keys(unknown)}")
-    missing = allowed - set(data)
+    missing = required - set(data)
     if missing:
         raise InstanceError(f"{what}: missing keys {sorted(missing)}")
 
@@ -419,13 +418,7 @@ def load_spec(path: str | Path) -> ScenarioSpec:
     data = _read_json(Path(path), "scenario spec")
     if not isinstance(data, dict):
         raise InstanceError("scenario spec must be a JSON object")
-    required = {"config", "seed", "demand", "arrivals", "tariff"}
-    unknown = set(data) - required - {"initial"}
-    if unknown:
-        raise InstanceError(f"scenario spec: unknown keys {_shown_keys(unknown)}")
-    missing = required - set(data)
-    if missing:
-        raise InstanceError(f"scenario spec: missing keys {sorted(missing)}")
+    _require_keys(data, {"config", "seed", "demand", "arrivals", "tariff"}, "scenario spec", {"initial"})
     if not is_int(data["seed"]):
         raise InstanceError("seed must be an integer")
     config = StationConfig.from_json_dict(data["config"])

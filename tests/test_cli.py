@@ -449,6 +449,16 @@ def test_progress_at_the_charge_length_is_an_input_error(valley_dir, tmp_path, c
     assert capsys.readouterr().err == "error: battery B1: progress 2 must be below charge_hours 2\n"
 
 
+def test_a_bundle_with_fewer_initial_entries_than_batteries_is_an_input_error(demo_dir, tmp_path, capsys):
+    """initial.json must list every battery the config counts."""
+    bundle = tmp_path / "bundle"
+    shutil.copytree(demo_dir, bundle)
+    entries = json.loads((bundle / "initial.json").read_text())
+    (bundle / "initial.json").write_text(json.dumps(entries[:11]))
+    assert cli.main(["solve", "--instance", str(bundle)]) == 2
+    assert capsys.readouterr().err == "error: 11 initial entries for 12 batteries\n"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -45,6 +45,7 @@ from swapsched import (
     validate,
 )
 from swapsched.model import MAX_DIGITS, MAX_EXPONENT, _fifo_counts, _hour_tables
+from swapsched.scenario import TouTariff, _place_units
 from swapsched.solver import _simulate
 from conftest import make_valley
 
@@ -430,6 +431,54 @@ def test_fifo_counts_are_the_running_count_of_per_job_fifo_starts(case):
         assert s == next((t for t in range(T + 1) if counts[t] > k), None)
     assert counts[0] == 0
     assert all(a <= b for a, b in zip(counts, counts[1:]))
+
+
+def place_units_reference(drawn, horizon, room):
+    """The generator's event placement one unit at a time, sharing no code
+    with the package: each unit, in hour order, takes the first hour from its
+    drawn hour, and from the hour of the unit placed before it, where the
+    units placed so far and itself fit ``room``.  A unit with no such hour is
+    dropped and the next unit tries.  Counts per hour 1..horizon."""
+    counts = [0] * (horizon + 1)
+    placed, floor = 0, 1
+    for hour in sorted(drawn):
+        h = max(hour, floor)
+        while h <= horizon and placed + 1 > room[h]:
+            h += 1
+        if h > horizon:
+            continue
+        counts[h] += 1
+        placed += 1
+        floor = h
+    return counts[1:]
+
+
+@given(data=st.data())
+def test_place_units_keeps_the_unit_by_unit_rule(data):
+    """Stopping at the first unit that finds no hour drops the units the
+    unit-by-unit rule drops, also where the room falls from hour to hour
+    and where drawn hours lie past the horizon."""
+    T = data.draw(st.integers(1, 12))
+    drawn = data.draw(st.lists(st.integers(1, T + 2), max_size=20))
+    room = [0, *data.draw(st.lists(st.integers(0, 15), min_size=T, max_size=T))]
+    assert _place_units(drawn, T, room) == place_units_reference(drawn, T, room)
+
+
+def tou_reference(off_peak, peak, ranges, horizon):
+    """A time-of-use tariff hour by hour, sharing no code with the package:
+    ``peak`` at every hour some inclusive range holds, ``off_peak`` elsewhere."""
+    return tuple(peak if any(a <= h <= b for a, b in ranges) else off_peak for h in range(1, horizon + 1))
+
+
+@given(
+    horizon=st.integers(1, 30),
+    ranges=st.lists(st.tuples(st.integers(1, 35), st.integers(0, 10)).map(lambda r: (r[0], r[0] + r[1])),
+                    max_size=6),
+)
+def test_tou_render_keeps_the_hour_by_hour_rule(horizon, ranges):
+    """Ranges may overlap, repeat, and begin or end past the horizon."""
+    tariff = TouTariff(off_peak=1, peak=2, peak_hours=tuple(ranges))
+    assert tariff.render(horizon) == tou_reference(Fraction(1), Fraction(2), ranges, horizon)
 
 
 def mixed_bundle() -> tuple[Instance, ScheduleGrid]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -228,6 +229,26 @@ def test_generated_initial_charging_fits_the_chargers():
         assert instance.initial.count(C) <= instance.config.n_chargers
 
 
+def test_generate_places_events_in_one_pass():
+    """One battery with a two-hour charge over 20,000 hours, and as many
+    swaps and returns drawn as hours.  The battery starts out of the
+    station, so its return is the one unit that fits; each repair stops at
+    the first unit that finds no hour, rather than rescanning the horizon
+    for each of the 20,000 after it."""
+    spec = ScenarioSpec(
+        config=StationConfig(1, 1, 2, Fraction(30), 20_000),
+        demand=UniformShape(total=20_000),
+        arrivals=UniformShape(total=20_000),
+        tariff=FlatTariff(price=1),
+        seed=1,
+    )
+    start = time.perf_counter()
+    instance = generate(spec)
+    assert time.perf_counter() - start < 3
+    assert instance.initial.entries == (BatteryStart(state=O),)
+    assert (sum(instance.events.demand), sum(instance.events.arrivals)) == (0, 1)
+
+
 def test_explicit_shapes_are_verbatim():
     demand = (1, 0, 2, 0, 0, 0, 0, 0)  # even a never-servable hour-1 unit survives
     arrivals = (0, 0, 0, 1, 0, 0, 0, 0)
@@ -291,6 +312,16 @@ def test_tou_tariff():
     assert tariff.render(6) == tuple(Fraction(p) for p in (1, 3, 3, 1, 1, 3))
     with pytest.raises(InstanceError):
         TouTariff(off_peak=1, peak=2, peak_hours=((5, 3),))
+
+
+def test_tou_tariff_renders_many_ranges_in_one_pass():
+    """1,000 peak ranges over 100,000 hours: each range marks where it
+    begins and ends, and one pass over the hours reads the marks."""
+    ranges = tuple((100 * k + 1, 100 * k + 50) for k in range(1000))
+    start = time.perf_counter()
+    prices = TouTariff(off_peak=1, peak=3, peak_hours=ranges).render(100_000)
+    assert time.perf_counter() - start < 1
+    assert prices == ((Fraction(3),) * 50 + (Fraction(1),) * 50) * 1000
 
 
 def test_explicit_tariff_checks_length():
