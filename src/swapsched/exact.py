@@ -6,6 +6,8 @@ lexicographically earliest start vector.  It works on start counts:
 ``_relaxed_starts`` solves them without the charger bounds past the first
 block and says when that answer is optimal, and
 ``_largest_optimal_potentials`` solves the full system as a min-cost flow.
+It reads the prices its instance scaled once (``Instance._price_levels``)
+and prices the charge runs its realisation noted as it wrote them.
 ``solve_oracle`` enumerates start vectors to cross-check it; ``ChargeJob``,
 ``build_jobs`` and ``start_domain`` name the jobs and the start hours it
 enumerates.
@@ -28,7 +30,7 @@ from .model import (
     _Value,
     _window,
 )
-from .solver import CostBreakdown, SolveObjective, _price_levels, _priced, _simulate, schedule_cost, solve_greedy
+from .solver import CostBreakdown, SolveObjective, _priced, _simulate, schedule_cost, solve_greedy
 
 __all__ = [
     "ChargeJob",
@@ -116,20 +118,19 @@ def solve_exact(
     if objective is SolveObjective.FEASIBILITY:
         grid = solve_greedy(instance)  # raises InfeasibleError with the proof hour
         return grid, schedule_cost(grid, cfg, instance.events.price)
-    level, lcm = _price_levels(instance.events.price)  # the count solve and the cost share it
     try:
-        grid = _simulate(instance, _cheapest_starts(instance, level))
+        grid, charges = _simulate(instance, _cheapest_starts(instance))
     except InfeasibleError:
         # Swaps and arrivals that no movable block can reach are outside the
         # count solve; greedy names the first hour that fails, if one does.
         solve_greedy(instance)
         raise
-    return grid, _priced(grid, cfg, level, lcm)
+    return grid, _priced(charges, cfg, *instance._price_levels)
 
 
-def _cheapest_starts(instance: Instance, level: list[int]) -> list[int]:
+def _cheapest_starts(instance: Instance) -> list[int]:
     """Movable starts per hour (index 0 unused) of the lexicographically
-    earliest start vector that minimizes cost at the integer prices ``level``.
+    earliest start vector that minimizes cost at ``instance._price_levels``.
 
     The bounds come from the hour tables of ``model._hour_tables``, which
     greedy and the scenario generator's repairs read too: how many start
@@ -166,7 +167,7 @@ def _cheapest_starts(instance: Instance, level: list[int]) -> list[int]:
         floors[t] = floor
     ceiling = [min(h, r) for h, r in zip(high[: D + 1], room)] + high[D + 1 :]
     # cost[t], the price of a block started at t, is cut off by the horizon.
-    before = list(itertools.accumulate(level, initial=0))
+    before = list(itertools.accumulate(instance._price_levels[0], initial=0))
     cost = [0] + [b - a for a, b in zip(before[:T], before[D:] + [before[T]] * min(D, T))]
     starts = _relaxed_starts(D, floors, ceiling, room, cost)
     if starts is not None:
@@ -210,14 +211,22 @@ def _relaxed_starts(
     starts = [0] * (T + 1)
     top, k, a, b = floors[T], 1, 1, 1
     early, e = 0, 0  # early: the starts at hours before e, which only grows
+    # The windows only move forward: ``cheapest`` keeps, in order, the hours up
+    # to b that cost no more than any later one, and the first from a is the pick.
+    cheapest = deque([1])
     while k <= ceiling[T]:
         while ceiling[a] < k:
             a += 1
         if k <= top:
             while floors[b] < k:
                 b += 1
+                while cheapest and cost[cheapest[-1]] > cost[b]:
+                    cheapest.pop()
+                cheapest.append(b)
             last = min(ceiling[a], floors[b])
-            pick = cost.index(min(cost[a : b + 1]), a)
+            while cheapest[0] < a:
+                cheapest.popleft()
+            pick = cheapest[0]
         elif 0 in cost[a:]:
             last, pick = ceiling[a], cost.index(0, a)
         else:
@@ -387,7 +396,7 @@ def solve_oracle(
     best: tuple[Fraction, ScheduleGrid, CostBreakdown] | None = None
     for combo in itertools.product(*domains):
         try:
-            grid = _simulate(instance, Counter(combo))
+            grid = _simulate(instance, Counter(combo))[0]
         except InfeasibleError:
             continue
         if not validate(grid, instance, "strict").feasible:

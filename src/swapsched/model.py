@@ -568,7 +568,11 @@ _MAX_FLOAT = int(sys.float_info.max)
 DEFAULT_ORACLE_BUDGET = 200_000
 
 
-class Instance(_Value):
+class _Scaled(_Value):
+    __slots__ = ("_price_levels",)  # _price_levels(events.price), worked out once: not a field
+
+
+class Instance(_Scaled):
     """A complete scheduling problem: station, start states, event profiles."""
 
     __slots__ = ("config", "initial", "events")
@@ -592,18 +596,23 @@ class Instance(_Value):
         # lcm of the prices' denominators times the power's, and cost.json
         # holds floats.  The energy is bounded as the cost at a price of 1.
         power = config.power_kw
-        lcm = 1
-        for d in {p.denominator for p in events.price}:
-            lcm = math.lcm(lcm, d)
-            if lcm * power.denominator > _MAX_SCALE:
-                raise InstanceError(
-                    "the lcm of the prices' denominators times the charge power's "
-                    f"lies beyond 10**{2 * MAX_EXPONENT}"
-                )
-        top = max(lcm, *(p.numerator * (lcm // p.denominator) for p in events.price))  # in 1/lcm
+        level, lcm = levels = _price_levels(events.price, power)
+        top = max(lcm, *level)  # in 1/lcm
         if top * power.numerator * config.n_batteries * config.horizon > _MAX_FLOAT * lcm * power.denominator:
             raise InstanceError("the costs this station could report lie beyond the range of a float")
-        super().__init__(config, initial, events)
+        super().__init__(config, initial, events, _price_levels=levels)
+
+
+def _price_levels(prices: Sequence[Fraction], power: Fraction | None = None) -> tuple[tuple[int, ...], int]:
+    """The prices in units of one over the lcm of their denominators, and that
+    lcm; with a ``power``, refused as soon as the cost scale passes its bound."""
+    lcm = 1
+    for d in {p.denominator for p in prices}:
+        lcm = math.lcm(lcm, d)
+        if power is not None and lcm * power.denominator > _MAX_SCALE:
+            raise InstanceError("the lcm of the prices' denominators times the charge power's "
+                                f"lies beyond 10**{2 * MAX_EXPONENT}")
+    return tuple([p.numerator * (lcm // p.denominator) for p in prices]), lcm
 
 
 def _window(release: int, duration: int, horizon: int) -> tuple[int, int]:

@@ -27,9 +27,8 @@ in ``exact``.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import deque
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
 
@@ -42,6 +41,7 @@ from .model import (
     _fifo_counts,
     _hour_tables,
     _json_text,
+    _price_levels,
     _runs,
     _Value,
     to_exact,
@@ -100,8 +100,8 @@ def schedule_cost(grid: ScheduleGrid, config: StationConfig, price: Sequence) ->
 
     Only the ``C`` letters count, whatever surrounds them, so a grid with
     illegal moves is priced cell by cell like any other.  The prices are
-    scaled to integers once (``_price_levels``) and ``_priced`` sums them;
-    ``exact.solve_exact`` hands ``_priced`` the table its flow weights used.
+    scaled to integers (``model._price_levels``) and ``_priced`` sums them
+    over the grid's runs of ``C`` (``_runs``).
     """
     if grid.n_batteries != config.n_batteries or grid.horizon != config.horizon:
         raise DimensionError(
@@ -111,32 +111,26 @@ def schedule_cost(grid: ScheduleGrid, config: StationConfig, price: Sequence) ->
     prices = [to_exact(p) for p in price]
     if len(prices) != config.horizon:
         raise DimensionError(f"{len(prices)} prices for a horizon of {config.horizon} hours")
-    return _priced(grid, config, *_price_levels(prices))
+    return _priced(_runs(grid, "C"), config, *_price_levels(prices))
 
 
-def _price_levels(prices: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The prices in units of one over the lcm of their denominators, and that lcm."""
-    ratios = [p.as_integer_ratio() for p in prices]
-    lcm = math.lcm(*{d for _, d in ratios})
-    return [n * (lcm // d) for n, d in ratios], lcm
-
-
-def _priced(grid: ScheduleGrid, config: StationConfig, level: list[int], lcm: int) -> CostBreakdown:
-    """``schedule_cost`` of a grid that fits ``config``, at prices ``level[t] / lcm``.
+def _priced(runs: Iterable[tuple], config: StationConfig, level: Sequence[int], lcm: int) -> CostBreakdown:
+    """``schedule_cost`` of a grid that fits ``config`` from its ``C`` runs, as
+    ``_runs`` yields them but in any order, at prices ``level[t] / lcm``.
 
     The sums run over integers, in units of one over ``lcm`` times the
-    power's denominator.  Each run of ``C`` letters (``_runs``) is priced at
-    once from prefix sums of those units and adds one charger to its hours
-    through a difference array.  Each distinct scaled sum becomes one Fraction.
+    power's denominator.  Each run is priced at once from prefix sums of
+    those units and adds one charger to its hours through a difference
+    array.  Each distinct scaled sum becomes one Fraction.
     """
     T = config.horizon
-    power = config.power_kw
-    scale = lcm * power.denominator
-    unit = [x * power.numerator for x in level]
+    numerator, denominator = config.power_kw.as_integer_ratio()
+    scale = lcm * denominator
+    unit = [x * numerator for x in level]
     before = list(itertools.accumulate(unit, initial=0))  # before[i]: cells 0..i-1
     change = [0] * (T + 1)  # +1 where a run begins, -1 just past its end
-    per_battery = [0] * grid.n_batteries
-    for b, first, stop in _runs(grid, "C"):
+    per_battery = [0] * config.n_batteries
+    for b, first, stop in runs:
         per_battery[b] += before[stop] - before[first]
         change[first] += 1
         change[stop] -= 1
@@ -147,7 +141,7 @@ def _priced(grid: ScheduleGrid, config: StationConfig, level: list[int], lcm: in
         Fraction(sum(per_hour), scale),
         tuple(map(exact.__getitem__, per_hour)),
         tuple(map(exact.__getitem__, per_battery)),
-        Fraction(power.numerator * sum(charging), power.denominator),
+        Fraction(numerator * sum(charging), denominator),
     )
 
 
@@ -170,12 +164,13 @@ def _priced(grid: ScheduleGrid, config: StationConfig, level: list[int], lcm: in
 # chargers checks the capacity, so no hour scans the charges in progress.
 # Only hour 1 and the hours that start charges can raise that count, so only
 # they check it, at step 3.  Between state changes a battery keeps its state,
-# so a row is written a run of letters at a time, as the battery changes.
+# so a row is written a run of letters at a time, and each run of C is noted.
 # ---------------------------------------------------------------------------
 
 
-def _simulate(instance: Instance, n_starts: Sequence[int] | Mapping[int, int]) -> ScheduleGrid:
-    """Realise ``n_starts`` (``n_starts[t]``: charges started at hour t) as a schedule grid."""
+def _simulate(instance: Instance, n_starts: Sequence[int] | Mapping[int, int]) -> tuple[ScheduleGrid, list]:
+    """Realise ``n_starts`` (``n_starts[t]``: charges started at hour t) as a schedule
+    grid and its runs of ``C``, as ``_runs`` yields them but in the order written."""
     cfg = instance.config
     T, D, chargers = cfg.horizon, cfg.charge_hours, cfg.n_chargers
     demand, arrivals = instance.events.demand, instance.events.arrivals
@@ -184,6 +179,7 @@ def _simulate(instance: Instance, n_starts: Sequence[int] | Mapping[int, int]) -
     # a state it leaves in the hour it came); at the end, its last letter.
     written = [""] * (cfg.n_batteries + 1)
     since = [1] * len(written)
+    charges: list[tuple[int, int, int]] = []  # (battery, first, stop), all from 0
 
     # Batteries in FIFO order.  Those that start the horizon full are ordered
     # by declared rank; the charges that finish at hour t join full behind
@@ -231,6 +227,7 @@ def _simulate(instance: Instance, n_starts: Sequence[int] | Mapping[int, int]) -
             finished.sort()
             for b in finished:
                 written[b] += "C" * (t - since[b])
+                charges.append((b - 1, since[b] - 1, t - 1))
                 since[b] = t
             full.extend(finished)
             active -= len(finished)
@@ -266,10 +263,11 @@ def _simulate(instance: Instance, n_starts: Sequence[int] | Mapping[int, int]) -
                 since[b] = t
             out_pool.extend(gone)
 
+    charges += [(b - 1, since[b] - 1, T) for b in finishing[T + 1]]
     for letter, batteries in (("E", waiting), ("C", finishing[T + 1]), ("F", full), ("O", out_pool)):
         for b in batteries:
             written[b] += letter * (T + 1 - since[b])
-    return ScheduleGrid._trusted(tuple(written[1:]))
+    return ScheduleGrid._trusted(tuple(written[1:])), charges
 
 
 def solve_greedy(instance: Instance) -> ScheduleGrid:
@@ -281,4 +279,4 @@ def solve_greedy(instance: Instance) -> ScheduleGrid:
     cfg = instance.config
     _, done, opened, _ = _hour_tables(cfg, instance.initial, instance.events.arrivals)
     started = _fifo_counts(cfg, done, opened)
-    return _simulate(instance, [0] + [b - a for a, b in zip(started, started[1:])])
+    return _simulate(instance, [0] + [b - a for a, b in zip(started, started[1:])])[0]

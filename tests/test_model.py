@@ -4,6 +4,7 @@ import random
 import time
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,6 +15,7 @@ from swapsched import (
     EventProfiles,
     GridParseError,
     InitialConditions,
+    Instance,
     InstanceError,
     ScheduleGrid,
     StationConfig,
@@ -195,6 +197,65 @@ def test_config_power_survives_copy_and_pickle():
             assert type(other.power_kw) is Fraction
         assert cfg.__reduce__()[1] == (cfg.n_batteries, cfg.n_chargers, cfg.charge_hours,
                                        cfg.capacity_kwh, cfg.horizon, cfg.charge_power_kw)
+
+
+def test_instance_price_levels_are_worked_out_once_and_are_not_a_field():
+    """An instance scales its prices to integers when it is built:
+    ``_price_levels`` equals ``model._price_levels(events.price)``.  It is
+    worked out from the fields and is not one of them, so equality, hash,
+    repr, copy and pickle see the three fields only, and copies and
+    unpickled instances work it out again."""
+    import copy
+    import pickle
+
+    from swapsched.model import _price_levels
+
+    def station(prices, power=None):
+        config = StationConfig(2, 1, 3, Fraction(10), len(prices), charge_power_kw=power)
+        events = EventProfiles((0,) * len(prices), (0,) * len(prices), tuple(map(Fraction, prices)))
+        return Instance(config, InitialConditions((BatteryStart(E), BatteryStart(E))), events)
+
+    for instance in (
+        station(["1/2", "4", "1/2"]),
+        station(["2/3", "5/7", "0", "3", "1/6"], power=Fraction(7, 3)),
+        station(["7"]),
+    ):
+        levels = instance._price_levels
+        assert levels == _price_levels(instance.events.price)
+        level, lcm = levels
+        assert type(level) is tuple and all(Fraction(n, lcm) == p for n, p in zip(level, instance.events.price))
+        assert instance.__reduce__()[1] == (instance.config, instance.initial, instance.events)
+        assert "_price_levels" not in repr(instance)
+        assert hash(instance) == hash((instance.config, instance.initial, instance.events))
+        copies = [copy.copy(instance), copy.deepcopy(instance)]
+        copies += [pickle.loads(pickle.dumps(instance, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies:
+            assert other == instance and hash(other) == hash(instance) and repr(other) == repr(instance)
+            assert other._price_levels == levels
+        with pytest.raises(AttributeError):
+            instance._price_levels = levels
+
+
+def test_the_price_scale_check_stops_before_it_builds_a_huge_lcm(monkeypatch):
+    """The lcm of the price denominators grows one denominator at a time, and
+    the check refuses as soon as it passes the bound: 400 distinct
+    990-digit denominators take three steps, not 400."""
+    import math
+
+    from swapsched import model
+
+    steps = []
+
+    def lcm(*args):
+        steps.append(args)
+        return math.lcm(*args)
+
+    config = StationConfig(1, 1, 1, Fraction(1), 400)
+    prices = tuple(Fraction(1, 10**989 + 2 * i + 1) for i in range(400))
+    monkeypatch.setattr(model, "math", SimpleNamespace(lcm=lcm))
+    with pytest.raises(InstanceError, match=f"beyond 10\\*\\*{2 * MAX_EXPONENT}"):
+        Instance(config, InitialConditions((BatteryStart(E),)), EventProfiles((0,) * 400, (0,) * 400, prices))
+    assert len(steps) == 3
 
 
 def test_config_json_round_trip():

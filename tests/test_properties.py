@@ -40,11 +40,12 @@ from swapsched import (
     solve_exact,
     solve_greedy,
     solve_oracle,
+    solver,
     start_domain,
     to_exact,
     validate,
 )
-from swapsched.model import MAX_DIGITS, MAX_EXPONENT, _fifo_counts, _hour_tables
+from swapsched.model import MAX_DIGITS, MAX_EXPONENT, _fifo_counts, _hour_tables, _runs
 from swapsched.scenario import TouTariff, _place_units
 from swapsched.solver import _simulate
 from conftest import make_valley
@@ -275,10 +276,11 @@ def test_every_start_vector_realises_strictly_valid_or_refuses():
         movable = [job for job in build_jobs(instance) if job.movable]
         vector = [data.draw(st.sampled_from(start_domain(job, instance.config) or (None,))) for job in movable]
         try:
-            grid = _simulate(instance, Counter(vector))
+            grid, charges = _simulate(instance, Counter(vector))
         except InfeasibleError:
             outcomes.add("refused")
             return
+        assert sorted(charges) == list(_runs(grid, "C"))
         report = validate(grid, instance, "strict")
         assert report.feasible, report.violations
         outcomes.add("valid")
@@ -287,9 +289,38 @@ def test_every_start_vector_realises_strictly_valid_or_refuses():
     assert outcomes == {"refused", "valid"}
 
 
+@no_deadline
+@given(instance=instances(max_batteries=8, max_charge=4, horizons=(1, 24),
+                          prices=st.fractions(0, 6, max_denominator=6)))
+def test_the_realisation_hands_pricing_the_charge_runs_it_wrote(instance):
+    """Each realisation notes its runs of ``C`` as it writes them: sorted,
+    they are the runs ``_runs`` finds in its grid, those of greedy and of
+    the exact solve alike.  ``solve_exact`` prices its realisation's runs
+    at the instance's price levels, and its cost equals, in every field,
+    the cost ``schedule_cost`` finds by scanning the grid at the instance's
+    prices."""
+    realised = []
+
+    def noted(*args):
+        realised.append(_simulate(*args))
+        return realised[-1]
+
+    with mock.patch.object(solver, "_simulate", noted), mock.patch.object(exact, "_simulate", noted):
+        with contextlib.suppress(InfeasibleError):
+            solve_greedy(instance)
+        try:
+            grid, cost = solve_exact(instance)
+        except InfeasibleError:
+            grid = None
+    for written, charges in realised:
+        assert sorted(charges) == list(_runs(written, "C"))
+    if grid is not None:
+        assert cost == schedule_cost(grid, instance.config, instance.events.price)  # every field
+
+
 def starts_or_refusal(instance: Instance):
     try:
-        return exact._cheapest_starts(instance, exact._price_levels(instance.events.price)[0])
+        return exact._cheapest_starts(instance)
     except InfeasibleError as refused:
         return refused.hour, str(refused)
 
@@ -318,12 +349,12 @@ def test_the_relaxation_gives_the_flows_starts():
 
 
 @st.composite
-def start_bounds(draw):
+def start_bounds(draw, max_hours=12):
     """``_relaxed_starts``' inputs as ``_cheapest_starts`` shapes them, but with
     floors that may stay below the ceilings up to hour T: counts that never
     fall, ceilings within the chargers' room up to hour D, room that never
     falls, and costs of 0 in about half the hours."""
-    D, T = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    D, T = draw(st.integers(1, 4)), draw(st.integers(1, max_hours))
     steps = st.lists(st.sampled_from((0, 0, 1, 2)), min_size=T, max_size=T)
     free = draw(st.integers(0, 3))
     room = [free, *(free + n for n in itertools.accumulate(draw(steps)))]
@@ -365,6 +396,48 @@ def test_the_relaxation_equals_the_flow_on_any_bounds():
 
     check()
     assert {True, False, "refused"} <= set(outcomes)
+
+
+def relaxed_starts_by_slices(D, floors, ceiling, room, cost):
+    """``_relaxed_starts`` as it was before its sliding minimum, sharing no
+    code with the package: each pick scans its whole window,
+    ``cost[a : b + 1]``, for the earliest hour of least cost.  Returns
+    "refused" where a floor lies above its ceiling."""
+    T = len(cost) - 1
+    if any(f > c for f, c in zip(floors, ceiling)):
+        return "refused"
+    starts = [0] * (T + 1)
+    top, k, a, b = floors[T], 1, 1, 1
+    while k <= ceiling[T]:
+        while ceiling[a] < k:
+            a += 1
+        if k <= top:
+            while floors[b] < k:
+                b += 1
+            last = min(ceiling[a], floors[b])
+            pick = cost.index(min(cost[a : b + 1]), a)
+        elif 0 in cost[a:]:
+            last, pick = ceiling[a], cost.index(0, a)
+        else:
+            break
+        starts[pick] += last - k + 1
+        k = last + 1
+        if pick > D and last - sum(starts[: pick - D + 1]) > room[pick]:
+            return None
+    return starts
+
+
+@no_deadline
+@given(bounds=start_bounds(max_hours=60))
+def test_the_relaxations_sliding_minimum_picks_as_each_window_scan_did(bounds):
+    """The sliding minimum of ``_relaxed_starts`` picks, for every start, the
+    hour a scan of that start's whole window picks: the earliest of least
+    cost.  Both return the same starts, the same None, or refuse alike."""
+    try:
+        starts = exact._relaxed_starts(*bounds)
+    except InfeasibleError:
+        starts = "refused"
+    assert starts == relaxed_starts_by_slices(*bounds)
 
 
 def fifo_starts_reference(n_chargers, duration, horizon, fixed_lengths, releases):

@@ -775,7 +775,7 @@ def station(states: str, chargers: int, charge_hours: int, demand, price) -> Ins
 
 
 def cheapest_starts(instance: Instance) -> list[int]:
-    return exact._cheapest_starts(instance, exact._price_levels(instance.events.price)[0])
+    return exact._cheapest_starts(instance)
 
 
 def test_starts_that_fit_the_chargers_never_run_the_flow(monkeypatch):
@@ -822,6 +822,19 @@ def test_the_relaxation_checks_the_chargers_in_one_pass():
     starts = exact._relaxed_starts(1, bounds, bounds, [1] * (T + 1), [0] * (T + 1))
     assert time.perf_counter() - start < 2
     assert starts == [int(t > 0 and t % 4 == 0) for t in range(T + 1)]
+
+
+def test_the_relaxation_finds_each_cheapest_hour_in_one_pass():
+    """Ceilings that climb by one start an hour over 80,000 hours, floors
+    that stay at 0 until hour T, and one cost everywhere: each start's window
+    runs from its own hour to hour T, and a sliding minimum finds each pick
+    without scanning its window again, so the picks take one pass in all."""
+    T = 80_000
+    ceiling, floors = list(range(T + 1)), [0] * T + [T]
+    start = time.perf_counter()
+    starts = exact._relaxed_starts(1, floors, ceiling, [1] * (T + 1), [1] * (T + 1))
+    assert time.perf_counter() - start < 2
+    assert starts == [0] + [1] * T
 
 
 def test_a_floor_above_its_ceiling_refuses_as_the_flow_does_and_greedy_names_the_hour(monkeypatch):
