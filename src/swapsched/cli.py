@@ -69,13 +69,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    from .solver import SolveObjective, schedule_cost, solve_greedy
+    from .solver import SolveObjective, _greedy_starts, _simulate
 
     instance = load_instance(args.instance)
     objective = SolveObjective(args.objective)
     if args.method == "greedy":
-        grid = solve_greedy(instance)
-        cost = schedule_cost(grid, instance.config, instance.events.price)
+        grid, cost = _simulate(instance, _greedy_starts(instance))
     elif args.method == "exact":
         from .exact import solve_exact
 

@@ -54,11 +54,13 @@ class InfeasibleError(SwapSchedError):
 
 
 class EnumerationBudgetError(SwapSchedError):
-    """The brute-force search space exceeds the configured budget."""
+    """The brute-force search space exceeds the configured budget; ``size`` is exact."""
 
     def __init__(self, size: int, budget: int):
         self.size = size
         self.budget = budget
-        super().__init__(
-            f"enumeration would visit {size} start vectors, exceeding the budget of {budget}"
-        )
+        try:
+            shown = str(size)
+        except ValueError:  # more digits than Python turns into text: a power of ten below it
+            shown = f"more than 10**{(size.bit_length() - 1) * 301 // 1000}"
+        super().__init__(f"enumeration would visit {shown} start vectors, exceeding the budget of {budget}")

@@ -7,7 +7,7 @@ lexicographically earliest start vector.  It works on start counts:
 block and says when that answer is optimal, and
 ``_largest_optimal_potentials`` solves the full system as a min-cost flow.
 It reads the prices its instance scaled once (``Instance._price_levels``)
-and prices the charge runs its realisation noted as it wrote them.
+and, like every method, its cost from the realisation (``solver._simulate``).
 ``solve_oracle`` enumerates start vectors to cross-check it; ``ChargeJob``,
 ``build_jobs`` and ``start_domain`` name the jobs and the start hours it
 enumerates.
@@ -16,8 +16,8 @@ enumerates.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter, deque
-from fractions import Fraction
 
 from .errors import EnumerationBudgetError, InfeasibleError
 from .model import (
@@ -30,7 +30,7 @@ from .model import (
     _Value,
     _window,
 )
-from .solver import CostBreakdown, SolveObjective, _priced, _simulate, schedule_cost, solve_greedy
+from .solver import CostBreakdown, SolveObjective, _greedy_starts, _simulate, solve_greedy
 
 __all__ = [
     "ChargeJob",
@@ -109,23 +109,18 @@ def solve_exact(
     each constraint on ``y`` is a difference constraint.  Of the optimal
     ``y``, the componentwise-largest one is taken, which is the count
     profile of the lexicographically earliest optimal start vector; its
-    starts go to the longest-waiting batteries.  The greedy schedule runs
-    only to answer the feasibility objective, or after the count solve or
-    the realisation of its starts fails, to prove infeasibility with the
-    first failing hour.
+    starts go to the longest-waiting batteries.  The feasibility objective
+    takes greedy's starts.  If the count solve or the realisation fails,
+    greedy runs to prove infeasibility with the first failing hour.
     """
-    cfg = instance.config
-    if objective is SolveObjective.FEASIBILITY:
-        grid = solve_greedy(instance)  # raises InfeasibleError with the proof hour
-        return grid, schedule_cost(grid, cfg, instance.events.price)
+    starts = _greedy_starts if objective is SolveObjective.FEASIBILITY else _cheapest_starts
     try:
-        grid, charges = _simulate(instance, _cheapest_starts(instance))
+        return _simulate(instance, starts(instance))
     except InfeasibleError:
         # Swaps and arrivals that no movable block can reach are outside the
         # count solve; greedy names the first hour that fails, if one does.
         solve_greedy(instance)
         raise
-    return grid, _priced(charges, cfg, *instance._price_levels)
 
 
 def _cheapest_starts(instance: Instance) -> list[int]:
@@ -209,10 +204,11 @@ def _relaxed_starts(
     if any(map(int.__gt__, floors, ceiling)):
         raise InfeasibleError(None, _NO_ARRANGEMENT)
     starts = [0] * (T + 1)
-    top, k, a, b = floors[T], 1, 1, 1
+    top, k, a, b, free = floors[T], 1, 1, 1, 1
     early, e = 0, 0  # early: the starts at hours before e, which only grows
     # The windows only move forward: ``cheapest`` keeps, in order, the hours up
-    # to b that cost no more than any later one, and the first from a is the pick.
+    # to b that cost no more than any later one, and the first from a is the
+    # pick; past ``top``, the pick is ``free``, the first free hour from a.
     cheapest = deque([1])
     while k <= ceiling[T]:
         while ceiling[a] < k:
@@ -227,10 +223,12 @@ def _relaxed_starts(
             while cheapest[0] < a:
                 cheapest.popleft()
             pick = cheapest[0]
-        elif 0 in cost[a:]:
-            last, pick = ceiling[a], cost.index(0, a)
         else:
-            break
+            while free < a or free <= T and cost[free]:
+                free += 1
+            if free > T:
+                break
+            last, pick = ceiling[a], free
         starts[pick] += last - k + 1
         k = last + 1
         # The picks so far are every start up to this one, ``last`` of them;
@@ -383,30 +381,25 @@ def solve_oracle(
     """
     from .validation import validate  # only the oracle validates; ``solve`` need not load it
 
-    cfg = instance.config
-    prices = instance.events.price
     movables = [j for j in build_jobs(instance) if j.movable]
-    domains = [start_domain(j, cfg) or (None,) for j in movables]
-    size = 1
-    for dom in domains:
-        size *= len(dom)
+    domains = [start_domain(j, instance.config) or (None,) for j in movables]
+    size = math.prod(map(len, domains))
     if size > budget:
         raise EnumerationBudgetError(size, budget)
 
-    best: tuple[Fraction, ScheduleGrid, CostBreakdown] | None = None
+    best: tuple[ScheduleGrid, CostBreakdown] | None = None
     for combo in itertools.product(*domains):
         try:
-            grid = _simulate(instance, Counter(combo))[0]
+            grid, cost = _simulate(instance, Counter(combo))
         except InfeasibleError:
             continue
         if not validate(grid, instance, "strict").feasible:
             continue
-        cost = schedule_cost(grid, cfg, prices)
         if objective is SolveObjective.FEASIBILITY:
             return grid, cost
-        if best is None or cost.total < best[0]:
-            best = (cost.total, grid, cost)
+        if best is None or cost.total < best[1].total:
+            best = (grid, cost)
     if best is None:
         solve_greedy(instance)  # raises with the proof hour when demand is the cause
         raise InfeasibleError(None, "no start vector passes strict validation")
-    return best[1], best[2]
+    return best

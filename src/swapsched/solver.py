@@ -5,7 +5,8 @@ one that enters empty may start charging from hour 1, and one that returns
 from the hour after it lands.  Only how many charges start in each hour
 affects cost, charger use and demand coverage, so every method hands its
 per-hour start counts to one realisation, which starts the longest-waiting
-empty batteries.  No method starts more batteries than are waiting.
+empty batteries and returns the schedule with its cost, priced from the
+charge runs it wrote.  No method starts more batteries than are waiting.
 
 Stations serve swaps and bind arrivals first-in-first-out:
 
@@ -20,8 +21,8 @@ Stations serve swaps and bind arrivals first-in-first-out:
 rule, every depleted battery starts charging the first hour a charger is
 free, lives in ``model._fifo_counts``, which reads the hour tables of
 ``model._hour_tables`` as the exact solver's bounds and the scenario
-generator's repairs do.  The exact solver and the brute-force oracle live
-in ``exact``.
+generator's repairs do; ``_greedy_starts`` gives its start counts per hour.
+The exact solver and the brute-force oracle live in ``exact``.
 """
 
 from __future__ import annotations
@@ -164,13 +165,13 @@ def _priced(runs: Iterable[tuple], config: StationConfig, level: Sequence[int], 
 # chargers checks the capacity, so no hour scans the charges in progress.
 # Only hour 1 and the hours that start charges can raise that count, so only
 # they check it, at step 3.  Between state changes a battery keeps its state,
-# so a row is written a run of letters at a time, and each run of C is noted.
+# so a row is written a run of letters at a time, and each run of C is priced.
 # ---------------------------------------------------------------------------
 
 
-def _simulate(instance: Instance, n_starts: Sequence[int] | Mapping[int, int]) -> tuple[ScheduleGrid, list]:
-    """Realise ``n_starts`` (``n_starts[t]``: charges started at hour t) as a schedule
-    grid and its runs of ``C``, as ``_runs`` yields them but in the order written."""
+def _simulate(instance: Instance, n_starts: Sequence[int] | Mapping[int, int]) -> tuple[ScheduleGrid, CostBreakdown]:
+    """Realise ``n_starts`` (``n_starts[t]``: charges started at hour t) as a schedule grid
+    and its cost, priced from the runs of ``C`` it wrote at ``Instance._price_levels``."""
     cfg = instance.config
     T, D, chargers = cfg.horizon, cfg.charge_hours, cfg.n_chargers
     demand, arrivals = instance.events.demand, instance.events.arrivals
@@ -267,7 +268,15 @@ def _simulate(instance: Instance, n_starts: Sequence[int] | Mapping[int, int]) -
     for letter, batteries in (("E", waiting), ("C", finishing[T + 1]), ("F", full), ("O", out_pool)):
         for b in batteries:
             written[b] += letter * (T + 1 - since[b])
-    return ScheduleGrid._trusted(tuple(written[1:])), charges
+    return ScheduleGrid._trusted(tuple(written[1:])), _priced(charges, cfg, *instance._price_levels)
+
+
+def _greedy_starts(instance: Instance) -> list[int]:
+    """Greedy's charges started per hour (index 0 unused): differences of ``_fifo_counts``."""
+    cfg = instance.config
+    _, done, opened, _ = _hour_tables(cfg, instance.initial, instance.events.arrivals)
+    started = _fifo_counts(cfg, done, opened)
+    return [0] + [b - a for a, b in zip(started, started[1:])]
 
 
 def solve_greedy(instance: Instance) -> ScheduleGrid:
@@ -276,7 +285,4 @@ def solve_greedy(instance: Instance) -> ScheduleGrid:
     Maximizes completions by every hour, so if this raises InfeasibleError
     (carrying the first failing hour) no schedule covers the demand.
     """
-    cfg = instance.config
-    _, done, opened, _ = _hour_tables(cfg, instance.initial, instance.events.arrivals)
-    started = _fifo_counts(cfg, done, opened)
-    return _simulate(instance, [0] + [b - a for a, b in zip(started, started[1:])])[0]
+    return _simulate(instance, _greedy_starts(instance))[0]

@@ -58,6 +58,14 @@ def valley() -> Instance:
     return make_valley()
 
 
+def huge_search_space() -> Instance:
+    """2,000 empty batteries, one charger, one-hour charges and 500 hours:
+    500**2000, about 10**5398, start vectors for the oracle."""
+    events = EventProfiles((0,) * 500, (0,) * 500, (Fraction(1),) * 500)
+    initial = InitialConditions((BatteryStart(state=BatteryState.EMPTY),) * 2_000)
+    return Instance(StationConfig(2_000, 1, 1, Fraction(10), 500), initial, events)
+
+
 # Each letter's legal successors: stay put, or advance one step round the cycle.
 SUCCESSORS = {"E": "EC", "C": "CF", "F": "FO", "O": "EO"}
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -31,7 +32,7 @@ from swapsched import (
     validate,
 )
 from swapsched.model import MAX_CELLS, MAX_DIGITS, MAX_EXPONENT
-from conftest import make_valley
+from conftest import huge_search_space, make_valley
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -142,6 +143,14 @@ def test_solve_oracle_budget_exit_code(demo_dir):
     proc = run_cli("solve", "--instance", str(demo_dir), "--method", "oracle", "--budget", "100")
     assert proc.returncode == 3
     assert "exceeding the budget" in proc.stderr
+
+
+def test_a_search_space_too_large_to_print_exits_3(tmp_path, capsys):
+    save_instance(tmp_path, huge_search_space())
+    assert cli.main(["solve", "--instance", str(tmp_path), "--method", "oracle"]) == 3
+    assert capsys.readouterr().err == (
+        "error: enumeration would visit more than 10**5397 start vectors, exceeding the budget of 200000\n"
+    )
 
 
 def test_solve_infeasible_exit_code(tmp_path):
@@ -590,3 +599,67 @@ def test_unexpected_exceptions_exit_4_without_a_traceback(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: boom\n"
     assert "Traceback" not in err
+
+
+def test_cli_outputs_are_pinned(tmp_path, capsys):
+    """Every command run in process over the demo, the valley, two stations
+    that some or all methods refuse and three generated bundles, as one
+    digest of each command's arguments, exit code, stdout, stderr and the
+    files its ``--out`` wrote.  ``solve`` runs every method under both
+    objectives in text and JSON; greedy's schedule, and the demo's reference,
+    go through lenient and strict ``validate`` in both formats and through
+    ``render --counts``.  The run's directory is written as ``<tmp>``.  A
+    change that is meant to leave every output as it was keeps the digest."""
+    digest = hashlib.sha256()
+
+    def run(*argv, out=None):
+        argv = [str(a) for a in argv]
+        code = cli.main(argv)
+        stdout, stderr = capsys.readouterr()
+        files = sorted((p.name, p.read_text()) for p in out.iterdir()) if out and out.is_dir() else []
+        digest.update(repr((argv, code, stdout, stderr, files)).replace(str(tmp_path), "<tmp>").encode())
+
+    run("demo")
+    run("demo", "--out", tmp_path / "demo", out=tmp_path / "demo")
+    save_instance(tmp_path / "valley", make_valley())
+    E = BatteryState.EMPTY
+    save_instance(tmp_path / "unsolved", Instance(  # greedy solves it; exact and the oracle refuse
+        StationConfig(2, 1, 3, Fraction(10), 4),
+        InitialConditions((BatteryStart(state=E), BatteryStart(state=E))),
+        EventProfiles((0,) * 4, (0,) * 4, (Fraction(1),) * 4),
+    ))
+    instance, _ = demo_instance()
+    events = instance.events
+    save_instance(tmp_path / "short", Instance(  # six swaps at hour 2: every method refuses
+        instance.config, instance.initial, EventProfiles((0, 6, *events.demand[2:]), events.arrivals, events.price)
+    ))
+    specs = {
+        "flat": spec_with(),
+        "tou": tou_spec([[5, 9]]),
+        "wide": spec_with(
+            config={"n_batteries": 6, "n_chargers": 2, "charge_hours": 2, "capacity_kwh": 20, "horizon": 24},
+            demand={"shape": "uniform", "total": 6},
+            arrivals={"shape": "uniform", "total": 5},
+            tariff={"kind": "tou", "off_peak": "0.3", "peak": "1.7", "peak_hours": [[8, 12], [17, 21]]},
+        ),
+    }
+    for name, text in specs.items():
+        (tmp_path / f"{name}.json").write_text(text)
+        run("generate", "--spec", tmp_path / f"{name}.json", "--out", tmp_path / name, out=tmp_path / name)
+    for name in ("demo", "valley", "unsolved", "short", *specs):
+        bundle = tmp_path / name
+        for method in ("greedy", "exact", "oracle"):
+            for objective in ("min-cost", "feasibility"):
+                for fmt in ("text", "json"):
+                    out = tmp_path / "solved" / f"{name}-{method}-{objective}-{fmt}"
+                    run("solve", "--instance", bundle, "--method", method, "--objective", objective,
+                        "--format", fmt, "--out", out, out=out)
+        schedules = [tmp_path / "solved" / f"{name}-greedy-min-cost-text" / "schedule.txt"]
+        if name == "demo":
+            schedules.append(bundle / "schedule.txt")
+        for schedule in schedules:
+            for mode in ("lenient", "strict"):
+                for fmt in ("text", "json"):
+                    run("validate", "--instance", bundle, "--schedule", schedule, "--mode", mode, "--format", fmt)
+            run("render", "--instance", bundle, "--schedule", schedule, "--counts")
+    assert digest.hexdigest() == "005a5ba0f6f7b32625aaf1161cdba6e06af9bba1800defd9bdf17b7c3028213c"

@@ -45,7 +45,7 @@ from swapsched import (
     to_exact,
     validate,
 )
-from swapsched.model import MAX_DIGITS, MAX_EXPONENT, _fifo_counts, _hour_tables, _runs
+from swapsched.model import MAX_DIGITS, MAX_EXPONENT, _fifo_counts, _hour_tables
 from swapsched.scenario import TouTariff, _place_units
 from swapsched.solver import _simulate
 from conftest import make_valley
@@ -276,11 +276,11 @@ def test_every_start_vector_realises_strictly_valid_or_refuses():
         movable = [job for job in build_jobs(instance) if job.movable]
         vector = [data.draw(st.sampled_from(start_domain(job, instance.config) or (None,))) for job in movable]
         try:
-            grid, charges = _simulate(instance, Counter(vector))
+            grid, cost = _simulate(instance, Counter(vector))
         except InfeasibleError:
             outcomes.add("refused")
             return
-        assert sorted(charges) == list(_runs(grid, "C"))
+        assert cost == schedule_cost(grid, instance.config, instance.events.price)  # every field
         report = validate(grid, instance, "strict")
         assert report.feasible, report.violations
         outcomes.add("valid")
@@ -293,12 +293,11 @@ def test_every_start_vector_realises_strictly_valid_or_refuses():
 @given(instance=instances(max_batteries=8, max_charge=4, horizons=(1, 24),
                           prices=st.fractions(0, 6, max_denominator=6)))
 def test_the_realisation_hands_pricing_the_charge_runs_it_wrote(instance):
-    """Each realisation notes its runs of ``C`` as it writes them: sorted,
-    they are the runs ``_runs`` finds in its grid, those of greedy and of
-    the exact solve alike.  ``solve_exact`` prices its realisation's runs
-    at the instance's price levels, and its cost equals, in every field,
-    the cost ``schedule_cost`` finds by scanning the grid at the instance's
-    prices."""
+    """Each realisation prices the runs of ``C`` it wrote at the instance's
+    price levels: those of greedy, of the exact solve under both objectives
+    and of the oracle alike.  Each cost equals, in every field, the cost
+    ``schedule_cost`` finds by scanning the grid at the instance's prices,
+    and so does the cost each solve returns with its grid."""
     realised = []
 
     def noted(*args):
@@ -308,13 +307,11 @@ def test_the_realisation_hands_pricing_the_charge_runs_it_wrote(instance):
     with mock.patch.object(solver, "_simulate", noted), mock.patch.object(exact, "_simulate", noted):
         with contextlib.suppress(InfeasibleError):
             solve_greedy(instance)
-        try:
-            grid, cost = solve_exact(instance)
-        except InfeasibleError:
-            grid = None
-    for written, charges in realised:
-        assert sorted(charges) == list(_runs(written, "C"))
-    if grid is not None:
+        for objective in SolveObjective:
+            for solve in (solve_exact, lambda *args: solve_oracle(*args, budget=2_000)):
+                with contextlib.suppress(InfeasibleError, EnumerationBudgetError):
+                    realised.append(solve(instance, objective))
+    for grid, cost in realised:
         assert cost == schedule_cost(grid, instance.config, instance.events.price)  # every field
 
 
@@ -399,10 +396,11 @@ def test_the_relaxation_equals_the_flow_on_any_bounds():
 
 
 def relaxed_starts_by_slices(D, floors, ceiling, room, cost):
-    """``_relaxed_starts`` as it was before its sliding minimum, sharing no
-    code with the package: each pick scans its whole window,
-    ``cost[a : b + 1]``, for the earliest hour of least cost.  Returns
-    "refused" where a floor lies above its ceiling."""
+    """``_relaxed_starts`` as it was before its sliding minimum and its free
+    hour pointer, sharing no code with the package: each pick scans its
+    whole window, ``cost[a : b + 1]``, for the earliest hour of least cost,
+    and each optional pick scans ``cost[a:]`` for the first free hour.
+    Returns "refused" where a floor lies above its ceiling."""
     T = len(cost) - 1
     if any(f > c for f, c in zip(floors, ceiling)):
         return "refused"
@@ -432,7 +430,9 @@ def relaxed_starts_by_slices(D, floors, ceiling, room, cost):
 def test_the_relaxations_sliding_minimum_picks_as_each_window_scan_did(bounds):
     """The sliding minimum of ``_relaxed_starts`` picks, for every start, the
     hour a scan of that start's whole window picks: the earliest of least
-    cost.  Both return the same starts, the same None, or refuse alike."""
+    cost; past the floor at hour T, its free hour pointer picks the first
+    free hour a scan from the window's start finds.  Both return the same
+    starts, the same None, or refuse alike."""
     try:
         starts = exact._relaxed_starts(*bounds)
     except InfeasibleError:

@@ -36,7 +36,7 @@ from swapsched import (
     start_domain,
     validate,
 )
-from conftest import make_valley
+from conftest import huge_search_space, make_valley
 
 E, C, F, O = BatteryState.EMPTY, BatteryState.CHARGING, BatteryState.FULL, BatteryState.OUT
 
@@ -468,6 +468,17 @@ def test_oracle_budget_guard(demo):
     assert exc.value.size > 1000
 
 
+def test_a_search_space_too_large_to_print_is_still_refused_by_its_budget():
+    """Python converts no integer of more than 4,300 digits to text, so the
+    refusal shows a power of ten the size exceeds and keeps the size exact."""
+    with pytest.raises(EnumerationBudgetError) as exc:
+        solve_oracle(huge_search_space())
+    assert exc.value.size == 500**2_000
+    assert str(exc.value) == (
+        "enumeration would visit more than 10**5397 start vectors, exceeding the budget of 200000"
+    )
+
+
 def test_solvers_are_deterministic(demo, valley):
     instance, _ = demo
     a = render_grid(solve_greedy(instance))
@@ -835,6 +846,19 @@ def test_the_relaxation_finds_each_cheapest_hour_in_one_pass():
     starts = exact._relaxed_starts(1, floors, ceiling, [1] * (T + 1), [1] * (T + 1))
     assert time.perf_counter() - start < 2
     assert starts == [0] + [1] * T
+
+
+def test_the_relaxation_finds_each_free_hour_in_one_pass():
+    """Ceilings that climb by one start an hour over 40,000 hours, floors at
+    0 throughout and one free hour, the last: every start is optional, so
+    each goes to the first free hour of its window, and a pointer that only
+    moves forward finds it without scanning the costs from the window's
+    start again, so the picks take one pass in all."""
+    T = 40_000
+    start = time.perf_counter()
+    starts = exact._relaxed_starts(1, [0] * (T + 1), list(range(T + 1)), [T] * (T + 1), [0] + [1] * (T - 1) + [0])
+    assert time.perf_counter() - start < 2
+    assert starts == [0] * T + [T]
 
 
 def test_a_floor_above_its_ceiling_refuses_as_the_flow_does_and_greedy_names_the_hour(monkeypatch):
