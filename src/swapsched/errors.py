@@ -59,8 +59,12 @@ class EnumerationBudgetError(SwapSchedError):
     def __init__(self, size: int, budget: int):
         self.size = size
         self.budget = budget
-        try:
-            shown = str(size)
-        except ValueError:  # more digits than Python turns into text: a power of ten below it
-            shown = f"more than 10**{(size.bit_length() - 1) * 301 // 1000}"
-        super().__init__(f"enumeration would visit {shown} start vectors, exceeding the budget of {budget}")
+        super().__init__(f"enumeration would visit {_int_text(size)} start vectors, exceeding the budget of {budget}")
+
+
+def _int_text(n: int) -> str:
+    """``str(n)``, or, for more digits than Python turns into text, a power of ten that ``n`` passes."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"{'less than -' if n < 0 else 'more than '}10**{(abs(n).bit_length() - 1) * 301 // 1000}"

@@ -143,20 +143,18 @@ def _cheapest_starts(instance: Instance) -> list[int]:
     """
     cfg = instance.config
     T, D = cfg.horizon, cfg.charge_hours
-    stock, done, high, low = _hour_tables(cfg, instance.initial, instance.events.arrivals)
+    full, room, high, low = _hour_tables(cfg, instance.initial, instance.events.arrivals)
     # A block started by hour t is full at t + D and serves the swaps of hour
     # t + D + 1 onwards; swaps that no movable block can reach in time are
     # left to the realisation.  Blocks started after hour max(t - D, 0) hold
     # chargers at t, so at most ``room[t]`` of them do; fewer than 0 free
     # (continuations outnumber chargers) is refused, and greedy names hour 1.
-    free = cfg.n_chargers - done[-1]
-    room = [free + n for n in done[:-1]]
     served = list(itertools.accumulate(instance.events.demand, initial=0))
     hours = range(1, T + 1)
     floors = [0] * (T + 1)
     floor = 0
     for t in hours:
-        bound = max(low[t], served[t + D + 1] - stock - done[t + D] if t + D < T else 0)
+        bound = max(low[t], served[t + D + 1] - full[t + D] if t + D < T else 0)
         if bound > floor:
             floor = bound
         floors[t] = floor
@@ -377,15 +375,26 @@ def solve_oracle(
     Each vector is realised through its per-hour start counts, like every
     other method's, and the schedule is filtered through strict validation
     rather than through the exact solver's reasoning.  Refuses instances whose
-    vector count exceeds ``budget``.
+    vector count, worked out by release hour before any job is built,
+    exceeds ``budget``.
     """
     from .validation import validate  # only the oracle validates; ``solve`` need not load it
 
+    # The vectors number the product, over the release hours, of each hour's
+    # start domain size (one for a window that never opens) to the power of
+    # its units.  The groups multiply pairwise, as a product that grows by
+    # one small factor at a time takes time quadratic in its length.
+    cfg = instance.config
+    groups = []
+    for release, n in enumerate([instance.initial.count(_E), *instance.events.arrivals], start=1):
+        first, last = _window(release, cfg.charge_hours, cfg.horizon)
+        groups.append(max(last - first + 1, 1) ** n)
+    while len(groups) > 1:
+        groups = [math.prod(groups[i : i + 2]) for i in range(0, len(groups), 2)]
+    if groups[0] > budget:
+        raise EnumerationBudgetError(groups[0], budget)
     movables = [j for j in build_jobs(instance) if j.movable]
-    domains = [start_domain(j, instance.config) or (None,) for j in movables]
-    size = math.prod(map(len, domains))
-    if size > budget:
-        raise EnumerationBudgetError(size, budget)
+    domains = [start_domain(j, cfg) or (None,) for j in movables]
 
     best: tuple[ScheduleGrid, CostBreakdown] | None = None
     for combo in itertools.product(*domains):

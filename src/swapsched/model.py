@@ -21,8 +21,8 @@ them, through one scanner (``_runs``, ``_scan``).
 
 An ``Instance`` joins a station, its start states and its hourly events.
 Its charge work reduces to counts by hour (``_hour_tables``): the batteries
-full from the start, the continuations done by each hour and the start
-windows opened and closed by each hour.  The FIFO rule of the greedy solver
+full without any movable charge, the chargers the continuations leave free
+and the start windows opened and closed.  The FIFO rule of the greedy solver
 turns them into start counts by hour (``_fifo_counts``).  Greedy, the exact
 solver's bounds and the scenario generator's repairs all read these tables.
 """
@@ -38,7 +38,7 @@ from decimal import Decimal, InvalidOperation
 from enum import Enum
 from fractions import Fraction
 
-from .errors import DimensionError, GridParseError, InstanceError
+from .errors import DimensionError, GridParseError, InstanceError, _int_text
 
 __all__ = [
     "BatteryState",
@@ -156,8 +156,8 @@ def _too_many_digits() -> ValueError:
 
 
 def _shown(value: object) -> str:
-    """The repr of a refused input, cut to a prefix when it is long."""
-    text = repr(value)
+    """The repr of a refused input, cut to a prefix when it is long; an int as ``_int_text`` shows it."""
+    text = _int_text(value) if type(value) is int else repr(value)
     return text if len(text) <= 40 else text[:40] + "..."
 
 
@@ -257,8 +257,8 @@ class _Value:
 # ---------------------------------------------------------------------------
 
 # The most battery-hours (n_batteries x horizon) a station may span, and the
-# most events a scenario shape may draw: every layer holds one cell per
-# battery-hour.
+# most events of a kind a shape may draw or a profile hold: every layer holds
+# one cell per battery-hour, and no station within the cap realises more.
 MAX_CELLS = 1_000_000
 
 
@@ -301,8 +301,8 @@ class StationConfig(_Powered):
             raise InstanceError("charge_power_kw must be positive when given")
         if n_batteries * horizon > MAX_CELLS:
             raise InstanceError(
-                f"{n_batteries} batteries over {horizon} hours make "
-                f"{n_batteries * horizon} battery-hours, more than {MAX_CELLS}"
+                f"{_int_text(n_batteries)} batteries over {_int_text(horizon)} hours make "
+                f"{_int_text(n_batteries * horizon)} battery-hours, more than {MAX_CELLS}"
             )
         power = capacity_kwh / charge_hours if charge_power_kw is None else charge_power_kw
         super().__init__(
@@ -491,6 +491,8 @@ class EventProfiles(_Value):
             for h, v in enumerate(seq, start=1):
                 if not is_int(v) or v < 0:
                     raise InstanceError(f"{name} at hour {h} must be a non-negative integer")
+            if sum(seq) > MAX_CELLS:
+                raise InstanceError(f"{name} must total at most {MAX_CELLS}, got {_int_text(sum(seq))}")
         for h, p in enumerate(price, start=1):
             if p < 0:
                 raise InstanceError(f"price at hour {h} must be non-negative")
@@ -603,13 +605,14 @@ class Instance(_Scaled):
         super().__init__(config, initial, events, _price_levels=levels)
 
 
-def _price_levels(prices: Sequence[Fraction], power: Fraction | None = None) -> tuple[tuple[int, ...], int]:
+def _price_levels(prices: Sequence[Fraction], power: Fraction) -> tuple[tuple[int, ...], int]:
     """The prices in units of one over the lcm of their denominators, and that
-    lcm; with a ``power``, refused as soon as the cost scale passes its bound."""
+    lcm, refused as soon as it times the ``power``'s denominator, the unit of
+    every cost, passes ``_MAX_SCALE``: the lcm grows a denominator at a time."""
     lcm = 1
     for d in {p.denominator for p in prices}:
         lcm = math.lcm(lcm, d)
-        if power is not None and lcm * power.denominator > _MAX_SCALE:
+        if lcm * power.denominator > _MAX_SCALE:
             raise InstanceError("the lcm of the prices' denominators times the charge power's "
                                 f"lies beyond 10**{2 * MAX_EXPONENT}")
     return tuple([p.numerator * (lcm // p.denominator) for p in prices]), lcm
@@ -625,28 +628,28 @@ def _window(release: int, duration: int, horizon: int) -> tuple[int, int]:
 
 def _hour_tables(
     config: StationConfig, initial: InitialConditions, arrivals: Sequence[int]
-) -> tuple[int, list[int], list[int], list[int]]:
-    """An instance's charge work as counts by hour: ``(stock, done, opened, closed)``.
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """An instance's charge work as counts by hour 0 to T: ``(full, room, opened, closed)``.
 
-    ``stock`` counts the batteries that start full.  ``done[t]`` (hours 0 to
-    T + 1) counts the continuations full by hour t; the others hold a
-    charger at t.  ``opened[t]`` and ``closed[t]`` (hours 0 to T) count the
-    movable start windows (``_window``) opened and closed by hour t.
-    Batteries that start empty are released at hour 1 and every arrival unit
-    the hour after it lands, so a window released past the horizon (an
-    arrival in the final hour) never opens.
+    ``full[t]`` counts the batteries that start full or whose continuation
+    is done by hour t, ``room[t]`` the chargers the continuations leave free
+    at t (fewer than none while they outnumber them), and ``opened[t]`` and
+    ``closed[t]`` the movable start windows (``_window``) opened and closed
+    by t.  Batteries that start empty are released at hour 1 and every
+    arrival unit the hour after it lands, so a window released past the
+    horizon (an arrival in the final hour) never opens.
     """
     T, D = config.horizon, config.charge_hours
-    empty = stock = 0
-    done = [0] * (T + 2)
+    empty = 0
+    full = [0] * (T + 2)  # turning full at each hour; at T + 1, the charges the horizon cuts
     for entry in initial.entries:
         state = entry.state
         if state is _E:
             empty += 1
         elif state is _F:
-            stock += 1
+            full[0] += 1
         elif state is _C:
-            done[min(D - entry.progress, T) + 1] += 1
+            full[min(D - entry.progress, T) + 1] += 1
     opened = [0] * (T + 1)
     closed = [0] * (T + 1)
     for release, n in enumerate([empty, *arrivals], start=1):
@@ -656,28 +659,29 @@ def _hour_tables(
                 opened[first] += n
                 closed[last] += n
     accumulate = itertools.accumulate
-    return stock, list(accumulate(done)), list(accumulate(opened)), list(accumulate(closed))
+    *full, counted = accumulate(full)  # counted - full[t] continuations hold a charger at t
+    free = config.n_chargers - counted
+    return full, [free + n for n in full], list(accumulate(opened)), list(accumulate(closed))
 
 
-def _fifo_counts(config: StationConfig, done: Sequence[int], opened: Sequence[int]) -> list[int]:
+def _fifo_counts(config: StationConfig, room: Sequence[int], opened: Sequence[int]) -> list[int]:
     """Greedy's start counts: ``Y[t]`` movable charges started by hour t
-    (hours 0 to T), from the ``done`` and ``opened`` tables of ``_hour_tables``.
+    (hours 0 to T), from the ``room`` and ``opened`` tables of ``_hour_tables``.
 
     This is the greedy rule: every depleted battery starts charging the
     first hour a charger is free, first in, first out.  Every movable block
     runs ``charge_hours`` (D), so the blocks started after hour t - D hold a
     charger at t, and by hour t as many have started as are released or as
     the chargers the continuations leave allow, whichever is fewer:
-    ``Y[t] = min(opened[t], Y[max(t - D, 0)] + n_chargers - done[-1] + done[t])``.
-    Continuations that outnumber the chargers leave fewer than none; the
-    count stays at 0 there, and the realisation refuses hour 1.  Job k in
-    FIFO order starts at the first hour whose count exceeds k, if any does.
+    ``Y[t] = min(opened[t], Y[max(t - D, 0)] + room[t])``.  Continuations
+    that outnumber the chargers leave fewer than none; the count stays at 0
+    there, and the realisation refuses hour 1.  Job k in FIFO order starts
+    at the first hour whose count exceeds k, if any does.
     """
     T, D = config.horizon, config.charge_hours
-    free = config.n_chargers - done[-1]
     y = [0] * (T + 1)
     for t in range(1, T + 1):
-        n = free + done[t] + (y[t - D] if t > D else 0)
+        n = room[t] + (y[t - D] if t > D else 0)
         if opened[t] < n:
             n = opened[t]
         if n > 0:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bundle import _initial_from_json, _read_json
-from .errors import DimensionError, InstanceError, TransitionError
+from .errors import DimensionError, InstanceError, TransitionError, _int_text
 from .model import (
     MAX_CELLS,
     BatteryStart,
@@ -68,7 +68,7 @@ def _check_total(total: object) -> None:
     if not is_int(total) or total < 0:
         raise InstanceError(f"shape total must be an integer >= 0, got {_shown(total)}")
     if total > MAX_CELLS:
-        raise InstanceError(f"shape total must be at most {MAX_CELLS}, got {total}")
+        raise InstanceError(f"shape total must be at most {MAX_CELLS}, got {_int_text(total)}")
 
 
 class UniformShape(_Value):
@@ -95,6 +95,13 @@ class PeakedShape(_Value):
             raise InstanceError(f"shape peak_hour must be an integer, got {_shown(peak_hour)}")
         if not is_int(width) or width < 1:
             raise InstanceError(f"shape width must be an integer >= 1, got {_shown(width)}")
+        try:  # a draw takes both ends of the bump and its span as floats
+            if total:
+                float(peak_hour - width), float(peak_hour + width), float(2 * width)
+        except OverflowError:
+            raise InstanceError(
+                f"shape peak_hour {_shown(peak_hour)} and width {_shown(width)} reach beyond the range of a float"
+            ) from None
         super().__init__(total, peak_hour, width)
 
     def draw(self, rng: random.Random, lo: int, hi: int) -> list[int]:
@@ -232,8 +239,8 @@ def _draw_initial(rng: random.Random, cfg: StationConfig) -> InitialConditions:
     # flip E -> O where an empty battery cannot get a full block: FIFO starts
     # the empties in battery order, and only those started by the last hour a
     # full block fits start in time; dropping the rest moves no earlier start
-    _, done, opened, _ = _hour_tables(cfg, InitialConditions(tuple(entries)), ())
-    in_time = _fifo_counts(cfg, done, opened)[max(cfg.horizon - cfg.charge_hours + 1, 0)]
+    _, room, opened, _ = _hour_tables(cfg, InitialConditions(tuple(entries)), ())
+    in_time = _fifo_counts(cfg, room, opened)[max(cfg.horizon - cfg.charge_hours + 1, 0)]
     for i in [i for i, s in enumerate(states) if s is _E][in_time:]:
         entries[i] = BatteryStart(state=_O)
     return InitialConditions(tuple(entries))
@@ -267,23 +274,19 @@ def _render_demand(
     rng: random.Random, shape: Shape, cfg: StationConfig, initial: InitialConditions
 ) -> list[int]:
     if isinstance(shape, ExplicitShape):
-        if len(shape.values) != cfg.horizon:
-            raise DimensionError(
-                f"explicit demand lists {len(shape.values)} hours, horizon is {cfg.horizon}"
-            )
         return list(shape.values)
     T, D = cfg.horizon, cfg.charge_hours
     if T < 2 or shape.total == 0:
         return [0] * T
     drawn = shape.draw(rng, 2, T)
     # The initial fleet's charges under earliest starts; arrival jobs are drawn
-    # later and only ever add supply on top of these.  room[t]: swaps servable
-    # by hour t = full stock plus continuations and blocks (started by hour
-    # t - 1 - D) finished by t - 1
-    stock, done, opened, _ = _hour_tables(cfg, initial, ())
-    started = _fifo_counts(cfg, done, opened)
-    room = [0] + [stock + done[t - 1] + (started[t - 1 - D] if t > D else 0) for t in range(1, T + 1)]
-    return _place_units(drawn, T, room)
+    # later and only ever add supply on top of these.  Swaps servable by hour
+    # t: the batteries full by t - 1 without movable charges and the blocks
+    # started by hour t - 1 - D.
+    full, room, opened, _ = _hour_tables(cfg, initial, ())
+    started = _fifo_counts(cfg, room, opened)
+    servable = [0] + [full[t - 1] + (started[t - 1 - D] if t > D else 0) for t in range(1, T + 1)]
+    return _place_units(drawn, T, servable)
 
 
 def _render_arrivals(
@@ -294,10 +297,6 @@ def _render_arrivals(
     demand: Sequence[int],
 ) -> list[int]:
     if isinstance(shape, ExplicitShape):
-        if len(shape.values) != cfg.horizon:
-            raise DimensionError(
-                f"explicit arrivals list {len(shape.values)} hours, horizon is {cfg.horizon}"
-            )
         return list(shape.values)
     T, D = cfg.horizon, cfg.charge_hours
     hi = T - D  # latest hour whose arrival can still run a full block
@@ -311,8 +310,8 @@ def _render_arrivals(
     # keep the arrivals that can run a full block: FIFO starts them behind
     # the empty batteries, in hour order, and only those started by hour
     # T - D + 1 start in time; dropping a later job never moves an earlier one
-    _, done, opened, _ = _hour_tables(cfg, initial, counts)
-    keep = max(_fifo_counts(cfg, done, opened)[T - D + 1] - initial.count(_E), 0)
+    _, room, opened, _ = _hour_tables(cfg, initial, counts)
+    keep = max(_fifo_counts(cfg, room, opened)[T - D + 1] - initial.count(_E), 0)
     for h, n in enumerate(counts):
         counts[h] = min(n, keep)
         keep -= counts[h]
@@ -324,7 +323,8 @@ def generate(spec: ScenarioSpec) -> Instance:
 
     Draw order is fixed: initial conditions (skipped when ``spec.initial``
     pins them), then demand, then arrivals; the tariff is deterministic.
-    Pinned start states may put at most one battery on each charger.
+    Pinned start states may put at most one battery on each charger, and an
+    explicit shape lists one count per hour.
     """
     cfg = spec.config
     on_chargers = spec.initial.count(_C) if spec.initial is not None else 0
@@ -333,6 +333,9 @@ def generate(spec: ScenarioSpec) -> Instance:
             f"pinned initial puts {on_chargers} batteries on chargers, "
             f"the station has {cfg.n_chargers}"
         )
+    for what, shape in (("demand lists", spec.demand), ("arrivals list", spec.arrivals)):
+        if isinstance(shape, ExplicitShape) and len(shape.values) != cfg.horizon:
+            raise DimensionError(f"explicit {what} {len(shape.values)} hours, horizon is {cfg.horizon}")
     rng = random.Random(spec.seed)
     initial = spec.initial if spec.initial is not None else _draw_initial(rng, cfg)
     demand = _render_demand(rng, spec.demand, cfg, initial)

@@ -101,8 +101,9 @@ def schedule_cost(grid: ScheduleGrid, config: StationConfig, price: Sequence) ->
 
     Only the ``C`` letters count, whatever surrounds them, so a grid with
     illegal moves is priced cell by cell like any other.  The prices are
-    scaled to integers (``model._price_levels``) and ``_priced`` sums them
-    over the grid's runs of ``C`` (``_runs``).
+    scaled to integers under the bound every ``Instance`` enforces
+    (``model._price_levels``, InstanceError past it) and ``_priced`` sums
+    them over the grid's runs of ``C`` (``_runs``).
     """
     if grid.n_batteries != config.n_batteries or grid.horizon != config.horizon:
         raise DimensionError(
@@ -112,7 +113,7 @@ def schedule_cost(grid: ScheduleGrid, config: StationConfig, price: Sequence) ->
     prices = [to_exact(p) for p in price]
     if len(prices) != config.horizon:
         raise DimensionError(f"{len(prices)} prices for a horizon of {config.horizon} hours")
-    return _priced(_runs(grid, "C"), config, *_price_levels(prices))
+    return _priced(_runs(grid, "C"), config, *_price_levels(prices, config.power_kw))
 
 
 def _priced(runs: Iterable[tuple], config: StationConfig, level: Sequence[int], lcm: int) -> CostBreakdown:
@@ -274,8 +275,8 @@ def _simulate(instance: Instance, n_starts: Sequence[int] | Mapping[int, int]) -
 def _greedy_starts(instance: Instance) -> list[int]:
     """Greedy's charges started per hour (index 0 unused): differences of ``_fifo_counts``."""
     cfg = instance.config
-    _, done, opened, _ = _hour_tables(cfg, instance.initial, instance.events.arrivals)
-    started = _fifo_counts(cfg, done, opened)
+    _, room, opened, _ = _hour_tables(cfg, instance.initial, instance.events.arrivals)
+    started = _fifo_counts(cfg, room, opened)
     return [0] + [b - a for a, b in zip(started, started[1:])]
 
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +58,20 @@ def make_valley() -> Instance:
 @pytest.fixture
 def valley() -> Instance:
     return make_valley()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_blocks(language: str) -> list[str]:
+    """The text of each fenced ``language`` block in README, in order."""
+    return re.findall(rf"^```{language}\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+
+
+def readme_spec() -> str:
+    """README's one scenario spec: its ``json`` block with a seed."""
+    (spec,) = [block for block in readme_blocks("json") if '"seed"' in block]
+    return spec
 
 
 def huge_search_space() -> Instance:

@@ -473,11 +473,16 @@ def test_a_bundle_with_fewer_initial_entries_than_batteries_is_an_input_error(de
     [
         (spec_with(arrivals={"shape": "explicit", "values": [0] * 13}),
          "explicit arrivals list 13 hours, horizon is 14"),
+        (spec_with(demand={"shape": "explicit", "values": [0] * 15}),
+         "explicit demand lists 15 hours, horizon is 14"),
+        (spec_with(demand={"shape": "explicit", "values": [0] * 15}, arrivals={"shape": "explicit", "values": []}),
+         "explicit demand lists 15 hours, horizon is 14"),
         (spec_with(demand=5), "demand must be an object with a 'shape' key"),
         (spec_with(tariff="flat"), "tariff must be an object with a 'kind' key"),
         ("[1, 2]", "scenario spec must be a JSON object"),
     ],
-    ids=["short-explicit-arrivals", "number-shape", "string-tariff", "list-spec"],
+    ids=["short-explicit-arrivals", "long-explicit-demand", "both-explicit", "number-shape", "string-tariff",
+         "list-spec"],
 )
 def test_specs_of_the_wrong_shape_are_refused_with_their_message(tmp_path, capsys, text, message):
     spec = tmp_path / "spec.json"
@@ -507,12 +512,94 @@ def test_specs_past_the_size_caps_are_input_errors(tmp_path, capsys, fields, mes
 
 
 def test_bundles_past_the_battery_hour_cap_are_input_errors(valley_dir, tmp_path, capsys):
+    """A product of battery-hours too long to print shows a power of ten below it."""
     bundle = tmp_path / "bundle"
     shutil.copytree(valley_dir, bundle)
     config = json.loads((bundle / "config.json").read_text())
-    (bundle / "config.json").write_text(json.dumps({**config, "horizon": MAX_CELLS + 1}))
-    assert cli.main(["solve", "--instance", str(bundle)]) == 2
-    assert "battery-hours, more than 1000000" in capsys.readouterr().err
+    for fields, shown in (
+        ({"horizon": MAX_CELLS + 1}, str(MAX_CELLS + 1)),
+        ({"n_batteries": 10**2200, "horizon": 10**2200}, "more than 10**4399"),
+    ):
+        (bundle / "config.json").write_text(json.dumps({**config, **fields}))
+        assert cli.main(["solve", "--instance", str(bundle)]) == 2
+        assert capsys.readouterr().err.endswith(f"make {shown} battery-hours, more than 1000000\n")
+
+
+# float() refuses every integer from this one up: it rounds to 2**1024.
+PAST_FLOAT = 2**1024 - 2**970
+
+
+@pytest.mark.parametrize(
+    "total, peak_hour, width, code",
+    [
+        (3, 10**300, 4, 0),
+        (3, 10**400, 4, 2),
+        (0, 10**400, 4, 0),
+        (3, -(2**1100), 1, 2),
+        (3, 6, 2**1100, 2),
+        (3, PAST_FLOAT - 2, 1, 0),
+        (3, PAST_FLOAT - 1, 1, 2),
+        (3, 2 - PAST_FLOAT, 1, 0),
+        (3, 1 - PAST_FLOAT, 1, 2),
+        (3, 0, PAST_FLOAT // 2 - 1, 0),
+        (3, 0, PAST_FLOAT // 2, 2),
+    ],
+    ids=["peak-1e300", "peak-1e400", "peak-1e400-no-units", "peak-minus-2e1100", "width-2e1100",
+         "top-edge-drawn", "top-edge-refused", "bottom-edge-drawn", "bottom-edge-refused",
+         "span-edge-drawn", "span-edge-refused"],
+)
+def test_a_peaked_shape_is_refused_exactly_where_its_draw_leaves_the_floats(tmp_path, capsys, total, peak_hour,
+                                                                             width, code):
+    """A draw takes ``peak_hour - width``, ``peak_hour + width`` and
+    ``2 * width`` as floats, so a shape with units to draw is refused where
+    any of them has none, and accepted up to that edge."""
+    assert float(PAST_FLOAT - 1) == sys.float_info.max
+    with pytest.raises(OverflowError):
+        float(PAST_FLOAT)
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_with(arrivals={"shape": "peaked", "total": total, "peak_hour": peak_hour, "width": width}))
+    assert cli.main(["generate", "--spec", str(spec), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert (err == "") if code == 0 else err.endswith(" reach beyond the range of a float\n"), err
+
+
+def with_one_cell(bundle: Path, column: int, hour: int, value: int) -> None:
+    """Set one cell of the bundle's profiles.csv (column 1 demand, 2 arrivals)."""
+    lines = (bundle / "profiles.csv").read_text().split("\n")
+    cells = lines[hour].split(",")
+    cells[column] = str(value)
+    lines[hour] = ",".join(cells)
+    (bundle / "profiles.csv").write_text("\n".join(lines))
+
+
+def test_the_oracle_refuses_the_most_arrivals_a_profile_holds_within_seconds(demo_dir, tmp_path, capsys):
+    """The demo's arrivals raised to MAX_CELLS at hour 2: the search space is
+    counted by release hour, so the refusal takes no product of a million
+    factors one at a time (more than a minute before)."""
+    bundle = tmp_path / "bundle"
+    shutil.copytree(demo_dir, bundle)
+    arrivals = load_instance(demo_dir).events.arrivals
+    with_one_cell(bundle, 2, 2, MAX_CELLS - sum(arrivals) + arrivals[1])
+    assert sum(load_instance(bundle).events.arrivals) == MAX_CELLS
+    start = time.perf_counter()
+    assert cli.main(["solve", "--instance", str(bundle), "--method", "oracle"]) == 3
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().err.startswith("error: enumeration would visit more than 10**")
+
+
+def test_an_event_total_past_the_cap_is_an_input_error_for_every_method(demo_dir, tmp_path, capsys):
+    """No station within the battery-hour cap realises more than MAX_CELLS
+    swaps or arrivals, so a profile whose total passes it is refused as it
+    loads: the oracle counted a unit at a time, without bound."""
+    bundle = tmp_path / "bundle"
+    for column, what in ((2, "arrivals"), (1, "demand")):
+        for value in (10**400, 1_000_000):
+            shutil.rmtree(bundle, ignore_errors=True)
+            shutil.copytree(demo_dir, bundle)
+            with_one_cell(bundle, column, 2, value)
+            for method in ("greedy", "exact", "oracle"):
+                assert cli.main(["solve", "--instance", str(bundle), "--method", method]) == 2
+                assert capsys.readouterr().err.startswith(f"error: {what} must total at most {MAX_CELLS}, got ")
 
 
 @pytest.mark.parametrize(

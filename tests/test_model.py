@@ -201,7 +201,7 @@ def test_config_power_survives_copy_and_pickle():
 
 def test_instance_price_levels_are_worked_out_once_and_are_not_a_field():
     """An instance scales its prices to integers when it is built:
-    ``_price_levels`` equals ``model._price_levels(events.price)``.  It is
+    ``_price_levels`` equals ``model._price_levels(events.price, power)``.  It is
     worked out from the fields and is not one of them, so equality, hash,
     repr, copy and pickle see the three fields only, and copies and
     unpickled instances work it out again."""
@@ -221,7 +221,7 @@ def test_instance_price_levels_are_worked_out_once_and_are_not_a_field():
         station(["7"]),
     ):
         levels = instance._price_levels
-        assert levels == _price_levels(instance.events.price)
+        assert levels == _price_levels(instance.events.price, instance.config.power_kw)
         level, lcm = levels
         assert type(level) is tuple and all(Fraction(n, lcm) == p for n, p in zip(level, instance.events.price))
         assert instance.__reduce__()[1] == (instance.config, instance.initial, instance.events)
@@ -239,10 +239,11 @@ def test_instance_price_levels_are_worked_out_once_and_are_not_a_field():
 def test_the_price_scale_check_stops_before_it_builds_a_huge_lcm(monkeypatch):
     """The lcm of the price denominators grows one denominator at a time, and
     the check refuses as soon as it passes the bound: 400 distinct
-    990-digit denominators take three steps, not 400."""
+    990-digit denominators take three steps, not 400, whether an instance
+    or ``schedule_cost`` scales them."""
     import math
 
-    from swapsched import model
+    from swapsched import model, schedule_cost
 
     steps = []
 
@@ -253,9 +254,14 @@ def test_the_price_scale_check_stops_before_it_builds_a_huge_lcm(monkeypatch):
     config = StationConfig(1, 1, 1, Fraction(1), 400)
     prices = tuple(Fraction(1, 10**989 + 2 * i + 1) for i in range(400))
     monkeypatch.setattr(model, "math", SimpleNamespace(lcm=lcm))
-    with pytest.raises(InstanceError, match=f"beyond 10\\*\\*{2 * MAX_EXPONENT}"):
-        Instance(config, InitialConditions((BatteryStart(E),)), EventProfiles((0,) * 400, (0,) * 400, prices))
-    assert len(steps) == 3
+    for scale in (
+        lambda: Instance(config, InitialConditions((BatteryStart(E),)), EventProfiles((0,) * 400, (0,) * 400, prices)),
+        lambda: schedule_cost(ScheduleGrid(("C" * 400,)), config, prices),
+    ):
+        steps.clear()
+        with pytest.raises(InstanceError, match=f"beyond 10\\*\\*{2 * MAX_EXPONENT}"):
+            scale()
+        assert len(steps) == 3
 
 
 def test_config_json_round_trip():
@@ -298,6 +304,38 @@ def test_config_rejects_nonpositive_dimensions(kwargs):
     base = dict(n_batteries=2, n_chargers=1, charge_hours=2, capacity_kwh=Fraction(10), horizon=8)
     with pytest.raises(InstanceError):
         StationConfig(**{**base, **kwargs})
+
+
+def test_refusals_show_an_integer_too_long_to_print_as_a_power_of_ten():
+    """Python turns no integer of more than 4,300 digits into text, so each
+    refusal shows a power of ten that such an integer passes."""
+    from swapsched import PeakedShape, UniformShape
+
+    cases = [
+        (lambda: StationConfig(-(10**5000), 1, 1, Fraction(1), 1),
+         "n_batteries must be a positive integer, got less than -10**4999"),
+        (lambda: BatteryStart("C", progress=-(10**5000)),
+         "progress must be a non-negative integer, got less than -10**4999"),
+        (lambda: StationConfig(10**2200, 1, 1, Fraction(1), 10**2200),
+         f"{10**2200} batteries over {10**2200} hours make more than 10**4399 battery-hours, more than 1000000"),
+        (lambda: EventProfiles((10**5000,), (0,), (1,)), "demand must total at most 1000000, got more than 10**4999"),
+        (lambda: UniformShape(10**5000), "shape total must be at most 1000000, got more than 10**4999"),
+        (lambda: PeakedShape(1, -(10**5000), 1),
+         "shape peak_hour less than -10**4999 and width 1 reach beyond the range of a float"),
+    ]
+    for build, message in cases:
+        with pytest.raises(InstanceError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
+def test_profiles_cap_each_event_total():
+    """A profile may hold MAX_CELLS swaps and as many arrivals, and no more."""
+    hours = (MAX_CELLS // 2, MAX_CELLS - MAX_CELLS // 2)
+    assert sum(EventProfiles(hours, hours, (1, 1)).demand) == MAX_CELLS
+    for demand, arrivals, what in (((MAX_CELLS, 1), (0, 0), "demand"), ((0, 0), (1, MAX_CELLS), "arrivals")):
+        with pytest.raises(InstanceError, match=f"^{what} must total at most {MAX_CELLS}, got {MAX_CELLS + 1}$"):
+            EventProfiles(demand, arrivals, (1, 1))
 
 
 def test_config_caps_battery_hours():

@@ -6,6 +6,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import tempfile
 from collections import Counter
 from fractions import Fraction
@@ -48,7 +49,7 @@ from swapsched import (
 from swapsched.model import MAX_DIGITS, MAX_EXPONENT, _fifo_counts, _hour_tables
 from swapsched.scenario import TouTariff, _place_units
 from swapsched.solver import _simulate
-from conftest import make_valley
+from conftest import make_valley, readme_spec
 
 STATES = list(BatteryState)
 CYCLE = dict(zip("ECFO", "CFOE"))  # E->C->F->O->E
@@ -200,7 +201,12 @@ def instances(draw, max_batteries=5, max_charge=3, horizons=(4, 10), prices=PRIC
 
 def equal_to_the_oracle_or_too_large(instance, outcome) -> None:
     """The oracle, where it runs within a small budget, returns the same
-    grid and cost, or refuses too."""
+    grid and cost, or refuses too.  Its count of start vectors, by release
+    hour, is the product of its movable jobs' domain sizes."""
+    domains = [start_domain(job, instance.config) or (None,) for job in build_jobs(instance) if job.movable]
+    with pytest.raises(EnumerationBudgetError) as refused:
+        solve_oracle(instance, budget=-1)
+    assert refused.value.size == math.prod(map(len, domains))
     try:
         assert solve_oracle(instance, budget=2_000) == outcome
     except InfeasibleError:
@@ -493,8 +499,8 @@ def test_fifo_counts_are_the_running_count_of_per_job_fifo_starts(case):
     entries = [BatteryStart(BatteryState.CHARGING, progress=p) for p in progress]
     entries += [BatteryStart(BatteryState.EMPTY)] * n_empty
     cfg = StationConfig(max(len(entries), 1), m, D, Fraction(10), T)
-    _, done, opened, _ = _hour_tables(cfg, InitialConditions(tuple(entries)), arrivals)
-    counts = _fifo_counts(cfg, done, opened)
+    _, room, opened, _ = _hour_tables(cfg, InitialConditions(tuple(entries)), arrivals)
+    counts = _fifo_counts(cfg, room, opened)
 
     releases = [1] * n_empty + [h + 1 for h, n in enumerate(arrivals, start=1) for _ in range(n)]
     starts = fifo_starts_reference(m, D, T, [D - p for p in progress], releases)
@@ -567,12 +573,31 @@ def mixed_bundle() -> tuple[Instance, ScheduleGrid]:
     return instance, solve_greedy(instance)
 
 
-BUNDLES = {"valley": (make_valley(), solve_greedy(make_valley())), "mixed": mixed_bundle()}
-# Integers stay small or pass any index size: sizes are not capped yet, so a
-# count in the millions would only make the run allocate that much.
+def bundle_texts(instance: Instance, schedule: ScheduleGrid) -> dict[str, str]:
+    """Each file of the instance's bundle, with the schedule, by name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        save_instance(tmp, instance, schedule=schedule)
+        return {path.name: path.read_text() for path in Path(tmp).iterdir()}
+
+
+def readme_spec_with(section: str, **fields) -> str:
+    """README's scenario spec with some fields of one section replaced."""
+    spec = json.loads(readme_spec())
+    spec[section].update(fields)
+    return json.dumps(spec)
+
+
+TEXTS = {
+    "valley": bundle_texts(make_valley(), solve_greedy(make_valley())),
+    "mixed": bundle_texts(*mixed_bundle()),
+    "spec": {"spec.json": readme_spec()},
+}
+# Integers stay small or pass any index size (2**64) or a float's range
+# (10**400, -(2**1100)): MAX_CELLS caps every size and event total, and a
+# count in the millions below it would only make the run allocate that much.
 JSON_VALUES = st.one_of(
-    st.none(), st.booleans(), st.integers(-3, 40), st.sampled_from([2**64, -(2**64)]), st.floats(),
-    st.text(max_size=4), st.lists(st.integers(-1, 3), max_size=3),
+    st.none(), st.booleans(), st.integers(-3, 40), st.sampled_from([2**64, -(2**64), 10**400, -(2**1100)]),
+    st.floats(), st.text(max_size=4), st.lists(st.integers(-1, 3), max_size=3),
     st.dictionaries(st.text(max_size=3), st.integers(-1, 3), max_size=2),
 )
 CSV_CELLS = st.one_of(st.text(max_size=5), st.text(alphabet="0123456789-+./eE", max_size=5))
@@ -584,64 +609,85 @@ COMMANDS = (
 )
 
 
-def mutate_json(text: str, data) -> str:
-    """Replace, delete or add one field or list entry, or replace the whole document."""
+def mutate_json(text: str, draw) -> str:
+    """Replace, delete or add one field or list entry, at any depth, or replace the whole document."""
     doc = json.loads(text)
-    parents = [doc] + [entry for entry in doc if isinstance(entry, dict)] if isinstance(doc, list) else [doc]
-    parent = data.draw(st.sampled_from(parents))
+    parents = [doc]
+    for parent in parents:  # every object and list, outermost first
+        parents += [v for v in (parent.values() if isinstance(parent, dict) else parent) if isinstance(v, (dict, list))]
+    parent = draw(st.sampled_from(parents))
     if isinstance(parent, list):
-        key = data.draw(st.integers(0, len(parent) - 1))
+        key = draw(st.integers(0, len(parent) - 1))
     else:
-        key = data.draw(st.sampled_from(sorted(parent) + ["progress", "full_rank", "extra"]))
-    action = data.draw(st.sampled_from(["set", "delete", "whole"]))
+        key = draw(st.sampled_from(sorted(parent) + ["progress", "full_rank", "extra"]))
+    action = draw(st.sampled_from(["set", "delete", "whole"]))
     if action == "whole":
-        doc = data.draw(JSON_VALUES)
+        doc = draw(JSON_VALUES)
     elif action == "delete":
         parent.pop(key) if isinstance(parent, list) else parent.pop(key, None)
     else:
-        parent[key] = data.draw(JSON_VALUES)
+        parent[key] = draw(JSON_VALUES)
     return json.dumps(doc)
 
 
-def mutate_text(text: str, name: str, data) -> str:
+def mutate_text(text: str, name: str, draw) -> str:
     """Change one cell of profiles.csv or one character of schedule.txt, or drop a line."""
     lines = text.split("\n")
-    i = data.draw(st.integers(0, len(lines) - 1))
-    if data.draw(st.booleans()):
+    i = draw(st.integers(0, len(lines) - 1))
+    if draw(st.booleans()):
         del lines[i]
     elif name == "profiles.csv":
         cells = lines[i].split(",")
-        cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(CSV_CELLS)
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(CSV_CELLS)
         lines[i] = ",".join(cells)
     else:
-        j = data.draw(st.integers(0, len(lines[i])))
-        lines[i] = lines[i][:j] + data.draw(st.text(alphabet="ECFOX B:0123456789\t", max_size=1)) + lines[i][j + 1:]
+        j = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:j] + draw(st.text(alphabet="ECFOX B:0123456789\t", max_size=1)) + lines[i][j + 1:]
     return "\n".join(lines)
 
 
+@st.composite
+def mutated_files(draw) -> tuple[str, str, str | None]:
+    """A bundle or README's scenario spec, one of its files, and that file's
+    text with one field, cell or character, or the whole text, changed
+    (None when the file is removed)."""
+    target = draw(st.sampled_from(sorted(TEXTS)))
+    name = draw(st.sampled_from(sorted(TEXTS[target])))
+    how = draw(st.sampled_from(["field", "file", "remove"]))
+    if how == "remove":
+        return target, name, None
+    if how == "file":
+        return target, name, draw(st.text(max_size=30))
+    if name.endswith(".json"):
+        return target, name, mutate_json(TEXTS[target][name], draw)
+    return target, name, mutate_text(TEXTS[target][name], name, draw)
+
+
 @settings(deadline=None, max_examples=300)
-@given(data=st.data())
-def test_a_bundle_with_one_mutation_never_ends_in_an_internal_error(data):
+@given(case=mutated_files(), command=st.sampled_from(COMMANDS))
+# A peaked bump past a float's range, which a draw cannot take.
+@example(case=("spec", "spec.json", readme_spec_with("arrivals", peak_hour=10**400)), command=COMMANDS[0])
+def test_a_bundle_with_one_mutation_never_ends_in_an_internal_error(case, command):
     """Exit codes stay 0, 1 or 2 (3 too for the oracle's budget, never 4, an
     internal error) and no traceback is printed, whatever one field, cell,
-    character or file of a bundle holds."""
-    instance, schedule = BUNDLES[data.draw(st.sampled_from(sorted(BUNDLES)))]
-    name = data.draw(st.sampled_from(["config.json", "initial.json", "profiles.csv", "schedule.txt"]))
-    argv = data.draw(st.sampled_from(COMMANDS))
+    character or file of a bundle holds.  ``generate`` on README's scenario
+    spec with one field, at any depth, or the whole file changed exits 0 or 2."""
+    target, name, text = case
     with tempfile.TemporaryDirectory() as tmp:
-        save_instance(tmp, instance, schedule=schedule)
+        for other, original in TEXTS[target].items():
+            (Path(tmp) / other).write_text(original)
         path = Path(tmp) / name
-        how = data.draw(st.sampled_from(["field", "file", "remove"]))
-        if how == "remove":
+        if text is None:
             path.unlink()
-        elif how == "file":
-            path.write_text(data.draw(st.text(max_size=30)))
-        elif name.endswith(".json"):
-            path.write_text(mutate_json(path.read_text(), data))
         else:
-            path.write_text(mutate_text(path.read_text(), name, data))
+            path.write_text(text)
+        if target == "spec":
+            argv, codes = ["generate", "--spec", str(path), "--out", str(Path(tmp) / "out")], (0, 2)
+        else:
+            argv = [command[0], "--instance", tmp, *command[1:]]
+            codes = (0, 1, 2, 3) if "oracle" in command else (0, 1, 2)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([argv[0], "--instance", tmp, *argv[1:]])
-    assert code in ((0, 1, 2, 3) if "oracle" in argv else (0, 1, 2)), err.getvalue()
+            code = cli.main(argv)
+    assert code in codes, err.getvalue()
     assert "Traceback" not in err.getvalue()

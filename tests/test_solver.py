@@ -270,8 +270,8 @@ def test_greedy_counts_stay_at_zero_while_continuations_outnumber_the_chargers()
         InitialConditions((BatteryStart(state=C), BatteryStart(state=C), BatteryStart(state=E))),
         EventProfiles((0,) * 4, (0,) * 4, (Fraction(1),) * 4),
     )
-    _, done, opened, _ = _hour_tables(instance.config, instance.initial, instance.events.arrivals)
-    assert _fifo_counts(instance.config, done, opened) == [0, 0, 0, 1, 1]
+    _, room, opened, _ = _hour_tables(instance.config, instance.initial, instance.events.arrivals)
+    assert _fifo_counts(instance.config, room, opened) == [0, 0, 0, 1, 1]
     with pytest.raises(InfeasibleError) as exc:
         solve_greedy(instance)
     assert (exc.value.hour, str(exc.value)) == (1, "2 concurrent charges at hour 1")
