@@ -171,7 +171,7 @@ def _read_json(path: Path, what: str) -> object:
         raise InstanceError(f"missing {what}: {path}") from None
     try:
         return json.loads(text, parse_float=Decimal)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long for Python to read
         raise InstanceError(f"{what} is not valid JSON: {exc}") from None
 
 

@@ -1,4 +1,4 @@
-"""The exact solver, the brute-force oracle and the job API they search over.
+"""The exact solver, the brute-force oracle and the per-job model.
 
 ``solve_exact`` finds the cheapest schedule, breaking cost ties toward the
 lexicographically earliest start vector.  It works on start counts:
@@ -8,9 +8,9 @@ block and says when that answer is optimal, and
 ``_largest_optimal_potentials`` solves the full system as a min-cost flow.
 It reads the prices its instance scaled once (``Instance._price_levels``)
 and, like every method, its cost from the realisation (``solver._simulate``).
-``solve_oracle`` enumerates start vectors to cross-check it; ``ChargeJob``,
-``build_jobs`` and ``start_domain`` name the jobs and the start hours it
-enumerates.
+``solve_oracle`` enumerates start vectors by release hour to cross-check it.
+``ChargeJob``, ``build_jobs`` and ``start_domain`` state ``_window`` a job at
+a time; no solver reads them.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class ChargeJob(_Value):
 
     ``fixed_start`` pins continuation jobs to hour 1; movable jobs have None.
     A job names no battery: the realisation hands each hour's starts to the
-    longest-waiting empty batteries.
+    longest-waiting empty batteries.  No solver reads jobs.
     """
 
     __slots__ = ("release", "duration", "fixed_start")
@@ -63,7 +63,7 @@ class ChargeJob(_Value):
 
 
 def build_jobs(instance: Instance) -> tuple[ChargeJob, ...]:
-    """Expand an instance into its charge jobs, in canonical order.
+    """Expand an instance into its charge jobs, in canonical order; no solver builds them.
 
     Order: continuations (battery index), initial-empty batteries (battery
     index), then one job per arrival unit (hour order).  The canonical order
@@ -79,7 +79,7 @@ def build_jobs(instance: Instance) -> tuple[ChargeJob, ...]:
 
 
 def start_domain(job: ChargeJob, config: StationConfig) -> tuple[int, ...]:
-    """Legal start hours for a job.
+    """Legal start hours for a job, as ``_window`` gives them; no solver reads this.
 
     Movable jobs whose block fits run it in full (start capped at
     horizon - duration + 1); jobs released too late to ever complete may
@@ -372,34 +372,33 @@ def solve_oracle(
 ) -> tuple[ScheduleGrid, CostBreakdown]:
     """Exhaustively enumerate start vectors; cross-check for solve_exact.
 
-    Each vector is realised through its per-hour start counts, like every
-    other method's, and the schedule is filtered through strict validation
-    rather than through the exact solver's reasoning.  Refuses instances whose
-    vector count, worked out by release hour before any job is built,
-    exceeds ``budget``.
+    Each unit starts at an hour of its release hour's ``_window`` (never, if
+    it does not open).  Each vector is realised through its start counts,
+    like every method's, and filtered through strict validation, not the
+    exact solver's reasoning.  Counts make one hour's units interchangeable:
+    of each class, only its lexicographically first vector, sorted within
+    every hour, is realised.  Refuses a count of vectors above ``budget``.
     """
     from .validation import validate  # only the oracle validates; ``solve`` need not load it
 
-    # The vectors number the product, over the release hours, of each hour's
-    # start domain size (one for a window that never opens) to the power of
-    # its units.  The groups multiply pairwise, as a product that grows by
-    # one small factor at a time takes time quadratic in its length.
+    # Each release hour's start hours and units.  The vectors number the
+    # product of each hour's start hours to the power of its units, taken
+    # pairwise: one small factor at a time takes time quadratic in the count.
     cfg = instance.config
-    groups = []
+    hours = []
     for release, n in enumerate([instance.initial.count(_E), *instance.events.arrivals], start=1):
         first, last = _window(release, cfg.charge_hours, cfg.horizon)
-        groups.append(max(last - first + 1, 1) ** n)
+        hours.append((range(first, last + 1) or (None,), n))
+    groups = [len(starts) ** n for starts, n in hours]
     while len(groups) > 1:
         groups = [math.prod(groups[i : i + 2]) for i in range(0, len(groups), 2)]
     if groups[0] > budget:
         raise EnumerationBudgetError(groups[0], budget)
-    movables = [j for j in build_jobs(instance) if j.movable]
-    domains = [start_domain(j, cfg) or (None,) for j in movables]
 
     best: tuple[ScheduleGrid, CostBreakdown] | None = None
-    for combo in itertools.product(*domains):
+    for picks in itertools.product(*(itertools.combinations_with_replacement(*hour) for hour in hours)):
         try:
-            grid, cost = _simulate(instance, Counter(combo))
+            grid, cost = _simulate(instance, Counter(itertools.chain.from_iterable(picks)))
         except InfeasibleError:
             continue
         if not validate(grid, instance, "strict").feasible:

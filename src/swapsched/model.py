@@ -156,8 +156,11 @@ def _too_many_digits() -> ValueError:
 
 
 def _shown(value: object) -> str:
-    """The repr of a refused input, cut to a prefix when it is long; an int as ``_int_text`` shows it."""
-    text = _int_text(value) if type(value) is int else repr(value)
+    """A refused input's repr (an int's ``_int_text``, its type where that fails), cut when long."""
+    try:
+        text = _int_text(value) if type(value) is int else repr(value)
+    except Exception:  # a container of too long an int, or a repr that raises
+        text = f"a value of type {type(value).__name__}"
     return text if len(text) <= 40 else text[:40] + "..."
 
 
@@ -381,6 +384,9 @@ class InitialConditions(_Value):
 
     def __init__(self, entries: tuple[BatteryStart, ...]):
         entries = tuple(entries)
+        for entry in entries:
+            if not isinstance(entry, BatteryStart):
+                raise InstanceError(f"an initial entry must be a BatteryStart, got {_shown(entry)}")
         ranks = [e.full_rank for e in entries if e.state is BatteryState.FULL]
         if len(ranks) != len(set(ranks)):
             raise InstanceError("full_rank values must be distinct")
@@ -424,11 +430,11 @@ class ScheduleGrid(_Value):
             raise DimensionError("a grid needs at least one battery row")
         for i, row in enumerate(rows, start=1):
             if not isinstance(row, str):
-                raise DimensionError(f"battery B{i}: {row!r} is not a string of state letters")
+                raise DimensionError(f"battery B{i}: {_shown(row)} is not a string of state letters")
             if len(row) != len(rows[0]):
                 raise DimensionError(f"battery B{i} has {len(row)} cells, expected {len(rows[0])}")
             if row.strip("ECFO"):
-                raise DimensionError(f"battery B{i}: {row!r} holds a letter other than E, C, F, O")
+                raise DimensionError(f"battery B{i}: {_shown(row)} holds a letter other than E, C, F, O")
         if not rows[0]:
             raise DimensionError("a grid needs at least one hour column")
         super().__init__(rows)
@@ -591,8 +597,8 @@ class Instance(_Scaled):
         for b, entry in enumerate(initial.entries, start=1):
             if entry.state is _C and entry.progress >= config.charge_hours:
                 raise InstanceError(
-                    f"battery B{b}: progress {entry.progress} must be below "
-                    f"charge_hours {config.charge_hours}"
+                    f"battery B{b}: progress {_int_text(entry.progress)} must be below "
+                    f"charge_hours {_int_text(config.charge_hours)}"
                 )
         # Every cost must print: schedule_cost sums in units of one over the
         # lcm of the prices' denominators times the power's, and cost.json

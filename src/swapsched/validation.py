@@ -20,7 +20,7 @@ Runs cut off by the end of the horizon are exempt in both modes.
 from __future__ import annotations
 
 from .errors import DimensionError
-from .model import BatteryState, Instance, ScheduleGrid, _json_text, _scan, _Value
+from .model import BatteryState, Instance, ScheduleGrid, _json_text, _scan, _shown, _Value
 
 __all__ = [
     "Violation",
@@ -97,7 +97,7 @@ def validate(grid: ScheduleGrid, instance: Instance, mode: str = "lenient") -> V
     mismatches are input errors, not violations.
     """
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        raise ValueError(f"mode must be one of {MODES}, got {_shown(mode)}")
     cfg, events, initial = instance.config, instance.events, instance.initial
     if grid.n_batteries != cfg.n_batteries or grid.horizon != cfg.horizon:
         raise DimensionError(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -177,7 +178,7 @@ def test_an_infeasibility_without_a_witness_hour_names_none(tmp_path, capsys):
     """Exact finds no arrangement of full blocks, and greedy no failing hour.
 
     Greedy solves this instance with a truncated charge, so the one charging
-    model of ROADMAP item 1 makes it solvable; this test then needs an
+    model of ROADMAP item 3 makes it solvable; this test then needs an
     instance that no method solves.
     """
     E = BatteryState.EMPTY
@@ -456,6 +457,29 @@ def test_progress_at_the_charge_length_is_an_input_error(valley_dir, tmp_path, c
     (bundle / "initial.json").write_text('[{"battery": 1, "state": "C", "progress": 2}]')
     assert cli.main(["solve", "--instance", str(bundle)]) == 2
     assert capsys.readouterr().err == "error: battery B1: progress 2 must be below charge_hours 2\n"
+
+
+@pytest.mark.parametrize("name", ["config.json", "initial.json", "spec.json"])
+def test_an_integer_literal_too_long_to_read_is_refused_as_invalid_json(demo_dir, tmp_path, capsys, name):
+    """``json`` reads no integer of more than 4,300 digits; each file that
+    holds one is refused as invalid JSON, naming what it is, where Python's
+    own "Exceeds the limit" text was the whole message."""
+    bundle = tmp_path / "bundle"
+    shutil.copytree(demo_dir, bundle)
+    huge = "1" + "0" * 5000
+    if name == "config.json":
+        text = re.sub(r'"n_chargers": \d+', f'"n_chargers": {huge}', (bundle / name).read_text())
+        argv, what = ["solve", "--instance", str(bundle)], "config"
+    elif name == "initial.json":
+        text = f'[{{"battery": 1, "state": "C", "progress": {huge}}}]'
+        argv, what = ["solve", "--instance", str(bundle)], "initial conditions"
+    else:
+        text = spec_with(seed=0).replace('"seed": 0', f'"seed": {huge}')
+        argv, what = ["generate", "--spec", str(bundle / name), "--out", str(tmp_path / "out")], "scenario spec"
+    assert huge in text
+    (bundle / name).write_text(text)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {what} is not valid JSON: Exceeds the limit (4300 digits)")
 
 
 def test_a_bundle_with_fewer_initial_entries_than_batteries_is_an_input_error(demo_dir, tmp_path, capsys):

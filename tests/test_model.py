@@ -13,18 +13,24 @@ from swapsched import (
     BatteryState,
     DimensionError,
     EventProfiles,
+    ExplicitShape,
+    FlatTariff,
     GridParseError,
     InitialConditions,
     Instance,
     InstanceError,
     ScheduleGrid,
     StationConfig,
+    TouTariff,
     TransitionError,
+    UniformShape,
     extract_events,
     format_exact,
     parse_grid,
     render_grid,
+    schedule_cost,
     to_exact,
+    validate,
 )
 from swapsched.model import MAX_CELLS, MAX_DIGITS, MAX_EXPONENT
 from conftest import random_legal_grid
@@ -243,7 +249,7 @@ def test_the_price_scale_check_stops_before_it_builds_a_huge_lcm(monkeypatch):
     or ``schedule_cost`` scales them."""
     import math
 
-    from swapsched import model, schedule_cost
+    from swapsched import model
 
     steps = []
 
@@ -309,7 +315,7 @@ def test_config_rejects_nonpositive_dimensions(kwargs):
 def test_refusals_show_an_integer_too_long_to_print_as_a_power_of_ten():
     """Python turns no integer of more than 4,300 digits into text, so each
     refusal shows a power of ten that such an integer passes."""
-    from swapsched import PeakedShape, UniformShape
+    from swapsched import PeakedShape
 
     cases = [
         (lambda: StationConfig(-(10**5000), 1, 1, Fraction(1), 1),
@@ -327,6 +333,56 @@ def test_refusals_show_an_integer_too_long_to_print_as_a_power_of_ten():
         with pytest.raises(InstanceError) as exc:
             build()
         assert str(exc.value) == message
+
+
+_H = 10**5000  # more digits than Python turns into text
+
+
+def _one_battery(entry=BatteryStart("E")) -> Instance:
+    return Instance(StationConfig(1, 1, 2, Fraction(10), 1), InitialConditions((entry,)), EventProfiles((0,), (0,), (1,)))
+
+
+class _Unprintable:
+    def __repr__(self):
+        raise RuntimeError("no repr")
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: _one_battery(BatteryStart("C", progress=_H)), InstanceError,
+         "battery B1: progress more than 10**4999 must be below charge_hours 2"),
+        (lambda: InitialConditions((_H,)), InstanceError, "an initial entry must be a BatteryStart, got more than 10**4999"),
+        (lambda: ScheduleGrid((_H,)), DimensionError, "battery B1: more than 10**4999 is not a string of state letters"),
+        (lambda: ScheduleGrid(([_H],)), DimensionError, "battery B1: a value of type list is not a string of state letters"),
+        (lambda: ScheduleGrid(("E" * 50 + "X",)), DimensionError,
+         f"battery B1: {chr(39)}{'E' * 39}... holds a letter other than E, C, F, O"),
+        (lambda: EventProfiles((0,), (0,), ([_H],)), ValueError, "not an exact number: a value of type list"),
+        (lambda: to_exact(_Unprintable()), ValueError, "not an exact number: a value of type _Unprintable"),
+        (lambda: schedule_cost(ScheduleGrid(("E",)), _one_battery().config, ([_H],)),
+         ValueError, "not an exact number: a value of type list"),
+        (lambda: validate(ScheduleGrid(("E",)), _one_battery(), mode=_H),
+         ValueError, "mode must be one of ('lenient', 'strict'), got more than 10**4999"),
+        (lambda: UniformShape([_H]), InstanceError,
+         "shape total must be an integer >= 0, got a value of type list"),
+        (lambda: ExplicitShape(([_H],)), InstanceError,
+         "explicit shape values must be integers >= 0, got a value of type list"),
+        (lambda: FlatTariff([_H]), ValueError, "not an exact number: a value of type list"),
+        (lambda: TouTariff(1, 2, [[_H]]), InstanceError,
+         "a peak range must be two integer hours, got a value of type list"),
+    ],
+    ids=["progress", "initial-entry", "grid-row-int", "grid-row-list", "grid-row-long", "price", "unprintable",
+         "schedule-cost", "validate-mode", "uniform-shape", "explicit-shape", "flat-tariff", "tou-tariff"],
+)
+def test_every_refusal_shows_its_value_without_raising_while_it_does(build, error, message):
+    """A refused value is shown through ``_shown`` (or ``_int_text``): an int
+    too long for text as a power of ten, a value whose repr fails by its
+    type, and anything past 40 characters cut.  Each of these ended in
+    Python's own "Exceeds the limit" ``ValueError`` or an AttributeError."""
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error
+    assert str(exc.value) == message
 
 
 def test_profiles_cap_each_event_total():

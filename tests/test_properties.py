@@ -244,6 +244,63 @@ def test_exact_is_valid_no_dearer_than_greedy_and_equals_the_oracle(instance):
     equal_to_the_oracle_or_too_large(instance, (grid, cost))
 
 
+def oracle_by_jobs(instance: Instance, objective: SolveObjective, budget: int):
+    """The oracle stated one job at a time: the product of the movable jobs'
+    ``start_domain``s (``(None,)`` where one is empty), each vector realised
+    in full, the first strictly valid one kept under ``feasibility`` and the
+    first strictly cheaper one otherwise."""
+    domains = [start_domain(job, instance.config) or (None,) for job in build_jobs(instance) if job.movable]
+    if math.prod(map(len, domains)) > budget:
+        raise EnumerationBudgetError(math.prod(map(len, domains)), budget)
+    best = None
+    for vector in itertools.product(*domains):
+        try:
+            grid, cost = _simulate(instance, Counter(vector))
+        except InfeasibleError:
+            continue
+        if not validate(grid, instance, "strict").feasible:
+            continue
+        if objective is SolveObjective.FEASIBILITY:
+            return grid, cost
+        if best is None or cost.total < best[1].total:
+            best = (grid, cost)
+    if best is None:
+        solve_greedy(instance)
+        raise InfeasibleError(None, "no start vector passes strict validation")
+    return best
+
+
+def outcome_of(solve, *args):
+    """A solve's grid and cost, or its refusal as (type, message, hour, size)."""
+    try:
+        return solve(*args)
+    except (InfeasibleError, EnumerationBudgetError) as refused:
+        return type(refused), str(refused), getattr(refused, "hour", None), getattr(refused, "size", None)
+
+
+@no_deadline
+@given(instance=instances())
+@example(instance=Instance(  # three interchangeable empty batteries, a cheap hour late in the window
+    StationConfig(3, 2, 2, Fraction(10), 5),
+    InitialConditions((BatteryStart(BatteryState.EMPTY),) * 3),
+    EventProfiles((0, 0, 0, 0, 2), (0,) * 5, (Fraction(3), Fraction(2), Fraction(3), Fraction(1), Fraction(2))),
+))
+@example(instance=Instance(  # no movable charge: the one start vector is empty
+    StationConfig(2, 1, 2, Fraction(10), 4),
+    InitialConditions((BatteryStart(BatteryState.CHARGING, progress=1), BatteryStart(BatteryState.FULL, full_rank=1))),
+    EventProfiles((0, 1, 0, 0), (0,) * 4, (Fraction(1),) * 4),
+))
+def test_the_oracle_by_release_hour_finds_what_the_per_job_oracle_finds(instance):
+    """Realising one vector per multiset of each release hour's starts finds
+    the per-job oracle's grid and cost, or its refusal, under both
+    objectives: each multiset's sorted vector is the lexicographically first
+    of those that realise alike."""
+    for objective in SolveObjective:
+        assert outcome_of(solve_oracle, instance, objective, 2_000) == outcome_of(
+            oracle_by_jobs, instance, objective, 2_000
+        )
+
+
 @no_deadline
 @given(instance=instances())
 def test_every_solver_grid_passes_the_public_constructor(instance):

@@ -6,6 +6,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -466,6 +467,32 @@ def test_oracle_budget_guard(demo):
         solve_oracle(instance, budget=1000)
     assert exc.value.budget == 1000
     assert exc.value.size > 1000
+
+
+def test_the_oracle_realises_one_vector_per_class_of_interchangeable_starts():
+    """Three batteries empty at hour 1, each free to start at hours 1 to 4:
+    64 start vectors, which fall into 20 multisets of start hours.  The
+    realisation reads only start counts, so the oracle realises each
+    multiset once, and still counts 64 vectors against its budget."""
+    instance = Instance(
+        StationConfig(3, 3, 2, Fraction(10), 5),
+        InitialConditions((BatteryStart(state=E),) * 3),
+        EventProfiles((0,) * 5, (0,) * 5, (Fraction(1),) * 5),
+    )
+    realised, realise = [], exact._simulate
+
+    def noted(*args):
+        realised.append(args[1])
+        return realise(*args)
+
+    with mock.patch.object(exact, "_simulate", noted):
+        solved = solve_oracle(instance)
+    assert solved == solve_exact(instance)
+    assert len(realised) == 20
+    assert len({tuple(sorted(counts.items())) for counts in realised}) == 20
+    with pytest.raises(EnumerationBudgetError) as exc:
+        solve_oracle(instance, budget=63)
+    assert exc.value.size == 64
 
 
 def test_a_search_space_too_large_to_print_is_still_refused_by_its_budget():
