@@ -24,9 +24,9 @@ from .model import (
     Instance,
     ScheduleGrid,
     StationConfig,
+    _json_object,
     _json_text,
     _shown,
-    _shown_keys,
     format_exact,
     is_int,
     render_grid,
@@ -78,6 +78,8 @@ def load_profiles(path: str | Path) -> EventProfiles:
             rows = [row for row in reader if row]
     except FileNotFoundError:
         raise ProfileError(f"no such profiles file: {path}") from None
+    except csv.Error as exc:  # a field past the csv module's size limit, say
+        raise ProfileError(f"profiles file is not valid CSV: {exc}") from None
     if not rows:
         raise ProfileError("profiles file is empty")
     if rows[0] != _CSV_COLUMNS:
@@ -131,31 +133,21 @@ def _initial_to_json(initial: InitialConditions) -> list[dict]:
 
 
 def _initial_from_json(data: object) -> InitialConditions:
+    """The start states a list of entries describes.  An entry's keys are
+    ``battery`` and the fields of ``BatteryStart``, which checks their values,
+    and the entries number the batteries 1..n, each once."""
     if not isinstance(data, list):
         raise InstanceError("initial conditions must be a list of battery entries")
+    state, *optional = BatteryStart.__slots__
     by_battery: dict[int, BatteryStart] = {}
     for item in data:
-        if not isinstance(item, dict):
-            raise InstanceError(f"initial entry {_shown(item)} is not an object")
-        unknown = set(item) - {"battery", "state", "progress", "full_rank"}
-        if unknown:
-            raise InstanceError(f"unknown initial-entry keys: {_shown_keys(unknown)}")
-        if "battery" not in item or "state" not in item:
-            raise InstanceError(f"initial entry {_shown(item)} needs battery and state")
-        b = item["battery"]
+        fields = dict(_json_object(item, "initial entry", ("battery", state), optional))
+        b = fields.pop("battery")
         if not is_int(b) or b < 1:
             raise InstanceError(f"battery number {_shown(b)} must be a positive integer")
         if b in by_battery:
             raise InstanceError(f"battery B{b} listed twice in initial conditions")
-        try:
-            state = BatteryState(item["state"])
-        except ValueError:
-            raise InstanceError(f"battery B{b}: unknown state {_shown(item['state'])}") from None
-        by_battery[b] = BatteryStart(
-            state=state,
-            progress=item.get("progress", 0),
-            full_rank=item.get("full_rank"),
-        )
+        by_battery[b] = BatteryStart(**fields)
     expected = set(range(1, len(by_battery) + 1))
     if set(by_battery) != expected:
         raise InstanceError(
@@ -171,7 +163,7 @@ def _read_json(path: Path, what: str) -> object:
         raise InstanceError(f"missing {what}: {path}") from None
     try:
         return json.loads(text, parse_float=Decimal)
-    except ValueError as exc:  # a JSONDecodeError, or an integer too long for Python to read
+    except (ValueError, RecursionError) as exc:  # bad JSON, too long an integer or too deep a nesting
         raise InstanceError(f"{what} is not valid JSON: {exc}") from None
 
 
@@ -202,10 +194,7 @@ def _write_texts(directory: str | Path, texts: dict[str, str]) -> None:
 def load_instance(directory: str | Path) -> Instance:
     """Read an instance bundle written by :func:`save_instance`."""
     d = Path(directory)
-    config_data = _read_json(d / "config.json", "config")
-    if not isinstance(config_data, dict):
-        raise InstanceError("config.json must hold a JSON object")
-    config = StationConfig.from_json_dict(config_data)
+    config = StationConfig.from_json_dict(_read_json(d / "config.json", "config"))
     events = load_profiles(d / "profiles.csv")
     initial = _initial_from_json(_read_json(d / "initial.json", "initial conditions"))
     return Instance(config=config, initial=initial, events=events)

@@ -33,7 +33,7 @@ import itertools
 import json
 import math
 import sys
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from fractions import Fraction
@@ -162,13 +162,6 @@ def _shown(value: object) -> str:
     except Exception:  # a container of too long an int, or a repr that raises
         text = f"a value of type {type(value).__name__}"
     return text if len(text) <= 40 else text[:40] + "..."
-
-
-def _shown_keys(keys: set) -> str:
-    """Refused keys, sorted, each cut like ``_shown``; past five, only a count of the rest."""
-    ordered = sorted(keys)
-    more = f" … and {len(ordered) - 5} more" if len(ordered) > 5 else ""
-    return "[" + ", ".join(map(_shown, ordered[:5])) + "]" + more
 
 
 def is_int(value: object) -> bool:
@@ -325,17 +318,10 @@ class StationConfig(_Powered):
         return data
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "StationConfig":
-        if not isinstance(data, Mapping):
-            raise InstanceError(f"a station config must be a JSON object, got {_shown(data)}")
-        required = {"n_batteries", "n_chargers", "charge_hours", "capacity_kwh", "horizon"}
-        unknown = set(data) - required - {"charge_power_kw"}
-        if unknown:
-            raise InstanceError(f"unknown config keys: {_shown_keys(unknown)}")
-        missing = required - set(data)
-        if missing:
-            raise InstanceError(f"missing config keys: {sorted(missing)}")
-        return cls(**data)  # the constructor converts the numbers
+    def from_json_dict(cls, data: object) -> "StationConfig":
+        """The config a JSON object describes: its keys are the fields, and
+        ``charge_power_kw`` may be left out.  The constructor converts the numbers."""
+        return cls(**_json_object(data, "config", cls.__slots__[:-1], cls.__slots__[-1:]))
 
 
 def _json_number(value: Fraction):
@@ -350,20 +336,44 @@ def _json_text(data: object) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+def _json_object(data: object, what: str, required: Sequence[str], optional: Iterable[str] = ()) -> dict:
+    """``data`` when it is a JSON object that holds every ``required`` key and
+    no key beyond the ``optional`` ones; InstanceError otherwise.
+
+    This is the one check of a JSON object that a file holds.  Each reader
+    passes the fields of the value it builds, so an object's keys are that
+    value's fields.  Refused keys are shown sorted, each cut like ``_shown``,
+    and past five only as a count of the rest.
+    """
+    if not isinstance(data, dict):
+        raise InstanceError(f"{what} must be a JSON object, got {_shown(data)}")
+    allowed = {*required, *optional}
+    if not data.keys() <= allowed:
+        unknown = sorted(data.keys() - allowed)
+        more = f" … and {len(unknown) - 5} more" if len(unknown) > 5 else ""
+        raise InstanceError(f"unknown {what} keys: [{', '.join(map(_shown, unknown[:5]))}]{more}")
+    if not data.keys() >= set(required):
+        raise InstanceError(f"missing {what} keys: {sorted(set(required) - data.keys())}")
+    return data
+
+
 class BatteryStart(_Value):
     """State of one battery at the start boundary of hour 1.
 
-    ``progress`` counts completed charging hours for a battery that enters
-    the horizon on a charger.  ``full_rank`` orders batteries that enter
-    fully charged: lower rank means it has waited longer and is swapped
-    out first.
+    ``state`` is a ``BatteryState`` or its letter.  ``progress`` counts
+    completed charging hours for a battery that enters the horizon on a
+    charger.  ``full_rank`` orders batteries that enter fully charged: lower
+    rank means it has waited longer and is swapped out first.
     """
 
     __slots__ = ("state", "progress", "full_rank")
 
     def __init__(self, state: BatteryState, progress: int = 0, full_rank: int | None = None):
         if not isinstance(state, BatteryState):
-            state = BatteryState(state)
+            try:
+                state = BatteryState(state)
+            except ValueError:
+                raise InstanceError(f"unknown state {_shown(state)}") from None
         if not is_int(progress) or progress < 0:
             raise InstanceError(f"progress must be a non-negative integer, got {_shown(progress)}")
         if full_rank is not None and not is_int(full_rank):

@@ -31,9 +31,9 @@ from .model import (
     StationConfig,
     _fifo_counts,
     _hour_tables,
+    _json_object,
     _scan,
     _shown,
-    _shown_keys,
     is_int,
     to_exact,
     _Value,
@@ -69,6 +69,13 @@ def _check_total(total: object) -> None:
         raise InstanceError(f"shape total must be an integer >= 0, got {_shown(total)}")
     if total > MAX_CELLS:
         raise InstanceError(f"shape total must be at most {MAX_CELLS}, got {_int_text(total)}")
+
+
+def _listed(value: object, what: str) -> tuple:
+    """``value`` as a tuple when it is a list or a tuple; InstanceError otherwise."""
+    if not isinstance(value, (list, tuple)):
+        raise InstanceError(f"{what} must be a list, got {_shown(value)}")
+    return tuple(value)
 
 
 class UniformShape(_Value):
@@ -113,12 +120,15 @@ class PeakedShape(_Value):
 
 
 class ExplicitShape(_Value):
-    """A hand-written per-hour count list, used verbatim (no repairs)."""
+    """A hand-written per-hour count list, used verbatim (no repairs).
+
+    ``values`` is a list or a tuple of integers >= 0, one for each hour.
+    """
 
     __slots__ = ("values",)
 
     def __init__(self, values: tuple[int, ...]):
-        values = tuple(values)
+        values = _listed(values, "explicit shape values")
         for v in values:
             if not is_int(v) or v < 0:
                 raise InstanceError(f"explicit shape values must be integers >= 0, got {_shown(v)}")
@@ -153,7 +163,7 @@ class TouTariff(_Value):
     def __init__(self, off_peak: Fraction, peak: Fraction, peak_hours: tuple[tuple[int, int], ...]):
         off_peak = to_exact(off_peak)
         peak = to_exact(peak)
-        ranges = tuple(tuple(r) for r in peak_hours)
+        ranges = tuple(_listed(r, "a peak range") for r in _listed(peak_hours, "peak_hours"))
         for r in ranges:
             if len(r) != 2 or not all(is_int(h) for h in r):
                 raise InstanceError(f"a peak range must be two integer hours, got {_shown(list(r))}")
@@ -178,7 +188,7 @@ class ExplicitTariff(_Value):
     __slots__ = ("prices",)
 
     def __init__(self, prices: tuple[Fraction, ...]):
-        super().__init__(tuple(to_exact(p) for p in prices))
+        super().__init__(tuple(to_exact(p) for p in _listed(prices, "tariff prices")))
 
     def render(self, horizon: int) -> tuple[Fraction, ...]:
         if len(self.prices) != horizon:
@@ -350,57 +360,20 @@ def generate(spec: ScenarioSpec) -> Instance:
 # ---------------------------------------------------------------------------
 
 
-def _shape_from_json(data: object, what: str) -> Shape:
-    if not isinstance(data, dict):
-        raise InstanceError(f"{what} must be an object with a 'shape' key")
-    kind = data.get("shape")
-    if kind == "uniform":
-        _require_keys(data, {"shape", "total"}, what)
-        return UniformShape(total=data["total"])
-    if kind == "peaked":
-        _require_keys(data, {"shape", "total", "peak_hour", "width"}, what)
-        return PeakedShape(total=data["total"], peak_hour=data["peak_hour"], width=data["width"])
-    if kind == "explicit":
-        _require_keys(data, {"shape", "values"}, what)
-        return ExplicitShape(values=tuple(_json_list(data["values"], f"{what} values")))
-    raise InstanceError(f"{what}: unknown shape {_shown(kind)} (uniform, peaked or explicit)")
+_SHAPES = {"uniform": UniformShape, "peaked": PeakedShape, "explicit": ExplicitShape}
+_TARIFFS = {"flat": FlatTariff, "tou": TouTariff, "explicit": ExplicitTariff}
 
 
-def _tariff_from_json(data: object) -> Tariff:
-    if not isinstance(data, dict):
-        raise InstanceError("tariff must be an object with a 'kind' key")
-    kind = data.get("kind")
-    if kind == "flat":
-        _require_keys(data, {"kind", "price"}, "tariff")
-        return FlatTariff(price=data["price"])
-    if kind == "tou":
-        _require_keys(data, {"kind", "off_peak", "peak", "peak_hours"}, "tariff")
-        return TouTariff(
-            off_peak=data["off_peak"],
-            peak=data["peak"],
-            peak_hours=tuple(
-                _json_list(r, "a peak range") for r in _json_list(data["peak_hours"], "peak_hours")
-            ),
-        )
-    if kind == "explicit":
-        _require_keys(data, {"kind", "prices"}, "tariff")
-        return ExplicitTariff(prices=tuple(_json_list(data["prices"], "tariff prices")))
-    raise InstanceError(f"unknown tariff kind {_shown(kind)} (flat, tou or explicit)")
-
-
-def _json_list(value: object, what: str) -> list:
-    if not isinstance(value, list):
-        raise InstanceError(f"{what} must be a JSON list, got {_shown(value)}")
-    return value
-
-
-def _require_keys(data: dict, required: set, what: str, optional: set = frozenset()) -> None:
-    unknown = set(data) - required - optional
-    if unknown:
-        raise InstanceError(f"{what}: unknown keys {_shown_keys(unknown)}")
-    missing = required - set(data)
-    if missing:
-        raise InstanceError(f"{what}: missing keys {sorted(missing)}")
+def _from_json(data: object, what: str, tag: str, kinds: dict) -> Shape | Tariff:
+    """The shape or tariff an object describes: its ``tag`` key names a class
+    in ``kinds``, and its other keys are that class's fields."""
+    kind = _json_object(data, what, (tag,), data)[tag]  # its other keys are checked once the kind is known
+    cls = kinds.get(kind) if isinstance(kind, str) else None  # a JSON list or object does not hash
+    if cls is None:
+        *names, last = kinds
+        raise InstanceError(f"unknown {what} {tag} {_shown(kind)} ({', '.join(names)} or {last})")
+    _json_object(data, what, (tag, *cls.__slots__))
+    return cls(*(data[name] for name in cls.__slots__))
 
 
 def load_spec(path: str | Path) -> ScenarioSpec:
@@ -417,22 +390,22 @@ def load_spec(path: str | Path) -> ScenarioSpec:
                        "peak_hours": [[8, 11], [18, 21]]},
           "initial":  [ ... optional, as initial.json ... ]
         }
+
+    Each object's keys are the fields of the value it builds: the spec's are
+    ``ScenarioSpec``'s, and a shape's or tariff's are its class's, after the
+    ``shape`` or ``kind`` that names the class.
     """
-    data = _read_json(Path(path), "scenario spec")
-    if not isinstance(data, dict):
-        raise InstanceError("scenario spec must be a JSON object")
-    _require_keys(data, {"config", "seed", "demand", "arrivals", "tariff"}, "scenario spec", {"initial"})
+    *required, optional = ScenarioSpec.__slots__
+    data = _json_object(_read_json(Path(path), "scenario spec"), "scenario spec", required, (optional,))
     if not is_int(data["seed"]):
         raise InstanceError("seed must be an integer")
-    config = StationConfig.from_json_dict(data["config"])
-    initial = _initial_from_json(data["initial"]) if "initial" in data else None
     return ScenarioSpec(
-        config=config,
-        demand=_shape_from_json(data["demand"], "demand"),
-        arrivals=_shape_from_json(data["arrivals"], "arrivals"),
-        tariff=_tariff_from_json(data["tariff"]),
+        config=StationConfig.from_json_dict(data["config"]),
+        initial=_initial_from_json(data["initial"]) if "initial" in data else None,
+        demand=_from_json(data["demand"], "demand", "shape", _SHAPES),
+        arrivals=_from_json(data["arrivals"], "arrivals", "shape", _SHAPES),
+        tariff=_from_json(data["tariff"], "tariff", "kind", _TARIFFS),
         seed=data["seed"],
-        initial=initial,
     )
 
 

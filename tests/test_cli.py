@@ -501,9 +501,9 @@ def test_a_bundle_with_fewer_initial_entries_than_batteries_is_an_input_error(de
          "explicit demand lists 15 hours, horizon is 14"),
         (spec_with(demand={"shape": "explicit", "values": [0] * 15}, arrivals={"shape": "explicit", "values": []}),
          "explicit demand lists 15 hours, horizon is 14"),
-        (spec_with(demand=5), "demand must be an object with a 'shape' key"),
-        (spec_with(tariff="flat"), "tariff must be an object with a 'kind' key"),
-        ("[1, 2]", "scenario spec must be a JSON object"),
+        (spec_with(demand=5), "demand must be a JSON object, got 5"),
+        (spec_with(tariff="flat"), "tariff must be a JSON object, got 'flat'"),
+        ("[1, 2]", "scenario spec must be a JSON object, got [1, 2]"),
     ],
     ids=["short-explicit-arrivals", "long-explicit-demand", "both-explicit", "number-shape", "string-tariff",
          "list-spec"],
@@ -514,6 +514,98 @@ def test_specs_of_the_wrong_shape_are_refused_with_their_message(tmp_path, capsy
     assert cli.main(["generate", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+VALLEY_CONFIG = {"n_batteries": 1, "n_chargers": 1, "charge_hours": 2, "capacity_kwh": 20, "horizon": 6}
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("config.json", "[1]", "config must be a JSON object, got [1]"),
+        ("config.json", json.dumps({**VALLEY_CONFIG, "volts": 48}), "unknown config keys: ['volts']"),
+        ("config.json", json.dumps({k: v for k, v in VALLEY_CONFIG.items() if k != "horizon"}),
+         "missing config keys: ['horizon']"),
+        ("initial.json", "[5]", "initial entry must be a JSON object, got 5"),
+        ("initial.json", '[{"battery": 1, "state": "E", "color": "red"}]', "unknown initial entry keys: ['color']"),
+        ("initial.json", '[{"state": "E"}]', "missing initial entry keys: ['battery']"),
+        ("initial.json", '[{"battery": 1, "state": "Q"}]', "unknown state 'Q'"),
+        ("spec.json", spec_with(extra=1), "unknown scenario spec keys: ['extra']"),
+        ("spec.json", json.dumps({k: v for k, v in SPEC.items() if k != "seed"}),
+         "missing scenario spec keys: ['seed']"),
+        ("spec.json", spec_with(config=[1]), "config must be a JSON object, got [1]"),
+        ("spec.json", spec_with(initial=["E"]), "initial entry must be a JSON object, got 'E'"),
+        ("spec.json", spec_with(demand={"shape": "spiky", "total": 1}),
+         "unknown demand shape 'spiky' (uniform, peaked or explicit)"),
+        ("spec.json", spec_with(arrivals={"total": 1}), "missing arrivals keys: ['shape']"),
+        ("spec.json", spec_with(arrivals={"shape": "uniform", "total": 1, "width": 2}),
+         "unknown arrivals keys: ['width']"),
+        ("spec.json", spec_with(demand={"shape": "peaked", "total": 1}), "missing demand keys: ['peak_hour', 'width']"),
+        ("spec.json", spec_with(tariff={"kind": "dynamic"}), "unknown tariff kind 'dynamic' (flat, tou or explicit)"),
+        ("spec.json", spec_with(tariff={"kind": "flat"}), "missing tariff keys: ['price']"),
+        ("spec.json", spec_with(tariff={"kind": "flat", "price": 1, "peak": 2}), "unknown tariff keys: ['peak']"),
+        ("spec.json", spec_with(demand={"shape": "explicit", "values": 5}),
+         "explicit shape values must be a list, got 5"),
+        ("spec.json", tou_spec(5), "peak_hours must be a list, got 5"),
+        ("spec.json", tou_spec([7]), "a peak range must be a list, got 7"),
+        ("spec.json", spec_with(tariff={"kind": "explicit", "prices": "1"}), "tariff prices must be a list, got '1'"),
+    ],
+    ids=[
+        "config-list", "config-unknown-key", "config-missing-key", "entry-number",
+        "entry-unknown-key", "entry-missing-key", "entry-state", "spec-unknown-key",
+        "spec-missing-key", "spec-config-list", "spec-entry-string", "shape-kind",
+        "shape-missing-tag", "shape-other-kinds-key", "shape-missing-keys", "tariff-kind", "tariff-missing-key",
+        "tariff-other-kinds-key", "explicit-values", "peak-hours", "peak-range", "explicit-prices",
+    ],
+)
+def test_every_json_reader_refuses_a_malformed_object_with_one_wording(
+    valley_dir, tmp_path, capsys, name, text, message
+):
+    """Each object in config.json, initial.json and a scenario spec is
+    checked by one rule: it must be a JSON object whose keys are the fields
+    of the value it builds, and a shape or tariff must name a known kind.
+    List fields must be JSON lists, and a start state one of the letters."""
+    bundle = tmp_path / "bundle"
+    shutil.copytree(valley_dir, bundle)
+    (bundle / name).write_text(text)
+    if name == "spec.json":
+        argv = ["generate", "--spec", str(bundle / name), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["solve", "--instance", str(bundle)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["config.json", "initial.json", "spec.json"])
+def test_json_nested_past_the_decoders_reach_is_an_input_error(valley_dir, tmp_path, capsys, name):
+    """A hundred thousand nested lists are deeper than the JSON decoder
+    recurses on any supported Python (3.10 and 3.11 stop at the interpreter's
+    recursion limit, 3.12 and 3.13 at a C-level limit of at most ten
+    thousand); the file is refused as invalid JSON, in the decoder's own
+    words, not reported as an internal error."""
+    text = "[" * 100_000 + "]" * 100_000
+    with pytest.raises(RecursionError) as refused:
+        json.loads(text)
+    bundle = tmp_path / "bundle"
+    shutil.copytree(valley_dir, bundle)
+    (bundle / name).write_text(text)
+    if name == "spec.json":
+        argv, what = ["generate", "--spec", str(bundle / name), "--out", str(tmp_path / "out")], "scenario spec"
+    else:
+        argv, what = ["solve", "--instance", str(bundle)], "config" if name == "config.json" else "initial conditions"
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {what} is not valid JSON: {refused.value}\n"
+
+
+def test_a_csv_field_past_the_csv_modules_limit_is_an_input_error(valley_dir, tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(valley_dir, bundle)
+    lines = (bundle / "profiles.csv").read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + "," + "1" * 200_000
+    (bundle / "profiles.csv").write_text("\n".join(lines) + "\n")
+    assert cli.main(["solve", "--instance", str(bundle)]) == 2
+    assert capsys.readouterr().err == "error: profiles file is not valid CSV: field larger than field limit (131072)\n"
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from swapsched import (
     DimensionError,
     EventProfiles,
     ExplicitShape,
+    ExplicitTariff,
     FlatTariff,
     GridParseError,
     InitialConditions,
@@ -422,8 +423,30 @@ def test_battery_start_invariants():
 def test_battery_start_takes_a_state_letter():
     assert BatteryStart("E") == BatteryStart(E)
     assert BatteryStart("F", full_rank=1) == BatteryStart(F, full_rank=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InstanceError):
         BatteryStart("X")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: BatteryStart("X"), "unknown state 'X'"),
+        (lambda: BatteryStart(5), "unknown state 5"),
+        (lambda: ExplicitShape(5), "explicit shape values must be a list, got 5"),
+        (lambda: ExplicitShape("abc"), "explicit shape values must be a list, got 'abc'"),
+        (lambda: TouTariff(1, 2, 5), "peak_hours must be a list, got 5"),
+        (lambda: TouTariff(1, 2, [5]), "a peak range must be a list, got 5"),
+        (lambda: ExplicitTariff(5), "tariff prices must be a list, got 5"),
+    ],
+    ids=["state-letter", "state-number", "values-number", "values-string", "peak-hours", "peak-range", "prices"],
+)
+def test_values_refuse_their_own_contents(build, message):
+    """A start state is a BatteryState or its letter, and the list fields of
+    shapes and tariffs take a list or a tuple; anything else is an input
+    error, which ``except SwapSchedError`` catches."""
+    with pytest.raises(InstanceError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(

@@ -724,6 +724,13 @@ def mutated_files(draw) -> tuple[str, str, str | None]:
 @given(case=mutated_files(), command=st.sampled_from(COMMANDS))
 # A peaked bump past a float's range, which a draw cannot take.
 @example(case=("spec", "spec.json", readme_spec_with("arrivals", peak_hour=10**400)), command=COMMANDS[0])
+# JSON nested deeper than the decoder recurses, on any supported Python.
+@example(case=("valley", "config.json", "[" * 100_000 + "]" * 100_000), command=COMMANDS[0])
+# A price cell longer than the csv module reads.
+@example(
+    case=("valley", "profiles.csv", TEXTS["valley"]["profiles.csv"].replace("\n1,0,0,10\n", "\n1,0,0," + "1" * 200_000 + "\n")),
+    command=COMMANDS[0],
+)
 def test_a_bundle_with_one_mutation_never_ends_in_an_internal_error(case, command):
     """Exit codes stay 0, 1 or 2 (3 too for the oracle's budget, never 4, an
     internal error) and no traceback is printed, whatever one field, cell,

@@ -431,7 +431,7 @@ def test_bundle_initial_json_shape(tmp_path, demo):
         ([{"battery": 2, "state": "E"}], "1..1"),
         ([{"battery": 1, "state": "Q"}], "unknown state"),
         ([{"battery": 1, "state": "E", "color": "red"}], "unknown"),
-        ([{"state": "E"}], "battery and state"),
+        ([{"state": "E"}], "missing initial entry keys"),
         ("not-a-list", "list"),
     ],
 )
@@ -496,7 +496,7 @@ def test_load_spec_with_pinned_initial(tmp_path):
         (lambda d: d.pop("seed"), "missing"),
         (lambda d: d.update(seed="five"), "integer"),
         (lambda d: d.update(extra=1), "unknown"),
-        (lambda d: d.update(demand={"shape": "spiky", "total": 1}), "unknown shape"),
+        (lambda d: d.update(demand={"shape": "spiky", "total": 1}), "unknown demand shape"),
         (lambda d: d.update(demand={"shape": "uniform"}), "missing"),
         (lambda d: d.update(tariff={"kind": "dynamic"}), "unknown tariff"),
         (lambda d: d.update(tariff={"kind": "flat"}), "missing"),
@@ -510,6 +510,58 @@ def test_load_spec_errors(tmp_path, mutate, fragment):
     with pytest.raises(InstanceError) as exc:
         load_spec(path)
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "key, tag, kind, cls, fields",
+    [
+        ("demand", "shape", "uniform", UniformShape, (3,)),
+        ("demand", "shape", "peaked", PeakedShape, (3, 6, 2)),
+        ("arrivals", "shape", "explicit", ExplicitShape, ([0, 1, 0],)),
+        ("tariff", "kind", "flat", FlatTariff, ("1/3",)),
+        ("tariff", "kind", "tou", TouTariff, ("0.5", 4, [[7, 10], [12, 12]])),
+        ("tariff", "kind", "explicit", ExplicitTariff, (["1/3", 2],)),
+    ],
+    ids=["uniform", "peaked", "explicit-shape", "flat", "tou", "explicit-tariff"],
+)
+def test_a_shape_or_tariff_object_holds_its_class_fields(tmp_path, key, tag, kind, cls, fields):
+    """Past the tag that names the class, an object's keys are the class's
+    ``__slots__``, and one key more is refused."""
+    doc = spec_document()
+    doc[key] = {tag: kind, **dict(zip(cls.__slots__, fields))}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert getattr(load_spec(path), key) == cls(*fields)
+    doc[key]["extra"] = 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InstanceError) as exc:
+        load_spec(path)
+    assert str(exc.value) == f"unknown {key} keys: ['extra']"
+
+
+def test_config_entry_and_spec_objects_hold_their_values_fields(tmp_path):
+    """A config's keys are ``StationConfig``'s fields, an initial entry's are
+    ``battery`` and ``BatteryStart``'s, and a spec's are ``ScenarioSpec``'s;
+    one key more is refused in each."""
+    config = dict(zip(StationConfig.__slots__, (3, 2, 3, 30, 14, "7/3")))
+    assert StationConfig.from_json_dict(config) == StationConfig(3, 2, 3, Fraction(30), 14, Fraction(7, 3))
+    starts = (("C", 1, None), ("F", 0, 1), ("O", 0, None))
+    initial = [{"battery": b, **dict(zip(BatteryStart.__slots__, start))} for b, start in enumerate(starts, 1)]
+    demand, arrivals = {"shape": "uniform", "total": 3}, {"shape": "uniform", "total": 2}
+    doc = dict(zip(ScenarioSpec.__slots__, (config, demand, arrivals, {"kind": "flat", "price": 2}, 5, initial)))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert load_spec(path) == ScenarioSpec(
+        StationConfig.from_json_dict(config), UniformShape(3), UniformShape(2), FlatTariff(2), 5,
+        InitialConditions(tuple(BatteryStart(*start) for start in starts)),
+    )
+    for what, obj in (("config", config), ("initial entry", initial[0]), ("scenario spec", doc)):
+        obj["extra"] = 1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceError) as exc:
+            load_spec(path)
+        assert str(exc.value) == f"unknown {what} keys: ['extra']"
+        del obj["extra"]
 
 
 def test_load_spec_rejects_junk_json(tmp_path):
