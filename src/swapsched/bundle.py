@@ -52,7 +52,7 @@ _CSV_COLUMNS = ["hour", "demand", "arrivals", "price"]
 
 
 def save_profiles(path: str | Path, events: EventProfiles) -> None:
-    Path(path).write_text(_profiles_text(events), newline="")
+    Path(path).write_text(_profiles_text(events), encoding="utf-8", newline="")
 
 
 def _profiles_text(events: EventProfiles) -> str:
@@ -73,11 +73,13 @@ def _csv_int(text: str, what: str, hour: int) -> int:
 def load_profiles(path: str | Path) -> EventProfiles:
     """Read a ``hour,demand,arrivals,price`` table; hours must run 1..T with no gaps."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             rows = [row for row in reader if row]
     except FileNotFoundError:
         raise ProfileError(f"no such profiles file: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ProfileError(f"{path} is not UTF-8 text: {exc}") from None
     except csv.Error as exc:  # a field past the csv module's size limit, say
         raise ProfileError(f"profiles file is not valid CSV: {exc}") from None
     if not rows:
@@ -100,10 +102,7 @@ def load_profiles(path: str | Path) -> EventProfiles:
             raise ProfileError("demand and arrivals must be >= 0", hour=hour)
         p = read.get(row[3])
         if p is None:
-            try:
-                p = to_exact(row[3])
-            except ValueError as exc:
-                raise ProfileError(str(exc), hour=hour) from None
+            p = to_exact(row[3], lambda message: ProfileError(message, hour=hour))
             if p < 0:
                 raise ProfileError("price must be >= 0", hour=hour)
             read[row[3]] = p
@@ -156,13 +155,19 @@ def _initial_from_json(data: object) -> InitialConditions:
     return InitialConditions(tuple(by_battery[b] for b in sorted(by_battery)))
 
 
-def _read_json(path: Path, what: str) -> object:
+def _read_text(path: Path, what: str) -> str:
+    """The text of a bundle or spec file, which must exist and be UTF-8."""
     try:
-        text = path.read_text()
+        return path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise InstanceError(f"missing {what}: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise InstanceError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _read_json(path: Path, what: str) -> object:
     try:
-        return json.loads(text, parse_float=Decimal)
+        return json.loads(_read_text(path, what), parse_float=Decimal)
     except (ValueError, RecursionError) as exc:  # bad JSON, too long an integer or too deep a nesting
         raise InstanceError(f"{what} is not valid JSON: {exc}") from None
 
@@ -188,7 +193,7 @@ def _write_texts(directory: str | Path, texts: dict[str, str]) -> None:
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     for name, text in texts.items():
-        (d / name).write_text(text, newline="")
+        (d / name).write_text(text, encoding="utf-8", newline="")
 
 
 def load_instance(directory: str | Path) -> Instance:

@@ -24,8 +24,8 @@ import sys
 from pathlib import Path
 
 import swapsched  # its lazy names type the reports without loading validation
-from .bundle import _write_texts, load_instance, save_instance
-from .errors import EnumerationBudgetError, InfeasibleError, InstanceError, SwapSchedError
+from .bundle import _read_text, _write_texts, load_instance, save_instance
+from .errors import EnumerationBudgetError, InfeasibleError, SwapSchedError
 from .model import (
     DEFAULT_ORACLE_BUDGET, Instance, ScheduleGrid, _json_text, _scan, format_exact, parse_grid, render_grid
 )
@@ -35,11 +35,7 @@ __all__ = ["main"]
 
 def _read_schedule(instance: Instance, instance_dir: str, override: str | None) -> ScheduleGrid:
     path = Path(override) if override else Path(instance_dir) / "schedule.txt"
-    try:
-        text = path.read_text()
-    except FileNotFoundError:
-        raise InstanceError(f"missing schedule file: {path}") from None
-    return parse_grid(text, instance.config)
+    return parse_grid(_read_text(path, "schedule file"), instance.config)
 
 
 def _print_violation(v: swapsched.Violation) -> None:

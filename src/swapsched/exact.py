@@ -6,8 +6,8 @@ lexicographically earliest start vector.  It works on start counts:
 ``_relaxed_starts`` solves them without the charger bounds past the first
 block and says when that answer is optimal, and
 ``_largest_optimal_potentials`` solves the full system as a min-cost flow.
-It reads the prices its instance scaled once (``Instance._price_levels``)
-and, like every method, its cost from the realisation (``solver._simulate``).
+It reads the prices its instance scaled once (``Instance._price_levels``);
+like every method, it takes its cost from ``solver._simulate``, priced as written.
 ``solve_oracle`` enumerates start vectors by release hour to cross-check it.
 ``ChargeJob``, ``build_jobs`` and ``start_domain`` state ``_window`` a job at
 a time; no solver reads them.

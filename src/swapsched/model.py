@@ -33,7 +33,7 @@ import itertools
 import json
 import math
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from fractions import Fraction
@@ -100,9 +100,11 @@ MAX_EXPONENT = 1000
 MAX_DIGITS = 2000
 _MAX_VALUE = 10**MAX_DIGITS
 _MAX_DENOMINATOR = 10**MAX_EXPONENT
+# The number is left out of the message: it may be too long to print.
+_TOO_MANY_DIGITS = f"a number has more than {MAX_DIGITS} digits before its decimal point"
 
 
-def to_exact(value: object) -> Fraction:
+def to_exact(value: object, error: Callable[[str], Exception] = ValueError) -> Fraction:
     """Convert int/str/Decimal/Fraction/float input to an exact Fraction.
 
     Strings accept plain integers, decimal notation, and "n/d" ratios.
@@ -110,15 +112,17 @@ def to_exact(value: object) -> Fraction:
     ("0.1" means one tenth, not the binary expansion).  Infinities, NaNs,
     decimal exponents beyond +-MAX_EXPONENT, more than MAX_DIGITS digits
     before the decimal point and "n/d" denominators above
-    10 ** MAX_EXPONENT raise ValueError.  A Fraction is returned as it is.
+    10 ** MAX_EXPONENT raise ``error(message)``: a ValueError unless the
+    caller names its own, as each value's constructor names InstanceError.
+    A Fraction is returned as it is.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
-        raise ValueError(f"not a number: {value!r}")
+        raise error(f"not a number: {value!r}")
     if isinstance(value, int):
         if abs(value) >= _MAX_VALUE:
-            raise _too_many_digits()
+            raise error(_TOO_MANY_DIGITS)
         return Fraction(value)
     if isinstance(value, Decimal):
         decimal = value
@@ -132,27 +136,22 @@ def to_exact(value: object) -> Fraction:
             try:
                 exact = Fraction(text)  # "n/d", the one spelling Decimal lacks
             except (ValueError, ZeroDivisionError):
-                raise ValueError(f"not an exact number: {_shown(value)}") from None
+                raise error(f"not an exact number: {_shown(value)}") from None
             if exact.denominator > _MAX_DENOMINATOR:
-                raise ValueError(f"a denominator lies beyond 10**{MAX_EXPONENT}")
+                raise error(f"a denominator lies beyond 10**{MAX_EXPONENT}")
             if abs(exact) >= _MAX_VALUE:
-                raise _too_many_digits()
+                raise error(_TOO_MANY_DIGITS)
             return exact
     else:
-        raise ValueError(f"not an exact number: {_shown(value)}")
+        raise error(f"not an exact number: {_shown(value)}")
     if not decimal.is_finite():
-        raise ValueError(f"not a finite number: {_shown(value)}")
+        raise error(f"not a finite number: {_shown(value)}")
     _, digits, exponent = decimal.as_tuple()
     if abs(exponent) > MAX_EXPONENT:
-        raise ValueError(f"the exponent of {_shown(value)} lies beyond +-{MAX_EXPONENT}")
+        raise error(f"the exponent of {_shown(value)} lies beyond +-{MAX_EXPONENT}")
     if len(digits) + exponent > MAX_DIGITS:
-        raise _too_many_digits()
+        raise error(_TOO_MANY_DIGITS)
     return Fraction(decimal)
-
-
-def _too_many_digits() -> ValueError:
-    # The number is left out of the message: it may be too long to print.
-    return ValueError(f"a number has more than {MAX_DIGITS} digits before its decimal point")
 
 
 def _shown(value: object) -> str:
@@ -284,9 +283,9 @@ class StationConfig(_Powered):
         horizon: int,
         charge_power_kw: Fraction | None = None,
     ):
-        capacity_kwh = to_exact(capacity_kwh)
+        capacity_kwh = to_exact(capacity_kwh, InstanceError)
         if charge_power_kw is not None:
-            charge_power_kw = to_exact(charge_power_kw)
+            charge_power_kw = to_exact(charge_power_kw, InstanceError)
         for name, v in (("n_batteries", n_batteries), ("n_chargers", n_chargers),
                         ("charge_hours", charge_hours), ("horizon", horizon)):
             if not is_int(v) or v < 1:
@@ -500,7 +499,7 @@ class EventProfiles(_Value):
     def __init__(self, demand: tuple[int, ...], arrivals: tuple[int, ...], price: tuple[Fraction, ...]):
         demand = tuple(demand)
         arrivals = tuple(arrivals)
-        price = tuple(to_exact(p) for p in price)
+        price = tuple(to_exact(p, InstanceError) for p in price)
         if not (len(demand) == len(arrivals) == len(price)) or not demand:
             raise DimensionError("demand, arrivals and price must share one horizon length")
         for name, seq in (("demand", demand), ("arrivals", arrivals)):

@@ -149,7 +149,7 @@ class FlatTariff(_Value):
     __slots__ = ("price",)
 
     def __init__(self, price: Fraction):
-        super().__init__(to_exact(price))
+        super().__init__(to_exact(price, InstanceError))
 
     def render(self, horizon: int) -> tuple[Fraction, ...]:
         return (self.price,) * horizon
@@ -161,8 +161,8 @@ class TouTariff(_Value):
     __slots__ = ("off_peak", "peak", "peak_hours")
 
     def __init__(self, off_peak: Fraction, peak: Fraction, peak_hours: tuple[tuple[int, int], ...]):
-        off_peak = to_exact(off_peak)
-        peak = to_exact(peak)
+        off_peak = to_exact(off_peak, InstanceError)
+        peak = to_exact(peak, InstanceError)
         ranges = tuple(_listed(r, "a peak range") for r in _listed(peak_hours, "peak_hours"))
         for r in ranges:
             if len(r) != 2 or not all(is_int(h) for h in r):
@@ -188,7 +188,7 @@ class ExplicitTariff(_Value):
     __slots__ = ("prices",)
 
     def __init__(self, prices: tuple[Fraction, ...]):
-        super().__init__(tuple(to_exact(p) for p in _listed(prices, "tariff prices")))
+        super().__init__(tuple(to_exact(p, InstanceError) for p in _listed(prices, "tariff prices")))
 
     def render(self, horizon: int) -> tuple[Fraction, ...]:
         if len(self.prices) != horizon:
@@ -207,19 +207,23 @@ Tariff = FlatTariff | TouTariff | ExplicitTariff
 
 
 class ScenarioSpec(_Value):
-    """Everything needed to draw one instance deterministically."""
+    """Everything needed to draw one instance deterministically, each field of its kind."""
 
     __slots__ = ("config", "demand", "arrivals", "tariff", "seed", "initial")
 
-    def __init__(
-        self,
-        config: StationConfig,
-        demand: Shape,
-        arrivals: Shape,
-        tariff: Tariff,
-        seed: int,
-        initial: InitialConditions | None = None,
-    ):
+    def __init__(self, config: StationConfig, demand: Shape, arrivals: Shape, tariff: Tariff, seed: int,
+                 initial: InitialConditions | None = None):
+        for name, value, kind, what in (
+            ("config", config, StationConfig, "a StationConfig"),
+            ("demand", demand, Shape, "a shape"),
+            ("arrivals", arrivals, Shape, "a shape"),
+            ("tariff", tariff, Tariff, "a tariff"),
+            ("initial", initial, InitialConditions | None, "InitialConditions or None"),
+        ):
+            if not isinstance(value, kind):
+                raise InstanceError(f"{name} must be {what}, got {_shown(value)}")
+        if not is_int(seed):
+            raise InstanceError("seed must be an integer")
         super().__init__(config, demand, arrivals, tariff, seed, initial)
 
 
@@ -397,8 +401,6 @@ def load_spec(path: str | Path) -> ScenarioSpec:
     """
     *required, optional = ScenarioSpec.__slots__
     data = _json_object(_read_json(Path(path), "scenario spec"), "scenario spec", required, (optional,))
-    if not is_int(data["seed"]):
-        raise InstanceError("seed must be an integer")
     return ScenarioSpec(
         config=StationConfig.from_json_dict(data["config"]),
         initial=_initial_from_json(data["initial"]) if "initial" in data else None,

@@ -5,8 +5,8 @@ one that enters empty may start charging from hour 1, and one that returns
 from the hour after it lands.  Only how many charges start in each hour
 affects cost, charger use and demand coverage, so every method hands its
 per-hour start counts to one realisation, which starts the longest-waiting
-empty batteries and returns the schedule with its cost, priced from the
-charge runs it wrote.  No method starts more batteries than are waiting.
+empty batteries and returns the schedule with its cost, kept by hour and
+by battery as it writes.  No method starts more batteries than are waiting.
 
 Stations serve swaps and bind arrivals first-in-first-out:
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
 
@@ -75,13 +75,8 @@ class CostBreakdown(_Value):
 
     __slots__ = ("total", "per_hour", "per_battery", "energy_kwh")
 
-    def __init__(
-        self,
-        total: Fraction,
-        per_hour: tuple[Fraction, ...],
-        per_battery: tuple[Fraction, ...],
-        energy_kwh: Fraction,
-    ):
+    def __init__(self, total: Fraction, per_hour: tuple[Fraction, ...],
+                 per_battery: tuple[Fraction, ...], energy_kwh: Fraction):
         super().__init__(total, per_hour, per_battery, energy_kwh)
 
     def to_json_dict(self) -> dict:
@@ -102,8 +97,9 @@ def schedule_cost(grid: ScheduleGrid, config: StationConfig, price: Sequence) ->
     Only the ``C`` letters count, whatever surrounds them, so a grid with
     illegal moves is priced cell by cell like any other.  The prices are
     scaled to integers under the bound every ``Instance`` enforces
-    (``model._price_levels``, InstanceError past it) and ``_priced`` sums
-    them over the grid's runs of ``C`` (``_runs``).
+    (``model._price_levels``, InstanceError past it).  Each run of ``C``
+    (``_runs``) adds its price sum to its battery and one charger to its hours
+    through a difference array, and ``_priced`` turns those into a cost.
     """
     if grid.n_batteries != config.n_batteries or grid.horizon != config.horizon:
         raise DimensionError(
@@ -113,31 +109,26 @@ def schedule_cost(grid: ScheduleGrid, config: StationConfig, price: Sequence) ->
     prices = [to_exact(p) for p in price]
     if len(prices) != config.horizon:
         raise DimensionError(f"{len(prices)} prices for a horizon of {config.horizon} hours")
-    return _priced(_runs(grid, "C"), config, *_price_levels(prices, config.power_kw))
-
-
-def _priced(runs: Iterable[tuple], config: StationConfig, level: Sequence[int], lcm: int) -> CostBreakdown:
-    """``schedule_cost`` of a grid that fits ``config`` from its ``C`` runs, as
-    ``_runs`` yields them but in any order, at prices ``level[t] / lcm``.
-
-    The sums run over integers, in units of one over ``lcm`` times the
-    power's denominator.  Each run is priced at once from prefix sums of
-    those units and adds one charger to its hours through a difference
-    array.  Each distinct scaled sum becomes one Fraction.
-    """
-    T = config.horizon
-    numerator, denominator = config.power_kw.as_integer_ratio()
-    scale = lcm * denominator
-    unit = [x * numerator for x in level]
-    before = list(itertools.accumulate(unit, initial=0))  # before[i]: cells 0..i-1
-    change = [0] * (T + 1)  # +1 where a run begins, -1 just past its end
-    per_battery = [0] * config.n_batteries
-    for b, first, stop in runs:
-        per_battery[b] += before[stop] - before[first]
+    level, lcm = _price_levels(prices, config.power_kw)
+    before = list(itertools.accumulate(level, initial=0))  # before[i]: cells 0..i-1
+    change = [0] * (config.horizon + 1)  # +1 where a run begins, -1 just past its end
+    paid = [0] * config.n_batteries
+    for b, first, stop in _runs(grid, "C"):
+        paid[b] += before[stop] - before[first]
         change[first] += 1
         change[stop] -= 1
-    charging = list(itertools.accumulate(change[:T]))
-    per_hour = [u * n for u, n in zip(unit, charging)]
+    return _priced(list(itertools.accumulate(change[:-1])), paid, config, level, lcm)
+
+
+def _priced(charging: Sequence[int], paid: Sequence[int], config: StationConfig, level: Sequence[int], lcm: int) -> CostBreakdown:
+    """The cost of ``charging[t]`` chargers at hour t + 1 and of battery b + 1's
+    charge hours, whose prices sum to ``paid[b]``, at prices ``level[t] / lcm``:
+    sums of integers in units of one over ``lcm`` times the power's denominator,
+    each distinct one then made one Fraction."""
+    numerator, denominator = config.power_kw.as_integer_ratio()
+    scale = lcm * denominator
+    per_hour = [x * n * numerator for x, n in zip(level, charging)]
+    per_battery = [x * numerator for x in paid]
     exact = {x: Fraction(x, scale) for x in {*per_hour, *per_battery}}
     return CostBreakdown(
         Fraction(sum(per_hour), scale),
@@ -165,14 +156,16 @@ def _priced(runs: Iterable[tuple], config: StationConfig, level: Sequence[int], 
 # under the hour it turns full, and a running count of the charges on
 # chargers checks the capacity, so no hour scans the charges in progress.
 # Only hour 1 and the hours that start charges can raise that count, so only
-# they check it, at step 3.  Between state changes a battery keeps its state,
-# so a row is written a run of letters at a time, and each run of C is priced.
+# they check it, at step 3; after it, the count is the hour's number of C.
+# Between state changes a battery keeps its state, so a row is written a run
+# of letters at a time.  A charge is priced when it starts, since its hours
+# are known then, and added to its battery's sum: a battery may charge twice.
 # ---------------------------------------------------------------------------
 
 
 def _simulate(instance: Instance, n_starts: Sequence[int] | Mapping[int, int]) -> tuple[ScheduleGrid, CostBreakdown]:
     """Realise ``n_starts`` (``n_starts[t]``: charges started at hour t) as a schedule grid
-    and its cost, priced from the runs of ``C`` it wrote at ``Instance._price_levels``."""
+    and its cost at ``Instance._price_levels``, kept by hour and by battery as it writes."""
     cfg = instance.config
     T, D, chargers = cfg.horizon, cfg.charge_hours, cfg.n_chargers
     demand, arrivals = instance.events.demand, instance.events.arrivals
@@ -181,7 +174,10 @@ def _simulate(instance: Instance, n_starts: Sequence[int] | Mapping[int, int]) -
     # a state it leaves in the hour it came); at the end, its last letter.
     written = [""] * (cfg.n_batteries + 1)
     since = [1] * len(written)
-    charges: list[tuple[int, int, int]] = []  # (battery, first, stop), all from 0
+    level, lcm = instance._price_levels
+    before = list(itertools.accumulate(level, initial=0))  # before[t]: hours 1..t
+    paid = [0] * len(written)  # paid[b]: the price levels of battery b's C hours, summed
+    charging = [0] * T  # charging[t - 1]: the C of hour t
 
     # Batteries in FIFO order.  Those that start the horizon full are ordered
     # by declared rank; the charges that finish at hour t join full behind
@@ -200,6 +196,7 @@ def _simulate(instance: Instance, n_starts: Sequence[int] | Mapping[int, int]) -
             waiting.append(b)
         elif state is _C:
             finishing[min(D - entry.progress, T) + 1].append(b)
+            paid[b] = before[min(D - entry.progress, T)]
             active += 1
         elif state is _F:
             ranked.append((entry.full_rank, b))
@@ -229,7 +226,6 @@ def _simulate(instance: Instance, n_starts: Sequence[int] | Mapping[int, int]) -
             finished.sort()
             for b in finished:
                 written[b] += "C" * (t - since[b])
-                charges.append((b - 1, since[b] - 1, t - 1))
                 since[b] = t
             full.extend(finished)
             active -= len(finished)
@@ -237,15 +233,18 @@ def _simulate(instance: Instance, n_starts: Sequence[int] | Mapping[int, int]) -
         # 3. charge starts, longest-waiting batteries first
         starts = n_starts[t]
         if starts or t == 1:
-            ending = finishing[min(t + D, T + 1)]
+            end = min(t + D, T + 1)
+            ending, price = finishing[end], before[end - 1] - before[t - 1]
             for _ in range(starts):
                 b = waiting.popleft()
                 ending.append(b)
+                paid[b] += price
                 written[b] += "E" * (t - since[b])
                 since[b] = t
             active += starts
             if active > chargers:
                 raise InfeasibleError(t, f"{active} concurrent charges at hour {t}")
+        charging[t - 1] = active
 
         # 4. swaps consume the batteries full before hour t, longest-full first
         need = demand[t - 1]
@@ -265,11 +264,10 @@ def _simulate(instance: Instance, n_starts: Sequence[int] | Mapping[int, int]) -
                 since[b] = t
             out_pool.extend(gone)
 
-    charges += [(b - 1, since[b] - 1, T) for b in finishing[T + 1]]
     for letter, batteries in (("E", waiting), ("C", finishing[T + 1]), ("F", full), ("O", out_pool)):
         for b in batteries:
             written[b] += letter * (T + 1 - since[b])
-    return ScheduleGrid._trusted(tuple(written[1:])), _priced(charges, cfg, *instance._price_levels)
+    return ScheduleGrid._trusted(tuple(written[1:])), _priced(charging, paid[1:], cfg, level, lcm)
 
 
 def _greedy_starts(instance: Instance) -> list[int]:

@@ -608,6 +608,28 @@ def test_a_csv_field_past_the_csv_modules_limit_is_an_input_error(valley_dir, tm
     assert capsys.readouterr().err == "error: profiles file is not valid CSV: field larger than field limit (131072)\n"
 
 
+@pytest.mark.parametrize("name", ["config.json", "profiles.csv", "initial.json", "schedule.txt", "spec.json"])
+def test_a_file_that_is_not_utf8_is_an_input_error_that_names_it(valley_dir, tmp_path, capsys, name):
+    """Byte 0xff starts no UTF-8 character.  Each bundle or spec file that
+    holds it is refused with exit 2 by its path, then the codec's own words."""
+    bundle = tmp_path / "bundle"
+    shutil.copytree(valley_dir, bundle)
+    path = bundle / name
+    if name == "schedule.txt":
+        assert cli.main(["solve", "--instance", str(bundle), "--method", "greedy", "--out", str(bundle)]) == 0
+    raw = path.read_bytes() if path.exists() else b'{"seed": 1}'
+    path.write_bytes(raw[:7] + b"\xff" + raw[7:])
+    with pytest.raises(UnicodeDecodeError) as refused:
+        path.read_text(encoding="utf-8")
+    argv = {
+        "schedule.txt": ["validate", "--instance", str(bundle)],
+        "spec.json": ["generate", "--spec", str(path), "--out", str(tmp_path / "out")],
+    }.get(name, ["solve", "--instance", str(bundle)])
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path} is not UTF-8 text: {refused.value}\n"
+
+
 @pytest.mark.parametrize(
     "fields, message",
     [

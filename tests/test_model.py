@@ -22,6 +22,7 @@ from swapsched import (
     InstanceError,
     ScheduleGrid,
     StationConfig,
+    SwapSchedError,
     TouTariff,
     TransitionError,
     UniformShape,
@@ -358,7 +359,7 @@ class _Unprintable:
         (lambda: ScheduleGrid(([_H],)), DimensionError, "battery B1: a value of type list is not a string of state letters"),
         (lambda: ScheduleGrid(("E" * 50 + "X",)), DimensionError,
          f"battery B1: {chr(39)}{'E' * 39}... holds a letter other than E, C, F, O"),
-        (lambda: EventProfiles((0,), (0,), ([_H],)), ValueError, "not an exact number: a value of type list"),
+        (lambda: EventProfiles((0,), (0,), ([_H],)), InstanceError, "not an exact number: a value of type list"),
         (lambda: to_exact(_Unprintable()), ValueError, "not an exact number: a value of type _Unprintable"),
         (lambda: schedule_cost(ScheduleGrid(("E",)), _one_battery().config, ([_H],)),
          ValueError, "not an exact number: a value of type list"),
@@ -368,7 +369,7 @@ class _Unprintable:
          "shape total must be an integer >= 0, got a value of type list"),
         (lambda: ExplicitShape(([_H],)), InstanceError,
          "explicit shape values must be integers >= 0, got a value of type list"),
-        (lambda: FlatTariff([_H]), ValueError, "not an exact number: a value of type list"),
+        (lambda: FlatTariff([_H]), InstanceError, "not an exact number: a value of type list"),
         (lambda: TouTariff(1, 2, [[_H]]), InstanceError,
          "a peak range must be two integer hours, got a value of type list"),
     ],
@@ -447,6 +448,26 @@ def test_values_refuse_their_own_contents(build, message):
     with pytest.raises(InstanceError) as exc:
         build()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda bad: FlatTariff(bad), lambda bad: TouTariff(bad, 1, ()), lambda bad: TouTariff(1, bad, ()),
+     lambda bad: ExplicitTariff((1, bad)), lambda bad: StationConfig(1, 1, 1, bad, 1),
+     lambda bad: StationConfig(1, 1, 1, 1, 1, charge_power_kw=bad), lambda bad: EventProfiles((0, 0), (0, 0), (1, bad))],
+    ids=["flat-price", "tou-off-peak", "tou-peak", "explicit-price", "capacity", "charge-power", "profile-price"],
+)
+@pytest.mark.parametrize("bad", ["x", "1/0", True, b"1", [1], float("nan"), "1e9999", 10**MAX_DIGITS],
+                         ids=["text", "zero-denominator", "bool", "bytes", "list", "nan", "exponent", "digits"])
+def test_number_fields_refuse_with_the_packages_error_and_to_exacts_message(build, bad):
+    """A number field's bad value is an InstanceError, which ``except
+    SwapSchedError`` catches, worded as ``to_exact``'s own ValueError."""
+    with pytest.raises(ValueError) as plain:
+        to_exact(bad)
+    with pytest.raises(SwapSchedError) as exc:
+        build(bad)
+    assert type(exc.value) is InstanceError
+    assert str(exc.value) == str(plain.value)
 
 
 @pytest.mark.parametrize(

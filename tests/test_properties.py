@@ -356,11 +356,12 @@ def test_every_start_vector_realises_strictly_valid_or_refuses():
 @given(instance=instances(max_batteries=8, max_charge=4, horizons=(1, 24),
                           prices=st.fractions(0, 6, max_denominator=6)))
 def test_the_realisation_hands_pricing_the_charge_runs_it_wrote(instance):
-    """Each realisation prices the runs of ``C`` it wrote at the instance's
-    price levels: those of greedy, of the exact solve under both objectives
-    and of the oracle alike.  Each cost equals, in every field, the cost
-    ``schedule_cost`` finds by scanning the grid at the instance's prices,
-    and so does the cost each solve returns with its grid."""
+    """Each realisation prices each charge when it starts it and counts each
+    hour's chargers as it writes, at the instance's price levels: those of
+    greedy, of the exact solve under both objectives and of the oracle
+    alike.  Each cost equals, in every field, the cost ``schedule_cost``
+    finds by scanning the grid's runs of ``C`` at the instance's prices, and
+    so does the cost each solve returns with its grid."""
     realised = []
 
     def noted(*args):

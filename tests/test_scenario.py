@@ -513,6 +513,30 @@ def test_load_spec_errors(tmp_path, mutate, fragment):
 
 
 @pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("config", 5, "config must be a StationConfig, got 5"),
+        ("demand", FlatTariff(1), "demand must be a shape, got FlatTariff(price=Fraction(1, 1))"),
+        ("arrivals", {"shape": "uniform", "total": 1}, "arrivals must be a shape, got {'shape': 'uniform', 'total': 1}"),
+        ("tariff", UniformShape(1), "tariff must be a tariff, got UniformShape(total=1)"),
+        ("initial", (), "initial must be InitialConditions or None, got ()"),
+        ("seed", [1], "seed must be an integer"),
+        ("seed", True, "seed must be an integer"),
+        ("seed", 1.0, "seed must be an integer"),
+        ("seed", "7", "seed must be an integer"),
+    ],
+    ids=["config", "demand", "arrivals", "tariff", "initial", "seed-list", "seed-bool", "seed-float", "seed-text"],
+)
+def test_a_scenario_spec_refuses_a_field_of_the_wrong_kind(field, value, message):
+    """The spec checks its own fields, so ``generate`` never meets one that
+    ``random`` or the station's tables would fail on outside the package's
+    errors (a list seed raised random's TypeError)."""
+    with pytest.raises(InstanceError) as exc:
+        small_spec(**{"seed": 0, field: value})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
     "key, tag, kind, cls, fields",
     [
         ("demand", "shape", "uniform", UniformShape, (3,)),

@@ -432,6 +432,30 @@ def test_realisation_files_each_charge_under_the_hour_it_turns_full():
     assert validate(grid, instance, "strict").feasible
 
 
+def test_the_realisation_prices_each_charge_and_counts_each_hours_chargers_as_it_writes():
+    """B1 charges twice: hours 1-2, then, after a swap at hour 4 and its
+    return at hour 5, from hour 7, where the horizon cuts the block off.  B2
+    finishes its continuation at hour 2.  The realisation's cost, in every
+    field, is the one ``schedule_cost`` reads off the grid, and each field is
+    written here by hand, at a charge power of 5/2 kW."""
+    from swapsched.solver import _simulate
+
+    price = tuple(map(Fraction, ("1/2", "3", "7/3", "4", "1/6", "2", "5/4")))
+    instance = Instance(
+        StationConfig(2, 2, 2, Fraction(5), 7, charge_power_kw=Fraction(5, 2)),
+        InitialConditions((BatteryStart(state=E), BatteryStart(state=C))),
+        EventProfiles((0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0, 0), price),
+    )
+    grid, cost = _simulate(instance, [0, 1, 0, 0, 0, 0, 0, 1])
+    assert grid.rows == ("CCFOEEC", "CCFFFFF")
+    assert cost == schedule_cost(grid, instance.config, price)  # every field
+    kw = Fraction(5, 2)
+    assert cost.per_battery == ((price[0] + price[1] + price[6]) * kw, (price[0] + price[1]) * kw)
+    assert cost.per_battery == (Fraction(95, 8), Fraction(35, 4))
+    assert cost.per_hour == (Fraction(5, 2), 15, 0, 0, 0, 0, Fraction(25, 8))
+    assert (cost.total, cost.energy_kwh) == (Fraction(165, 8), Fraction(25, 2))
+
+
 def test_swaps_wait_for_charges_finishing_in_their_own_hour():
     """B1 and B2 turn full at hour 3; a swap at hour 3 can take only B3, the
     one battery full before it, and at hour 4 it takes B3, then B1."""
